@@ -14,7 +14,7 @@ from .feature_model import (ForwardCache, GradReport, Gradients, ModelParams,
                             softmax_cross_entropy, softmax_cross_entropy_batch)
 from .losses import (METHODS, ExemplarSet, HyperParams, anchor_loss,
                      distillation_loss, min_max_loss, total_loss, xi_heuristic)
-from .neural_gas import NGGraph, NGNode, Ranking, init_graph, train_on_features
+from .neural_gas import NGGraph, Ranking, init_graph, train_on_features
 from .protocol import (RUNNABLE_METHODS, Session, SessionMetrics,
                        SessionStream, evaluate_joint, make_synthetic_stream,
                        run_method, train_base_session,
@@ -31,7 +31,7 @@ __all__ = [
     "sgd_step", "softmax", "softmax_cross_entropy", "softmax_cross_entropy_batch",
     "METHODS", "ExemplarSet", "HyperParams", "anchor_loss",
     "distillation_loss", "min_max_loss", "total_loss", "xi_heuristic",
-    "NGGraph", "NGNode", "Ranking", "init_graph", "train_on_features",
+    "NGGraph", "Ranking", "init_graph", "train_on_features",
     "RUNNABLE_METHODS", "Session", "SessionMetrics", "SessionStream",
     "evaluate_joint", "make_synthetic_stream", "run_method",
     "train_base_session", "train_incremental_session",

@@ -7,6 +7,7 @@ deterministic functions of the config.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -46,19 +47,21 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.hp.validate()
-        for name in ("base_classes", "new_classes", "way", "shot", "input_dim",
-                     "train_per_base", "test_per_class", "hidden_dim",
-                     "feature_dim"):
+        for name in _INT_KEYS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if self.cluster_spread <= 0:
-            raise ConfigError("cluster_spread must be positive")
+        if not 0 < self.cluster_spread < math.inf:
+            raise ConfigError(f"cluster_spread must be positive and finite: {self.cluster_spread}")
         if self.new_classes % self.way != 0:
             raise ConfigError("new_classes must be divisible by way")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if self.hp.growth_k >= self.shot:
+            raise ConfigError(f"growth_k={self.hp.growth_k} must be below shot={self.shot}")
+        if self.hp.node_budget > self.base_classes * self.train_per_base:
+            raise ConfigError(f"node_budget={self.hp.node_budget} exceeds the base train samples")
+        for name in ("methods", "seeds"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be a non-empty list without duplicates")
         for m in self.methods:
             if m not in RUNNABLE_METHODS:
                 raise ConfigError(

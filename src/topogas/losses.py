@@ -1,26 +1,40 @@
 """Loss terms for incremental training and their composition.
 
-Every term returns (scalar loss, Gradients) with the gradient computed
-analytically through the feature model, so each one can be validated
-against central finite differences.  Losses are literal sums (over batch
-samples, graph nodes, or exemplars), not means.
+Each term maps the features and logits of its rows to (loss, dL/dfeature,
+dL/dlogits); one backward pass carries those into the parameters.  Losses are
+sums over batch samples, graph nodes or exemplars, not means.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InputError, StateError
-from .feature_model import (Gradients, ModelParams, backward_batch, forward,
-                            forward_batch, softmax_cross_entropy_batch)
+# `forward` stays bound here because the perfbench tracer patches losses.forward.
+from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
+                            softmax, softmax_cross_entropy_batch)
 from .neural_gas import NGGraph
 
-METHODS = ("ft", "distill", "exemplar_anchor", "topic_al", "topic_al_mml",
-           "topic_al_mml_dl")
 
-# Which methods touch which machinery.
-GRAPH_METHODS = ("topic_al", "topic_al_mml", "topic_al_mml_dl")
-DISTILL_METHODS = ("distill", "topic_al_mml_dl")
+@dataclass(frozen=True)
+class MethodSpec:
+    """The loss terms a method tag adds to cross-entropy on the batch."""
+
+    anchor: str | None = None  # "graph" (old nodes) or "exemplar" (stored exemplars)
+    min_max: bool = False
+    distill: bool = False
+
+
+# The single source for which terms each incremental method composes.
+METHODS = {
+    "ft": MethodSpec(),
+    "distill": MethodSpec(distill=True),
+    "exemplar_anchor": MethodSpec(anchor="exemplar"),
+    "topic_al": MethodSpec(anchor="graph"),
+    "topic_al_mml": MethodSpec(anchor="graph", min_max=True),
+    "topic_al_mml_dl": MethodSpec(anchor="graph", min_max=True, distill=True),
+}
 
 
 @dataclass
@@ -50,24 +64,14 @@ class HyperParams:
     ng_passes: int = 3
 
     def validate(self) -> None:
-        positive = {"eta": self.eta, "alpha": self.alpha, "t_life": self.t_life,
-                    "t_distill": self.t_distill, "base_lr": self.base_lr,
-                    "inc_lr": self.inc_lr, "base_epochs": self.base_epochs,
-                    "inc_epochs": self.inc_epochs, "node_budget": self.node_budget,
-                    "growth_k": self.growth_k, "eps_var": self.eps_var,
-                    "exemplars_per_class": self.exemplars_per_class,
-                    "ng_passes": self.ng_passes}
-        for name, value in positive.items():
-            if value <= 0:
-                raise InputError(f"{name} must be positive, got {value}")
-        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2),
-                            ("gamma", self.gamma)):
-            if value < 0:
-                raise InputError(f"{name} must be non-negative, got {value}")
+        for name, value in asdict(self).items():
+            if value is None:  # xi = auto
+                continue
+            kind = "non-negative" if name in ("lambda1", "lambda2", "gamma") else "positive"
+            if not math.isfinite(value) or value < 0 or (value == 0 and kind == "positive"):
+                raise InputError(f"{name} must be finite and {kind}, got {value}")
         if self.eta > 1.0:
             raise InputError(f"eta must be at most 1, got {self.eta}")
-        if self.xi is not None and self.xi <= 0:
-            raise InputError(f"xi must be positive when given, got {self.xi}")
 
 
 @dataclass
@@ -87,16 +91,102 @@ class ExemplarSet:
         self.features.append(None if feature is None else
                              np.asarray(feature, dtype=float).copy())
 
-    def input_array(self) -> np.ndarray:
-        return np.stack(self.inputs)
-
-    def label_array(self) -> np.ndarray:
-        return np.array(self.labels, dtype=int)
-
     def refresh_features(self, feature_fn) -> None:
         """Re-encode all stored inputs as the current anchor targets."""
         self.features = [np.asarray(feature_fn(x), dtype=float).copy()
                          for x in self.inputs]
+
+
+# -- terms: (features, logits) of their rows -> (loss, dL/dfeature, dL/dlogits)
+
+def _cross_entropy_term(feat, logits, y):
+    loss, grad_logits = softmax_cross_entropy_batch(logits, y)
+    return loss, np.zeros_like(feat), grad_logits
+
+
+def _anchor_term(feat, logits, m, inv_var):
+    """Weighted squared deviation of re-encoded features from their anchors m."""
+    diff = feat - m
+    return float(np.sum(diff * diff * inv_var)), 2.0 * diff * inv_var, np.zeros_like(logits)
+
+
+def _distillation_term(feat, logits, logits_hat, t_distill, n_old):
+    """Cross-entropy from softened snapshot logits over the first n_old classes."""
+    if not 1 <= n_old <= min(logits.shape[1], logits_hat.shape[1]):
+        raise InputError(f"n_old={n_old} must be between 1 and both classifier widths")
+    tau_hat = softmax(logits_hat[:, :n_old] / t_distill)
+    z = logits[:, :n_old] / t_distill
+    z -= z.max(axis=1, keepdims=True)
+    log_tau = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    grad_logits = np.zeros_like(logits)
+    grad_logits[:, :n_old] = (np.exp(log_tau) - tau_hat) / t_distill
+    return float(-np.sum(tau_hat * log_tau)), np.zeros_like(feat), grad_logits
+
+
+def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_max):
+    """Min-max loss; rows are the batch (labels y), then f(z_j) of new_nodes."""
+    n = len(y)
+    grad_feat = np.zeros_like(feat)
+    match = np.empty(n, dtype=int)
+    for label in np.unique(y):
+        rows = np.flatnonzero(y == label)
+        nodes = np.flatnonzero(graph.labels == label)
+        if nodes.size == 0:
+            raise StateError(f"no node carries batch label {label}")
+        dist = np.linalg.norm(feat[rows, None, :] - graph.centroids[nodes], axis=2)
+        match[rows] = nodes[np.argmin(dist, axis=1)]
+    loss = 0.0
+    if include_min:
+        diff = feat[:n] - graph.centroids[match]
+        d = np.linalg.norm(diff, axis=1)
+        loss += float(d.sum())
+        np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
+    if include_max:
+        # A sample's hinge depends only on its matched node j (labels[j] == y),
+        # so each distinct j is evaluated once, weighted by its match count.
+        nodes, counts = np.unique(match, return_counts=True)
+        row = n + np.searchsorted(new_nodes, nodes)
+        is_new = graph.origins[nodes] == graph.session
+        m = graph.centroids[nodes]
+        m[is_new] = feat[row[is_new]]
+        pair, other = np.nonzero(graph.edges[nodes] & (graph.labels != graph.labels[nodes, None]))
+        gap = m[pair] - graph.centroids[other]
+        d = np.linalg.norm(gap, axis=1)
+        hit = d < xi
+        loss += float(counts[pair[hit]] @ (xi - d[hit]))
+        push = hit & is_new[pair] & (d > 0.0)
+        np.subtract.at(grad_feat, row[pair[push]],
+                       counts[pair[push], None] * gap[push] / d[push, None])
+    return loss, grad_feat, np.zeros_like(logits)
+
+
+def _node_inputs(graph: NGGraph, nodes) -> list:
+    if any(graph.pseudo_inputs[j] is None for j in nodes):
+        raise StateError("a node in the loss has no pseudo input")
+    return [graph.pseudo_inputs[j] for j in nodes]
+
+
+def _graph_anchors(graph: NGGraph, old_nodes) -> tuple:
+    if len(old_nodes) == 0:
+        raise InputError("anchor loss needs at least one old node")
+    inv_var = 1.0 / graph.variances[old_nodes]
+    if not np.all(np.isfinite(inv_var)):
+        raise StateError("non-finite inverse variance; the floor invariant is broken")
+    return graph.centroids[old_nodes], inv_var
+
+
+def _exemplar_anchors(exemplars: ExemplarSet | None) -> tuple:
+    if exemplars is None or len(exemplars) == 0:
+        raise StateError("exemplar anchor method needs a non-empty exemplar set")
+    if any(f is None for f in exemplars.features):
+        raise StateError("exemplar set has no anchor features; refresh them first")
+    return np.stack(exemplars.features), 1.0
+
+
+def _through_model(rows: list, params: ModelParams, term, *context):
+    feat, logits, cache = forward_batch(np.vstack(rows), params)
+    loss, grad_feat, grad_logits = term(feat, logits, *context)
+    return loss, backward_batch(cache, grad_logits, grad_feat, params)
 
 
 def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
@@ -107,34 +197,14 @@ def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
     inverse variance diagonal.  Gradients flow into the extractor only.
     """
     old_nodes = np.asarray(old_nodes, dtype=int)
-    if old_nodes.size == 0:
-        raise InputError("anchor loss needs at least one old node")
-    z = np.stack([graph.pseudo_inputs[j] for j in old_nodes])
-    m = graph.centroids[old_nodes]
-    inv_var = 1.0 / graph.variances[old_nodes]
-    if not np.all(np.isfinite(inv_var)):
-        raise StateError("non-finite inverse variance; the floor invariant is broken")
-    feat, logits, cache = forward_batch(z, params)
-    diff = feat - m
-    loss = float(np.sum(diff * diff * inv_var))
-    grad_feat = 2.0 * diff * inv_var
-    grads = backward_batch(cache, np.zeros_like(logits), grad_feat, params)
-    return loss, grads
+    return _through_model(_node_inputs(graph, old_nodes), params, _anchor_term,
+                          *_graph_anchors(graph, old_nodes))
 
 
 def _exemplar_anchor_loss(exemplars: ExemplarSet, params: ModelParams):
     """Identity-weighted anchor penalty over stored exemplar features."""
-    if len(exemplars) == 0:
-        raise StateError("exemplar anchor method needs a non-empty exemplar set")
-    if any(f is None for f in exemplars.features):
-        raise StateError("exemplar set has no anchor features; refresh them first")
-    z = exemplars.input_array()
-    m = np.stack(exemplars.features)
-    feat, logits, cache = forward_batch(z, params)
-    diff = feat - m
-    loss = float(np.sum(diff * diff))
-    grads = backward_batch(cache, np.zeros_like(logits), 2.0 * diff, params)
-    return loss, grads
+    targets = _exemplar_anchors(exemplars)
+    return _through_model(exemplars.inputs, params, _anchor_term, *targets)
 
 
 def xi_heuristic(graph: NGGraph) -> float:
@@ -142,8 +212,7 @@ def xi_heuristic(graph: NGGraph) -> float:
     if len(graph) < 2:
         raise StateError("margin heuristic needs at least two nodes")
     c = graph.centroids
-    pair = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-    return float(pair.max())
+    return float(np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2).max())
 
 
 def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
@@ -152,60 +221,18 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
     """Pull features to their class node, push cross-label neighbors apart.
 
     Per sample (x, y): let j be the nearest node labeled y under the stored
-    centroids.  The min part adds d(f(x), m_j) with m_j constant.  The max
-    part adds max(0, xi - d(m_i, m_j)) over neighbors i of j with a
-    different label; m_i is always a constant, while m_j of a node inserted
-    this session is re-expressed as f(z_j) so the push has a gradient path
-    into the extractor.  include_min/include_max isolate the two parts for
-    ablations and gradient checks.
+    centroids (ties to the lowest index).  The min part adds d(f(x), m_j)
+    with m_j constant.  The max part adds max(0, xi - d(m_i, m_j)) over
+    neighbors i of j with a different label; m_i is always a constant, while
+    m_j of a node inserted this session is re-expressed as f(z_j) so the
+    push has a gradient path into the extractor.  include_min/include_max
+    isolate the two parts.
     """
     if graph is None:
         raise StateError("min-max loss needs a graph")
-    batch_x = np.asarray(batch_x, dtype=float)
-    batch_y = np.asarray(batch_y, dtype=int)
-    feat, logits, cache = forward_batch(batch_x, params)
-    grad_feat = np.zeros_like(feat)
-    loss = 0.0
-    # Newly inserted matched nodes get a differentiable centroid f(z_j).
-    new_fwd: dict[int, tuple] = {}
-    new_grad: dict[int, np.ndarray] = {}
-    for b in range(batch_x.shape[0]):
-        y = int(batch_y[b])
-        candidates = np.flatnonzero(graph.labels == y)
-        if candidates.size == 0:
-            raise StateError(f"no node carries batch label {y}")
-        dists = np.linalg.norm(graph.centroids[candidates] - feat[b], axis=1)
-        j = int(candidates[np.argmin(dists)])
-        if include_min:
-            d = float(np.linalg.norm(feat[b] - graph.centroids[j]))
-            loss += d
-            if d > 0.0:
-                grad_feat[b] += (feat[b] - graph.centroids[j]) / d
-        if include_max:
-            is_new = int(graph.origins[j]) == graph.session
-            if is_new and j not in new_fwd:
-                zj = graph.pseudo_inputs[j]
-                if zj is None:
-                    raise StateError(f"new node {j} has no pseudo input")
-                fj, oj, cj = forward(zj, params)
-                new_fwd[j] = (fj, oj, cj)
-                new_grad[j] = np.zeros_like(fj)
-            mj = new_fwd[j][0] if is_new else graph.centroids[j]
-            for i in graph.neighbors(j):
-                if int(graph.labels[i]) == y:
-                    continue
-                gap = mj - graph.centroids[i]
-                d_ij = float(np.linalg.norm(gap))
-                if d_ij < xi:
-                    loss += xi - d_ij
-                    if is_new and d_ij > 0.0:
-                        new_grad[j] -= gap / d_ij
-    grads = backward_batch(cache, np.zeros_like(logits), grad_feat, params)
-    for j, g in new_grad.items():
-        fj, oj, cj = new_fwd[j]
-        grads.add_scaled(backward_batch(cj, np.zeros_like(oj)[None, :],
-                                        g[None, :], params))
-    return float(loss), grads
+    new_nodes = np.flatnonzero(graph.origins == graph.session)
+    return _through_model([batch_x, *_node_inputs(graph, new_nodes)], params, _min_max_term,
+                          np.asarray(batch_y), graph, new_nodes, xi, include_min, include_max)
 
 
 def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
@@ -215,89 +242,61 @@ def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
     Both logit vectors are restricted to the first n_old classes; the
     snapshot is a constant, so gradients flow into the current parameters.
     """
-    if n_old < 1:
-        raise InputError("distillation needs at least one old class")
-    if n_old > params.class_count or n_old > old_params.class_count:
-        raise InputError(f"n_old={n_old} exceeds a classifier width")
-    batch_x = np.asarray(batch_x, dtype=float)
-    feat, logits, cache = forward_batch(batch_x, params)
-    _, logits_hat, _ = forward_batch(batch_x, old_params)
-    tau_hat = _temp_softmax(logits_hat[:, :n_old], t_distill)
-    z = logits[:, :n_old] / t_distill
-    z -= z.max(axis=1, keepdims=True)
-    log_tau = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-np.sum(tau_hat * log_tau))
-    grad_logits = np.zeros_like(logits)
-    grad_logits[:, :n_old] = (np.exp(log_tau) - tau_hat) / t_distill
-    grads = backward_batch(cache, grad_logits, np.zeros_like(feat), params)
-    return loss, grads
-
-
-def _temp_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = logits / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    logits_hat = forward_batch(batch_x, old_params)[1]
+    return _through_model([batch_x], params, _distillation_term, logits_hat,
+                          t_distill, n_old)
 
 
 def total_loss(batch, graph: NGGraph | None, params: ModelParams,
                exemplars: ExemplarSet | None, hp: HyperParams, method: str, *,
                old_params: ModelParams | None = None, n_old: int | None = None,
                xi: float | None = None):
-    """Compose the loss terms selected by the method tag.
+    """Compose the terms METHODS[method] selects in one pass over stacked rows.
 
-    batch is (inputs, labels).  Strategy tags:
-      ft               cross-entropy only
-      distill          CE + gamma * distillation over batch + exemplars
-      exemplar_anchor  CE + lambda1 * identity-weighted exemplar anchors
-      topic_al         CE + lambda1 * anchor loss over old nodes
-      topic_al_mml     ... + lambda2 * min-max loss (margin xi)
-      topic_al_mml_dl  ... + gamma * distillation over batch + exemplars
-
-    Cross-entropy always covers the batch alone; stored exemplars enter
-    only through the distillation term, which matches old-class logits
-    instead of rehearsing hard labels.
+    batch is (inputs, labels).  The rows are the batch, the stored exemplars,
+    then node pseudo inputs (old nodes to anchor, this session's nodes to
+    push).  One forward_batch feeds every term; their row gradients, weighted
+    1 (CE), lambda1 (anchor), lambda2 (min-max, margin xi) and gamma
+    (distillation against the frozen snapshot on batch + exemplar rows), go
+    through one backward_batch.  Cross-entropy covers the batch alone.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in GRAPH_METHODS and graph is None:
+    spec = METHODS.get(method)
+    if spec is None:
+        raise InputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    if (spec.anchor == "graph" or spec.min_max) and graph is None:
         raise StateError(f"method {method!r} requires a neural-gas graph")
-    batch_x = np.asarray(batch[0], dtype=float)
-    batch_y = np.asarray(batch[1], dtype=int)
-
-    feat, logits, cache = forward_batch(batch_x, params)
-    loss, grad_logits = softmax_cross_entropy_batch(logits, batch_y)
-    grads = backward_batch(cache, grad_logits, np.zeros_like(feat), params)
-
-    if method in ("topic_al", "topic_al_mml", "topic_al_mml_dl"):
-        old_nodes = np.flatnonzero(graph.origins < graph.session)
-        al, al_grads = anchor_loss(graph, old_nodes, params)
-        loss += hp.lambda1 * al
-        grads.add_scaled(al_grads, hp.lambda1)
-    elif method == "exemplar_anchor":
-        if exemplars is None:
-            raise StateError("exemplar_anchor requires a stored exemplar set")
-        al, al_grads = _exemplar_anchor_loss(exemplars, params)
-        loss += hp.lambda1 * al
-        grads.add_scaled(al_grads, hp.lambda1)
-
-    if method in ("topic_al_mml", "topic_al_mml_dl"):
+    batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
+    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else []
+    old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
+    new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
+    extra = [*store, *_node_inputs(graph, old), *_node_inputs(graph, new)]
+    x = np.concatenate([batch_x, np.reshape(extra, (len(extra), batch_x.shape[1]))])
+    ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
+    batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
+    terms = [(1.0, batch_rows, _cross_entropy_term, (batch_y,))]
+    if spec.anchor == "exemplar":
+        terms.append((hp.lambda1, store_rows, _anchor_term, _exemplar_anchors(exemplars)))
+    if spec.anchor == "graph":
+        terms.append((hp.lambda1, old_rows, _anchor_term, _graph_anchors(graph, old)))
+    if spec.min_max:
         margin = xi if xi is not None else hp.xi
         if margin is None:
             raise InputError("min-max methods need the margin xi")
-        mml, mml_grads = min_max_loss(batch_x, batch_y, graph, params, margin)
-        loss += hp.lambda2 * mml
-        grads.add_scaled(mml_grads, hp.lambda2)
-
-    if method in DISTILL_METHODS:
+        terms.append((hp.lambda2, np.r_[batch_rows, new_rows], _min_max_term,
+                      (batch_y, graph, new, margin, True, True)))
+    if spec.distill:
         if old_params is None or n_old is None:
             raise StateError("distillation methods need the frozen snapshot and n_old")
-        dl_x = batch_x
-        if exemplars is not None and len(exemplars) > 0:
-            dl_x = np.vstack([batch_x, exemplars.input_array()])
-        dl, dl_grads = distillation_loss(dl_x, old_params, params,
-                                         hp.t_distill, n_old)
-        loss += hp.gamma * dl
-        grads.add_scaled(dl_grads, hp.gamma)
+        dl = slice(0, store_rows.stop)
+        terms.append((hp.gamma, dl, _distillation_term,
+                      (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
 
-    return float(loss), grads
+    feat, logits, cache = forward_batch(x, params)
+    loss = 0.0
+    grad_feat, grad_logits = np.zeros_like(feat), np.zeros_like(logits)
+    for scale, rows, term, context in terms:
+        value, g_feat, g_logits = term(feat[rows], logits[rows], *context)
+        loss += scale * value
+        grad_feat[rows] += scale * g_feat
+        grad_logits[rows] += scale * g_logits
+    return float(loss), backward_batch(cache, grad_logits, grad_feat, params)

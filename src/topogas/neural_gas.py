@@ -7,11 +7,11 @@ distance, centroids move with a rank-decayed step, and the winner pair
 gains an edge while the winner's other edges age out past a lifetime.
 
 Node state is kept in parallel arrays on the graph (centroids, variances,
-labels, ...) so the update rules stay vectorized; NGNode is the per-node
-accessor record.
+labels, ...) so the update rules stay vectorized.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +22,6 @@ log = logging.getLogger(__name__)
 
 FORMAT_HEADER = "nggraph v1"
 KMEANS_ITERS = 10
-
-
-@dataclass
-class NGNode:
-    """One vertex: centroid m, variance diagonal, pseudo input z, label c."""
-
-    centroid: np.ndarray
-    variance: np.ndarray
-    pseudo_input: np.ndarray | None
-    label: int
-    origin_session: int
 
 
 @dataclass
@@ -54,9 +43,9 @@ class Ranking:
 class NGGraph:
     """Node collection plus symmetric edge/age structure.
 
-    Operations mutate the graph in place; use copy() where a snapshot is
-    needed.  `session` tracks the most recent growth session so newly
-    inserted nodes can be told apart from stabilized old ones.
+    Operations mutate the graph in place.  `session` tracks the most recent
+    growth session so newly inserted nodes can be told apart from
+    stabilized old ones.
     """
 
     def __init__(self, centroids: np.ndarray, variances: np.ndarray,
@@ -84,19 +73,9 @@ class NGGraph:
     def feature_dim(self) -> int:
         return self.centroids.shape[1]
 
-    def node(self, j: int) -> NGNode:
-        return NGNode(self.centroids[j], self.variances[j], self.pseudo_inputs[j],
-                      int(self.labels[j]), int(self.origins[j]))
-
     def neighbors(self, j: int) -> np.ndarray:
         """Indices adjacent to j (edge indicator set)."""
         return np.flatnonzero(self.edges[j])
-
-    def copy(self) -> "NGGraph":
-        return NGGraph(self.centroids.copy(), self.variances.copy(),
-                       [None if z is None else z.copy() for z in self.pseudo_inputs],
-                       self.labels.copy(), self.origins.copy(), self.lifetime,
-                       self.eps_var, self.session, self.edges.copy(), self.ages.copy())
 
     # -- competitive Hebbian learning -------------------------------------
 
@@ -159,12 +138,6 @@ class NGGraph:
         self.edges[r1, r2] = self.edges[r2, r1] = True
 
     # -- node bookkeeping ---------------------------------------------------
-
-    def old_subgraph(self, old_labels) -> np.ndarray:
-        """Indices of nodes whose label lies in old_labels."""
-        old = set(int(c) for c in old_labels)
-        return np.array([j for j in range(len(self)) if int(self.labels[j]) in old],
-                        dtype=int)
 
     def assign_pseudo_exemplars(self, inputs, labels, feature_fn) -> None:
         """Store, per node, the raw training input whose feature is nearest m.
@@ -298,43 +271,71 @@ class NGGraph:
 
     @staticmethod
     def from_text(text: str) -> "NGGraph":
-        lines = [ln for ln in text.splitlines()]
+        """Parse a to_text checkpoint; anything malformed raises InputError."""
+        lines = text.splitlines()
         if not lines or lines[0] != FORMAT_HEADER:
             raise InputError(f"not a recognized graph checkpoint (expected '{FORMAT_HEADER}')")
         pos = 1
 
-        def take(prefix: str) -> str:
-            nonlocal pos
-            if pos >= len(lines) or not lines[pos].startswith(prefix + " "):
-                raise InputError(f"malformed checkpoint: expected '{prefix} ...' at line {pos + 1}")
-            value = lines[pos][len(prefix) + 1:]
-            pos += 1
-            return value
+        def bad(why: str) -> InputError:
+            return InputError(f"malformed checkpoint at line {pos}: {why}")
 
-        lifetime = int(take("lifetime"))
-        session = int(take("session"))
-        eps_var = float(take("eps_var"))
-        count = int(take("nodes"))
-        centroids, variances, pseudo, labels, origins = [], [], [], [], []
-        for _ in range(count):
-            head = take("node").split()
-            labels.append(int(head[2]))
-            origins.append(int(head[4]))
-            centroids.append(np.array([float(v) for v in take("m").split()]))
-            variances.append(np.array([float(v) for v in take("var").split()]))
-            z = take("z")
-            pseudo.append(None if z == "-" else np.array([float(v) for v in z.split()]))
-        edge_count = int(take("edges"))
-        graph = NGGraph(np.array(centroids), np.array(variances), pseudo,
-                        np.array(labels), np.array(origins), lifetime, eps_var, session)
-        for _ in range(edge_count):
-            if pos >= len(lines):
-                raise InputError("malformed checkpoint: truncated edge list")
-            i, j, age = lines[pos].split()
+        def take(prefix: str | None, count: int | None = 1) -> list:
+            """Words of the next line after `prefix`: exactly count, or any non-zero number."""
+            nonlocal pos
             pos += 1
-            i, j = int(i), int(j)
+            words = lines[pos - 1].split() if pos <= len(lines) else []
+            if prefix is not None:
+                if words[:1] != [prefix]:
+                    raise bad(f"expected '{prefix} ...'")
+                words = words[1:]
+            if not words or (count is not None and len(words) != count):
+                raise bad(f"expected {count or 'some'} values")
+            return words
+
+        def numbers(words: list, kind=int) -> list:
+            try:
+                values = [kind(w) for w in words]
+            except ValueError:
+                raise bad(f"expected {kind.__name__} values") from None
+            if not all(math.isfinite(v) for v in values):
+                raise bad("non-finite value")
+            return values
+
+        (lifetime,), (session,) = numbers(take("lifetime")), numbers(take("session"))
+        (eps_var,), (count,) = numbers(take("eps_var"), float), numbers(take("nodes"))
+        if count < 1 or eps_var <= 0:
+            raise bad("need at least one node and a positive variance floor")
+        heads, centroids, variances, pseudo = [], [], [], []
+        for j in range(count):
+            head = take("node", 5)
+            if head[0] != str(j) or head[1::2] != ["label", "origin"]:
+                raise bad(f"expected 'node {j} label <int> origin <int>'")
+            heads.append(numbers(head[2::2]))
+            centroids.append(numbers(take("m", len(centroids[0]) if centroids else None), float))
+            variances.append(numbers(take("var", len(centroids[0])), float))
+            z = take("z", None)
+            pseudo.append(None if z == ["-"] else np.array(numbers(z, float)))
+        if len({z.size for z in pseudo if z is not None}) > 1:
+            raise InputError("malformed checkpoint: pseudo inputs differ in width")
+        (edge_count,) = numbers(take("edges"))
+        if edge_count < 0:
+            raise bad("negative edge count")
+        labels, origins = np.array(heads).T
+        graph = NGGraph(np.array(centroids), np.array(variances), pseudo,
+                        labels, origins, lifetime, eps_var, session)
+        for _ in range(edge_count):
+            i, j, age = numbers(take(None, 3))
+            if not 0 <= i < j < count or graph.edges[i, j]:
+                raise bad("an edge must join two in-range nodes once, lower index first")
             graph.edges[i, j] = graph.edges[j, i] = True
-            graph.ages[i, j] = graph.ages[j, i] = int(age)
+            graph.ages[i, j] = graph.ages[j, i] = age
+        if pos != len(lines):
+            raise InputError(f"malformed checkpoint: trailing content after line {pos}")
+        try:
+            graph.check_invariants()
+        except StateError as exc:
+            raise InputError(f"invalid checkpoint: {exc}") from exc
         return graph
 
     def save(self, path) -> None:

@@ -13,8 +13,7 @@ from .errors import DivergenceError, InputError
 from .feature_model import (ModelParams, expand_output_layer, forward,
                             forward_batch, init_params, sgd_step,
                             softmax_cross_entropy_batch, backward_batch)
-from .losses import (DISTILL_METHODS, METHODS, ExemplarSet, HyperParams,
-                     total_loss, xi_heuristic)
+from .losses import METHODS, ExemplarSet, HyperParams, total_loss, xi_heuristic
 from .neural_gas import NGGraph, init_graph, train_on_features
 
 BASE_BATCH_SIZE = 128
@@ -24,7 +23,7 @@ BASE_BATCH_SIZE = 128
 GRAD_CLIP_NORM = 10.0
 LR_DROP_MILESTONES = (0.6, 0.8)
 
-RUNNABLE_METHODS = METHODS + ("joint",)
+RUNNABLE_METHODS = tuple(METHODS) + ("joint",)
 
 
 @dataclass
@@ -328,27 +327,24 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
             metrics.append(evaluate_joint(fresh, stream, t))
         return metrics
 
-    feature_fn = lambda v: forward(v, params)[0]
-    distill_store = ExemplarSet()
-    anchor_store = ExemplarSet()
+    # Every method draws the distill store: exemplar-anchor picks continue its generator.
+    exemplar_anchor = METHODS[method].anchor == "exemplar"
+    distill_store, anchor_store = ExemplarSet(), ExemplarSet()
     rng = _exemplar_rng(seed, 1)
     _add_class_exemplars(distill_store, stream.session(1), hp.exemplars_per_class, rng)
-    if method == "exemplar_anchor":
+    if exemplar_anchor:
         base = stream.session(1)
         take = rng.choice(base.train_x.shape[0],
                           size=min(hp.node_budget, base.train_x.shape[0]),
                           replace=False)
         for i in take:
             anchor_store.add(base.train_x[i], int(base.train_y[i]))
-        anchor_store.refresh_features(feature_fn)
+        anchor_store.refresh_features(lambda v: forward(v, params)[0])
+    # total_loss reads the store only for the terms METHODS[method] names.
+    exemplars = anchor_store if exemplar_anchor else distill_store
 
     for t in range(2, len(stream) + 1):
         session = stream.session(t)
-        exemplars = None
-        if method in DISTILL_METHODS:
-            exemplars = distill_store
-        elif method == "exemplar_anchor":
-            exemplars = anchor_store
         params, graph = train_incremental_session(params, graph, session, hp,
                                                   method, exemplars, seed)
         metrics.append(evaluate_joint(params, stream, t))
@@ -357,8 +353,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
 
         rng = _exemplar_rng(seed, t)
         _add_class_exemplars(distill_store, session, hp.exemplars_per_class, rng)
-        if method == "exemplar_anchor":
+        if exemplar_anchor:
             _add_class_exemplars(anchor_store, session, hp.growth_k, rng)
-            feature_fn = lambda v: forward(v, params)[0]
-            anchor_store.refresh_features(feature_fn)
+            anchor_store.refresh_features(lambda v: forward(v, params)[0])
     return metrics

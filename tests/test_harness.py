@@ -89,6 +89,11 @@ def test_divisibility_validated():
         parse_config("new_classes = 7\nway = 2")
 
 
+def test_nan_cluster_spread_rejected():
+    with pytest.raises(ConfigError, match="cluster_spread"):
+        parse_config("cluster_spread = nan")
+
+
 def test_default_config_text_round_trips():
     assert parse_config(default_config_text()) == ExperimentConfig()
 
@@ -238,3 +243,26 @@ def test_cli_bad_override_exits_one(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
     assert main(["--config", str(cfg), "--methods", "bogus"]) == 1
+
+
+# Without a check before training, each of these configs would fail only after
+# the base session trained, or would repeat runs.  TINY has shot = 3 and 4 x 30
+# base samples.
+@pytest.mark.parametrize("extra,overrides", [
+    ("growth_k = 3", []),
+    ("shot = 1", []),
+    ("node_budget = 121", []),
+    ("seeds = 1,2,1", []),
+    ("methods = ft,topic_al,ft", []),
+    ("", ["--seeds", "5,5"]),
+    ("", ["--methods", "ft,ft"]),
+], ids=["growth_k_at_shot", "shot_one", "node_budget_over_samples",
+        "duplicate_seeds", "duplicate_methods", "duplicate_seed_override",
+        "duplicate_method_override"])
+def test_cli_rejects_config_before_training(tmp_path, capsys, extra, overrides):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + extra + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *overrides]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()

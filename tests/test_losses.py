@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from topogas import (ExemplarSet, HyperParams, InputError, NGGraph, StateError,
-                     anchor_loss, distillation_loss, finite_difference_check,
-                     forward, forward_batch, init_params, min_max_loss,
-                     softmax, total_loss, xi_heuristic)
-from topogas.feature_model import Gradients
+from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
+                     StateError, anchor_loss, distillation_loss,
+                     finite_difference_check, forward, forward_batch,
+                     init_params, min_max_loss, softmax, total_loss,
+                     xi_heuristic)
+from topogas.feature_model import ModelParams, backward_batch
 
 EPS = 1e-6
 
@@ -231,6 +232,127 @@ def test_min_max_loss_subgradient_at_zero_distance():
         assert np.all(np.isfinite(arr))
 
 
+def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
+                           params: ModelParams, xi: float, include_min: bool = True,
+                           include_max: bool = True):
+    """The per-sample min-max loop that the vectorized min_max_loss replaced."""
+    if graph is None:
+        raise StateError("min-max loss needs a graph")
+    batch_x = np.asarray(batch_x, dtype=float)
+    batch_y = np.asarray(batch_y, dtype=int)
+    feat, logits, cache = forward_batch(batch_x, params)
+    grad_feat = np.zeros_like(feat)
+    loss = 0.0
+    # Newly inserted matched nodes get a differentiable centroid f(z_j).
+    new_fwd: dict[int, tuple] = {}
+    new_grad: dict[int, np.ndarray] = {}
+    for b in range(batch_x.shape[0]):
+        y = int(batch_y[b])
+        candidates = np.flatnonzero(graph.labels == y)
+        if candidates.size == 0:
+            raise StateError(f"no node carries batch label {y}")
+        dists = np.linalg.norm(graph.centroids[candidates] - feat[b], axis=1)
+        j = int(candidates[np.argmin(dists)])
+        if include_min:
+            d = float(np.linalg.norm(feat[b] - graph.centroids[j]))
+            loss += d
+            if d > 0.0:
+                grad_feat[b] += (feat[b] - graph.centroids[j]) / d
+        if include_max:
+            is_new = int(graph.origins[j]) == graph.session
+            if is_new and j not in new_fwd:
+                zj = graph.pseudo_inputs[j]
+                if zj is None:
+                    raise StateError(f"new node {j} has no pseudo input")
+                fj, oj, cj = forward(zj, params)
+                new_fwd[j] = (fj, oj, cj)
+                new_grad[j] = np.zeros_like(fj)
+            mj = new_fwd[j][0] if is_new else graph.centroids[j]
+            for i in graph.neighbors(j):
+                if int(graph.labels[i]) == y:
+                    continue
+                gap = mj - graph.centroids[i]
+                d_ij = float(np.linalg.norm(gap))
+                if d_ij < xi:
+                    loss += xi - d_ij
+                    if is_new and d_ij > 0.0:
+                        new_grad[j] -= gap / d_ij
+    grads = backward_batch(cache, np.zeros_like(logits), grad_feat, params)
+    for j, g in new_grad.items():
+        fj, oj, cj = new_fwd[j]
+        grads.add_scaled(backward_batch(cj, np.zeros_like(oj)[None, :],
+                                        g[None, :], params))
+    return float(loss), grads
+
+
+def grid_world(seed):
+    """Model, graph and batch on a grid of halves, with planted corner cases.
+
+    Every value a forward pass produces is exact on this grid, so the planted
+    ties and zero distances survive any row stacking or summation order.
+    Planted: old node 0 and new node 1 share label 0 and a centroid (a tie
+    that sample 0 sits on); samples 1 and 2 both sit on new node 2; old node
+    3 is a cross-label neighbor of node 2 at zero distance from f(z_2).
+    """
+    rng = np.random.default_rng([seed, 0x3A3])
+
+    def grid(*shape):
+        return rng.integers(-2, 3, size=shape) / 2.0
+
+    params = ModelParams(grid(5, 3), grid(5), grid(3, 5), grid(3), grid(3, 4))
+    n = 9
+    z = grid(n, 3)
+    labels = np.array([0, 0, 1, 2, *rng.integers(0, 3, size=n - 4)])
+    origins = np.array([1, 2, 2, 1, *rng.integers(1, 3, size=n - 4)])
+    centroids = forward_batch(z, params)[0]
+    centroids[4:] += grid(n - 4, 3)
+    centroids[1] = centroids[0]
+    centroids[3] = centroids[2]
+    graph = NGGraph(centroids, np.ones((n, 3)), list(z), labels, origins, 50, EPS,
+                    session=2)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    upper[2, 3] = True
+    graph.edges = upper | upper.T
+    bx = np.vstack([z[0], z[2], z[2], grid(6, 3)])
+    by = np.array([0, 1, 1, *rng.integers(0, 3, size=6)])
+    return params, graph, bx, by
+
+
+@pytest.mark.parametrize("include_min,include_max",
+                         [(True, True), (False, True), (True, False)])
+def test_min_max_loss_matches_per_sample_reference(include_min, include_max):
+    for seed in range(40):
+        params, g, bx, by = grid_world(seed)
+        xi = float(np.random.default_rng(seed).uniform(0.5, 4.0))
+        loss, grads = min_max_loss(bx, by, g, params, xi, include_min, include_max)
+        ref_loss, ref_grads = reference_min_max_loss(bx, by, g, params, xi,
+                                                     include_min, include_max)
+        assert loss == pytest.approx(ref_loss, rel=1e-9, abs=1e-9)
+        for name, arr in grads.arrays().items():
+            np.testing.assert_allclose(arr, ref_grads.arrays()[name], rtol=1e-9, atol=1e-9)
+
+
+def test_min_max_loss_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(41)
+    for seed in range(20):
+        params = make_params(seed=seed + 300)
+        n = int(rng.integers(3, 8))
+        labels = np.concatenate([[0, 1, 2], rng.integers(0, 3, size=n - 3)])
+        g = make_graph(params, n, labels, rng.integers(1, 3, size=n), seed=seed)
+        g.session = 2
+        g.centroids += rng.normal(scale=0.3, size=g.centroids.shape)
+        upper = np.triu(rng.random((n, n)) < 0.6, 1)
+        g.edges = upper | upper.T
+        bx = rng.normal(size=(8, 3))
+        by = rng.integers(0, 3, size=8)
+        xi = xi_heuristic(g) * float(rng.uniform(0.3, 1.5))
+        loss, grads = min_max_loss(bx, by, g, params, xi)
+        ref_loss, ref_grads = reference_min_max_loss(bx, by, g, params, xi)
+        assert loss == pytest.approx(ref_loss, rel=1e-9, abs=1e-9)
+        for name, arr in grads.arrays().items():
+            np.testing.assert_allclose(arr, ref_grads.arrays()[name], rtol=1e-9, atol=1e-9)
+
+
 # -- distillation -----------------------------------------------------------
 
 def test_distillation_self_matches_entropy():
@@ -322,7 +444,17 @@ def test_total_loss_zero_weights_reduce_to_cross_entropy():
     assert loss_al == pytest.approx(loss_ft, rel=1e-12)
 
 
+# The terms each method tag composes on top of cross-entropy, written out
+# independently of the METHODS table.
+TAG_TERMS = {"ft": (), "distill": ("dl",), "exemplar_anchor": ("exemplar_al",),
+             "topic_al": ("al",), "topic_al_mml": ("al", "mml"),
+             "topic_al_mml_dl": ("al", "mml", "dl")}
+
+
 def test_total_loss_weighted_sum_matches_term_by_term():
+    from topogas.feature_model import softmax_cross_entropy_batch
+    from topogas.losses import _exemplar_anchor_loss
+    assert set(TAG_TERMS) == set(METHODS)
     params = make_params(seed=30)
     g = make_graph(params, 3, [0, 1, 2], [1, 1, 2], seed=30)
     g.centroids += np.random.default_rng(31).normal(scale=0.2, size=g.centroids.shape)
@@ -332,24 +464,32 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     old = make_params(seed=33)
     hp = HyperParams()
     xi = 2.0
+    store = ExemplarSet()
+    for label in range(2):
+        z = rng.normal(size=3)
+        store.add(z, label, feature=forward(z, params)[0] + 0.3)
 
-    loss, grads = total_loss((bx, by), g, params, None, hp, "topic_al_mml_dl",
-                             old_params=old, n_old=4, xi=xi)
-    from topogas.feature_model import backward_batch, softmax_cross_entropy_batch
     feat, logits, cache = forward_batch(bx, params)
     ce, grad_o = softmax_cross_entropy_batch(logits, by)
-    al = anchor_loss(g, np.flatnonzero(g.origins < g.session), params)
-    mml = min_max_loss(bx, by, g, params, xi=xi)
-    dl = distillation_loss(bx, old, params, hp.t_distill, 4)
-    expected = ce + hp.lambda1 * al[0] + hp.lambda2 * mml[0] + hp.gamma * dl[0]
-    assert loss == pytest.approx(expected, rel=1e-12)
-
-    recomposed = backward_batch(cache, grad_o, np.zeros_like(feat), params)
-    recomposed.add_scaled(al[1], hp.lambda1)
-    recomposed.add_scaled(mml[1], hp.lambda2)
-    recomposed.add_scaled(dl[1], hp.gamma)
-    for name, arr in grads.arrays().items():
-        assert np.allclose(arr, recomposed.arrays()[name], atol=1e-12)
+    terms = {
+        "al": (hp.lambda1, anchor_loss(g, np.flatnonzero(g.origins < g.session), params)),
+        "exemplar_al": (hp.lambda1, _exemplar_anchor_loss(store, params)),
+        "mml": (hp.lambda2, min_max_loss(bx, by, g, params, xi=xi)),
+        "dl": (hp.gamma, distillation_loss(np.vstack([bx, *store.inputs]), old, params,
+                                           hp.t_distill, 4)),
+    }
+    for method, names in TAG_TERMS.items():
+        loss, grads = total_loss((bx, by), g, params, store, hp, method,
+                                 old_params=old, n_old=4, xi=xi)
+        expected = ce
+        recomposed = backward_batch(cache, grad_o, np.zeros_like(feat), params)
+        for name in names:
+            weight, (term_loss, term_grads) = terms[name]
+            expected += weight * term_loss
+            recomposed.add_scaled(term_grads, weight)
+        assert loss == pytest.approx(expected, rel=1e-12), method
+        for name, arr in grads.arrays().items():
+            assert np.allclose(arr, recomposed.arrays()[name], atol=1e-12), (method, name)
 
 
 def test_total_loss_is_linear_in_lambda1():
@@ -389,7 +529,7 @@ def test_total_loss_exemplar_anchor_identity_weighting():
     hp = HyperParams()
     loss, _ = total_loss((bx, by), None, params, store, hp, "exemplar_anchor")
     loss_ft, _ = total_loss((bx, by), None, params, None, hp, "ft")
-    feats = forward_batch(store.input_array(), params)[0]
+    feats = forward_batch(np.stack(store.inputs), params)[0]
     expected = sum(float(np.sum((feats[i] - store.features[i]) ** 2))
                    for i in range(3))
     assert loss - loss_ft == pytest.approx(hp.lambda1 * expected, rel=1e-9)
@@ -421,7 +561,7 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
                            old_params=old, n_old=4)
     without_p, _ = total_loss((bx, by), None, params, None, hp, "distill",
                               old_params=old, n_old=4)
-    dl_extra, _ = distillation_loss(store.input_array(), old, params,
+    dl_extra, _ = distillation_loss(np.stack(store.inputs), old, params,
                                     hp.t_distill, 4)
     assert with_p - without_p == pytest.approx(dl_extra, rel=1e-9)
 
@@ -438,6 +578,9 @@ def test_hyperparams_validate_accepts_defaults():
     ("t_distill", 0.0), ("base_lr", 0.0), ("inc_lr", -0.5),
     ("base_epochs", 0), ("inc_epochs", 0), ("node_budget", 0),
     ("growth_k", 0), ("eps_var", 0.0), ("xi", -2.0),
+    ("eta", math.nan), ("xi", math.nan), ("lambda1", math.inf),
+    ("lambda2", math.nan), ("alpha", math.inf), ("eps_var", -math.inf),
+    ("t_life", math.inf),
 ])
 def test_hyperparams_validate_rejects_bad_values(field, value):
     hp = HyperParams(**{field: value})

@@ -358,16 +358,7 @@ def test_grow_rejects_bad_k():
         g.grow({1: shots([[1.0, 1.0]] * 3)}, k=3, session=2)
 
 
-# -- subgraphs, anchors, quantization ---------------------------------------------
-
-def test_old_subgraph_full_none_mixed():
-    g = graph_from_centroids(np.zeros((42, 2)),
-                             labels=[0] * 20 + [1] * 20 + [2, 3])
-    assert len(g.old_subgraph({0, 1, 2, 3})) == 42
-    assert len(g.old_subgraph(set())) == 0
-    old = g.old_subgraph({0, 1})
-    assert len(old) == 40 and np.array_equal(old, np.arange(40))
-
+# -- anchors, quantization --------------------------------------------------------
 
 def test_refresh_anchors_constant_extractor():
     g = graph_from_centroids([[1.0, 1.0], [2.0, 2.0]])
@@ -455,6 +446,61 @@ def test_serialization_has_version_header():
 def test_serialization_rejects_unknown_version():
     with pytest.raises(InputError):
         NGGraph.from_text("nggraph v9\nlifetime 1\n")
+
+
+def set_line(prefix, new, nth=0, offset=0):
+    """Mutation: replace the line `offset` after the nth line starting with prefix."""
+    def apply(lines):
+        i = [k for k, line in enumerate(lines) if line.startswith(prefix)][nth] + offset
+        lines[i] = new(lines[i]) if callable(new) else new
+        return lines
+    return apply
+
+
+def repeat_first_edge(lines):
+    i = next(k for k, line in enumerate(lines) if line.startswith("edges "))
+    lines.insert(i + 2, lines[i + 1])
+    lines[i] = f"edges {int(lines[i].split()[1]) + 1}"
+    return lines
+
+
+# Mutations of a valid checkpoint (8 nodes of width 3, lifetime 50), each with
+# a fragment of the InputError it must raise.
+CHECKPOINT_MUTATIONS = {
+    "edge_out_of_range": (set_line("edges ", "0 8 1", offset=1), "edge must join"),
+    "negative_edge_index": (set_line("edges ", "-1 2 1", offset=1), "edge must join"),
+    "self_edge": (set_line("edges ", "3 3 1", offset=1), "edge must join"),
+    "repeated_edge": (repeat_first_edge, "edge must join"),
+    "edge_age_above_lifetime": (
+        set_line("edges ", lambda old: old.rsplit(" ", 1)[0] + " 51", offset=1), "lifetime"),
+    "edge_count_too_high": (set_line("edges ", "edges 99"), "expected 3 values"),
+    "negative_edge_count": (set_line("edges ", "edges -1"), "negative edge count"),
+    "ragged_centroid": (set_line("m ", "m 0.5 0.5", nth=1), "expected 3 values"),
+    "ragged_pseudo_input": (set_line("z ", "z 0.5 0.5", nth=2), "differ in width"),
+    "non_integer_node_count": (set_line("nodes ", "nodes 8.5"), "int values"),
+    "non_integer_label": (set_line("node 1 ", "node 1 label x origin 1"), "int values"),
+    "wrong_node_index": (set_line("node 1 ", "node 7 label 0 origin 1"), "node 1 label"),
+    "non_finite_centroid": (set_line("m ", "m nan 0.5 0.5"), "non-finite"),
+    "negative_variance": (set_line("var ", "var -1.0 0.5 0.5"), "below the floor"),
+    "zero_nodes": (lambda lines: lines[:4] + ["nodes 0", "edges 0"], "at least one node"),
+    "truncated": (lambda lines: lines[:7], "expected 'var"),
+    "trailing_junk": (lambda lines: lines + ["junk"], "trailing content"),
+}
+
+
+def test_serialization_reemits_identical_bytes():
+    text = random_trained_graph(13).to_text()
+    assert NGGraph.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("mutation", sorted(CHECKPOINT_MUTATIONS))
+def test_from_text_rejects_malformed_checkpoint(mutation):
+    mutate, message = CHECKPOINT_MUTATIONS[mutation]
+    text = random_trained_graph(13).to_text()
+    bad = "\n".join(mutate(text.splitlines())) + "\n"
+    assert bad != text
+    with pytest.raises(InputError, match=message):
+        NGGraph.from_text(bad)
 
 
 def test_save_and_load_files(tmp_path):
