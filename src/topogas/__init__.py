@@ -8,10 +8,9 @@ margin loss, all on top of a small hand-differentiated feature model.
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
 from .feature_model import (ForwardCache, GradReport, Gradients, ModelParams,
-                            backward, backward_batch, expand_output_layer,
-                            finite_difference_check, forward, forward_batch,
-                            init_params, sgd_step, softmax,
-                            softmax_cross_entropy, softmax_cross_entropy_batch)
+                            backward_batch, expand_output_layer, finite_difference_check,
+                            forward, forward_batch, init_params, sgd_step, softmax,
+                            softmax_cross_entropy_batch)
 from .losses import (METHODS, ExemplarSet, HyperParams, anchor_loss,
                      distillation_loss, min_max_loss, total_loss, xi_heuristic)
 from .neural_gas import NGGraph, Ranking, init_graph, train_on_features
@@ -26,9 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DivergenceError", "InputError", "StateError",
     "ForwardCache", "GradReport", "Gradients", "ModelParams",
-    "backward", "backward_batch", "expand_output_layer",
-    "finite_difference_check", "forward", "forward_batch", "init_params",
-    "sgd_step", "softmax", "softmax_cross_entropy", "softmax_cross_entropy_batch",
+    "backward_batch", "expand_output_layer", "finite_difference_check", "forward",
+    "forward_batch", "init_params", "sgd_step", "softmax", "softmax_cross_entropy_batch",
     "METHODS", "ExemplarSet", "HyperParams", "anchor_loss",
     "distillation_loss", "min_max_loss", "total_loss", "xi_heuristic",
     "NGGraph", "Ranking", "init_graph", "train_on_features",

@@ -179,36 +179,11 @@ def backward_batch(cache: ForwardCache, grad_logits: np.ndarray,
     return Gradients(d_w1, d_b1, d_w2, d_b2, d_phi)
 
 
-def backward(cache: ForwardCache, grad_o: np.ndarray, grad_f: np.ndarray,
-             params: ModelParams) -> Gradients:
-    """Single-sample backward pass over a cache produced by forward()."""
-    grad_o = np.asarray(grad_o, dtype=float)
-    grad_f = np.asarray(grad_f, dtype=float)
-    if grad_o.ndim != 1 or grad_f.ndim != 1:
-        raise InputError("grad_o and grad_f must be 1-D for a single-sample cache")
-    return backward_batch(cache, grad_o[None, :], grad_f[None, :], params)
-
-
 def softmax(o: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis (max subtraction)."""
     z = o - np.max(o, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(o: np.ndarray, y: int):
-    """Loss -log softmax(o)_y and its gradient softmax(o) - onehot(y)."""
-    o = np.asarray(o, dtype=float)
-    if o.ndim != 1:
-        raise InputError(f"expected a 1-D logit vector, got shape {o.shape}")
-    if not 0 <= y < o.shape[0]:
-        raise InputError(f"class index {y} out of range for {o.shape[0]} logits")
-    z = o - np.max(o)
-    log_norm = np.log(np.sum(np.exp(z)))
-    loss = float(log_norm - z[y])
-    grad = np.exp(z - log_norm)
-    grad[y] -= 1.0
-    return loss, grad
 
 
 def softmax_cross_entropy_batch(o: np.ndarray, y: np.ndarray):

@@ -14,7 +14,7 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
                             softmax, softmax_cross_entropy_batch)
-from .neural_gas import NGGraph
+from .neural_gas import NGGraph, nearest
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class HyperParams:
                 raise InputError(f"{name} must be finite and {kind}, got {value}")
         if self.eta > 1.0:
             raise InputError(f"eta must be at most 1, got {self.eta}")
+        if not math.isfinite(1.0 / self.eps_var):
+            raise InputError(f"eps_var must have a finite reciprocal, got {self.eps_var}")
 
 
 @dataclass
@@ -91,10 +93,9 @@ class ExemplarSet:
         self.features.append(None if feature is None else
                              np.asarray(feature, dtype=float).copy())
 
-    def refresh_features(self, feature_fn) -> None:
-        """Re-encode all stored inputs as the current anchor targets."""
-        self.features = [np.asarray(feature_fn(x), dtype=float).copy()
-                         for x in self.inputs]
+    def refresh_features(self, encode) -> None:
+        """Re-encode the stacked (B, d) inputs as anchor targets with one (B, n) encode call."""
+        self.features = list(np.array(encode(np.stack(self.inputs)), dtype=float))
 
 
 # -- terms: (features, logits) of their rows -> (loss, dL/dfeature, dL/dlogits)
@@ -133,8 +134,7 @@ def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_ma
         nodes = np.flatnonzero(graph.labels == label)
         if nodes.size == 0:
             raise StateError(f"no node carries batch label {label}")
-        dist = np.linalg.norm(feat[rows, None, :] - graph.centroids[nodes], axis=2)
-        match[rows] = nodes[np.argmin(dist, axis=1)]
+        match[rows] = nodes[nearest(feat[rows], graph.centroids[nodes])[0]]
     loss = 0.0
     if include_min:
         diff = feat[:n] - graph.centroids[match]

@@ -7,7 +7,8 @@ distance, centroids move with a rank-decayed step, and the winner pair
 gains an edge while the winner's other edges age out past a lifetime.
 
 Node state is kept in parallel arrays on the graph (centroids, variances,
-labels, ...) so the update rules stay vectorized.
+labels, ...) so the update rules stay vectorized.  `nearest` is the one
+winner search; encoders passed to the graph map an input batch to features.
 """
 
 import logging
@@ -22,6 +23,25 @@ log = logging.getLogger(__name__)
 
 FORMAT_HEADER = "nggraph v1"
 KMEANS_ITERS = 10
+# Most distances one block of a winner search holds (a block is at least one query row).
+NEAREST_BLOCK = 1 << 16
+
+
+def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
+    """Winner search: per query row, the nearest ref row's index and distance.
+
+    Euclidean distance, ties to the lowest index.  Query rows are searched
+    in blocks, so memory stays bounded for any number of queries.
+    """
+    queries, refs = np.asarray(queries, dtype=float), np.asarray(refs, dtype=float)
+    step = max(1, NEAREST_BLOCK // max(1, len(refs)))
+    index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
+    for start in range(0, len(queries), step):
+        block = slice(start, start + step)
+        d = np.linalg.norm(queries[block, None, :] - refs, axis=-1)
+        index[block] = np.argmin(d, axis=1)
+        dist[block] = d.min(axis=1)
+    return index, dist
 
 
 @dataclass
@@ -72,10 +92,6 @@ class NGGraph:
     @property
     def feature_dim(self) -> int:
         return self.centroids.shape[1]
-
-    def neighbors(self, j: int) -> np.ndarray:
-        """Indices adjacent to j (edge indicator set)."""
-        return np.flatnonzero(self.edges[j])
 
     # -- competitive Hebbian learning -------------------------------------
 
@@ -137,20 +153,31 @@ class NGGraph:
         self.ages[r1, r2] = self.ages[r2, r1] = 1
         self.edges[r1, r2] = self.edges[r2, r1] = True
 
+    def present(self, features: np.ndarray, eta: float, alpha: float,
+                updatable: np.ndarray | None = None) -> None:
+        """Per feature row in order: a Hebbian step, then the winner-pair edge update.
+
+        A single-node graph has no runner-up, so it skips the edge update.
+        """
+        for f in features:
+            ranking = self.hebbian_update(f, eta, alpha, updatable)
+            if len(self) >= 2:
+                self.edge_update(ranking.winner, ranking.runner_up)
+
     # -- node bookkeeping ---------------------------------------------------
 
-    def assign_pseudo_exemplars(self, inputs, labels, feature_fn) -> None:
+    def assign_pseudo_exemplars(self, inputs, labels, encode) -> None:
         """Store, per node, the raw training input whose feature is nearest m.
 
-        The chosen sample's label becomes the node label.
+        The chosen sample's label becomes the node label.  encode maps the
+        (B, d) stacked inputs to their (B, n) features in one call.
         """
         if len(inputs) == 0:
             raise InputError("cannot assign pseudo-exemplars from an empty dataset")
-        feats = np.stack([np.asarray(feature_fn(x), dtype=float) for x in inputs])
-        for j in range(len(self)):
-            best = int(np.argmin(np.linalg.norm(feats - self.centroids[j], axis=1)))
-            self.pseudo_inputs[j] = np.asarray(inputs[best], dtype=float).copy()
-            self.labels[j] = int(labels[best])
+        x = np.asarray(inputs, dtype=float)
+        best = nearest(self.centroids, encode(x))[0]
+        self.pseudo_inputs = [x[b].copy() for b in best]
+        self.labels = np.asarray(labels, dtype=int)[best]
 
     def estimate_variances(self, features: np.ndarray,
                            node_indices=None) -> None:
@@ -160,20 +187,10 @@ class NGGraph:
         feature fall back to the floor alone.
         """
         features = np.asarray(features, dtype=float)
-        targets = range(len(self)) if node_indices is None else node_indices
-        floor = np.full(self.feature_dim, self.eps_var)
-        if features.shape[0] == 0:
-            for j in targets:
-                self.variances[j] = floor
-            return
-        dists = np.linalg.norm(features[:, None, :] - self.centroids[None, :, :], axis=2)
-        winners = np.argmin(dists, axis=1)
-        for j in targets:
+        winners = nearest(features, self.centroids)[0]
+        for j in range(len(self)) if node_indices is None else node_indices:
             won = features[winners == j]
-            if won.shape[0] <= 1:
-                self.variances[j] = floor
-            else:
-                self.variances[j] = won.var(axis=0) + self.eps_var
+            self.variances[j] = self.eps_var + (won.var(axis=0) if len(won) > 1 else 0.0)
 
     def grow(self, class_samples: dict, k: int, session: int, seed: int = 0) -> None:
         """Insert k nodes per new class from its few-shot features.
@@ -196,11 +213,9 @@ class NGGraph:
                 raise InputError(
                     f"growth count {k} must be below the {feats.shape[0]} shots")
             centers = feats.mean(axis=0, keepdims=True) if k == 1 else _kmeans(feats, k, rng)
-            for c in centers:
-                nearest = int(np.argmin(np.linalg.norm(feats - c, axis=1)))
-                new_centroids.append(c)
-                new_inputs.append(np.asarray(inputs[nearest], dtype=float).copy())
-                new_labels.append(int(label))
+            new_centroids.extend(centers)
+            new_inputs.extend(np.array(inputs, dtype=float)[nearest(centers, feats)[0]])
+            new_labels.extend([int(label)] * len(centers))
         added = len(new_centroids)
         self.centroids = np.vstack([self.centroids, np.array(new_centroids)])
         self.variances = np.vstack([self.variances,
@@ -212,20 +227,21 @@ class NGGraph:
         self.ages = np.pad(self.ages, ((0, added), (0, added)))
         self.session = int(session)
 
-    def refresh_anchors(self, feature_fn) -> None:
-        """Re-encode every pseudo input with the current extractor: m <- f(z)."""
-        for j in range(len(self)):
-            if self.pseudo_inputs[j] is None:
-                raise StateError(f"node {j} has no pseudo input to re-encode")
-            self.centroids[j] = np.asarray(feature_fn(self.pseudo_inputs[j]), dtype=float)
+    def refresh_anchors(self, encode) -> None:
+        """Re-encode every pseudo input with the current extractor: m <- f(z).
+
+        encode maps the (N, d) stacked pseudo inputs to (N, n) features in one call.
+        """
+        if any(z is None for z in self.pseudo_inputs):
+            raise StateError("a node has no pseudo input to re-encode")
+        self.centroids[:] = encode(np.stack(self.pseudo_inputs))
 
     def quantization_error(self, features: np.ndarray) -> float:
         """Mean Euclidean distance from each feature to its winner centroid."""
         features = np.asarray(features, dtype=float)
         if features.shape[0] == 0:
             raise InputError("quantization error needs at least one feature")
-        dists = np.linalg.norm(features[:, None, :] - self.centroids[None, :, :], axis=2)
-        return float(dists.min(axis=1).mean())
+        return float(nearest(features, self.centroids)[1].mean())
 
     def check_invariants(self) -> None:
         """Raise StateError if symmetry, diagonal, lifetime or floor invariants fail."""
@@ -352,7 +368,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded Lloyd iterations over a handful of shot features."""
     centers = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
     for _ in range(KMEANS_ITERS):
-        assign = np.argmin(np.linalg.norm(points[:, None, :] - centers[None], axis=2), axis=1)
+        assign = nearest(points, centers)[0]
         for c in range(k):
             mine = points[assign == c]
             if mine.shape[0] > 0:
@@ -392,10 +408,7 @@ def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,
     features = np.asarray(features, dtype=float)
     rng = np.random.default_rng([seed, 0x7A41])
     for _ in range(passes):
-        for i in rng.permutation(features.shape[0]):
-            ranking = graph.hebbian_update(features[i], eta, alpha)
-            if len(graph) >= 2:
-                graph.edge_update(ranking.winner, ranking.runner_up)
+        graph.present(features[rng.permutation(features.shape[0])], eta, alpha)
     qe = graph.quantization_error(features)
     log.info("neural gas trained: %d nodes, %d passes, quantization error %.6f",
              len(graph), passes, qe)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .feature_model import (ModelParams, expand_output_layer, forward,
+# `forward` stays bound here because the perfbench tracer patches protocol.forward.
+from .feature_model import (ModelParams, expand_output_layer, forward,  # noqa: F401
                             forward_batch, init_params, sgd_step,
                             softmax_cross_entropy_batch, backward_batch)
 from .losses import METHODS, ExemplarSet, HyperParams, total_loss, xi_heuristic
@@ -171,10 +172,10 @@ def train_base_session(stream: SessionStream, hp: HyperParams, seed: int,
     graph = init_graph(feats, base.train_y, hp.node_budget, hp.t_life,
                        hp.eps_var, seed)
     train_on_features(graph, feats, hp.eta, hp.alpha, hp.ng_passes, seed)
-    feature_fn = lambda v: forward(v, params)[0]
-    graph.assign_pseudo_exemplars(base.train_x, base.train_y, feature_fn)
+    encode = lambda x: extract_features(params, x)
+    graph.assign_pseudo_exemplars(base.train_x, base.train_y, encode)
     graph.estimate_variances(feats)
-    graph.refresh_anchors(feature_fn)
+    graph.refresh_anchors(encode)
     return params, graph
 
 
@@ -213,16 +214,11 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
                 f"non-finite loss at session {session.index}, iteration {iteration}")
         params = sgd_step(params, grads.clipped(GRAD_CLIP_NORM), hp.inc_lr)
         if graph is not None:
-            feats = extract_features(params, session.train_x)
-            for b in range(feats.shape[0]):
-                ranking = graph.hebbian_update(feats[b], hp.eta, hp.alpha,
-                                               updatable=updatable)
-                if len(graph) >= 2:
-                    graph.edge_update(ranking.winner, ranking.runner_up)
+            graph.present(extract_features(params, session.train_x), hp.eta, hp.alpha,
+                          updatable)
 
     if graph is not None:
-        feature_fn = lambda v: forward(v, params)[0]
-        graph.refresh_anchors(feature_fn)
+        graph.refresh_anchors(lambda x: extract_features(params, x))
         new_nodes = np.flatnonzero(graph.origins == session.index)
         graph.estimate_variances(extract_features(params, session.train_x),
                                  node_indices=new_nodes)
@@ -339,7 +335,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
                           replace=False)
         for i in take:
             anchor_store.add(base.train_x[i], int(base.train_y[i]))
-        anchor_store.refresh_features(lambda v: forward(v, params)[0])
+        anchor_store.refresh_features(lambda x: extract_features(params, x))
     # total_loss reads the store only for the terms METHODS[method] names.
     exemplars = anchor_store if exemplar_anchor else distill_store
 
@@ -355,5 +351,5 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
         _add_class_exemplars(distill_store, session, hp.exemplars_per_class, rng)
         if exemplar_anchor:
             _add_class_exemplars(anchor_store, session, hp.growth_k, rng)
-            anchor_store.refresh_features(lambda v: forward(v, params)[0])
+            anchor_store.refresh_features(lambda x: extract_features(params, x))
     return metrics

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import softmax_cross_entropy
 from topogas import (DivergenceError, Gradients, InputError, ModelParams,
-                     backward, backward_batch, expand_output_layer,
+                     backward_batch, expand_output_layer,
                      finite_difference_check, forward, forward_batch,
-                     init_params, sgd_step, softmax, softmax_cross_entropy,
-                     softmax_cross_entropy_batch)
+                     init_params, sgd_step, softmax, softmax_cross_entropy_batch)
 
 
 def small_params(seed=0, input_dim=3, hidden_dim=4, feature_dim=3, classes=4):
@@ -160,7 +160,7 @@ def test_softmax_sums_to_one():
 def test_backward_zero_upstream_gives_zero_grads():
     params = small_params(seed=2)
     _, _, cache = forward(np.array([0.5, -0.5, 1.0]), params)
-    grads = backward(cache, np.zeros(4), np.zeros(3), params)
+    grads = backward_batch(cache, np.zeros((1, 4)), np.zeros((1, 3)), params)
     for arr in grads.arrays().values():
         assert np.all(arr == 0.0)
 
@@ -171,7 +171,7 @@ def test_backward_onehot_logit_grad_is_outer_product():
     f, _, cache = forward(x, params)
     grad_o = np.zeros(4)
     grad_o[1] = 1.0
-    grads = backward(cache, grad_o, np.zeros(3), params)
+    grads = backward_batch(cache, grad_o[None, :], np.zeros((1, 3)), params)
     # Hand-computed oracle: d(phi^T f)/d(phi[:, c]) = f for the hit column.
     assert np.allclose(grads.phi[:, 1], f)
     assert np.all(grads.phi[:, [0, 2, 3]] == 0.0)
@@ -186,7 +186,7 @@ def test_backward_matches_finite_differences():
     def evaluator(p):
         feat, logits, cache = forward(x, p)
         loss, grad_o = softmax_cross_entropy(logits, y)
-        return loss, backward(cache, grad_o, np.zeros_like(feat), p)
+        return loss, backward_batch(cache, grad_o[None, :], np.zeros((1, feat.size)), p)
 
     report = finite_difference_check(evaluator, params, tol=1e-4)
     assert report.passed, report.per_parameter
@@ -196,9 +196,9 @@ def test_backward_rejects_mismatched_gradients():
     params = small_params()
     _, _, cache = forward(np.zeros(3), params)
     with pytest.raises(InputError):
-        backward(cache, np.zeros(3), np.zeros(3), params)
+        backward_batch(cache, np.zeros((1, 3)), np.zeros((1, 3)), params)
     with pytest.raises(InputError):
-        backward(cache, np.zeros(4), np.zeros(5), params)
+        backward_batch(cache, np.zeros((1, 4)), np.zeros((1, 5)), params)
 
 
 def test_backward_batch_sums_per_sample_grads():
@@ -212,7 +212,7 @@ def test_backward_batch_sums_per_sample_grads():
     summed = Gradients.zeros_like(params)
     for b in range(4):
         _, _, c1 = forward(x[b], params)
-        summed.add_scaled(backward(c1, go[b], gf[b], params))
+        summed.add_scaled(backward_batch(c1, go[b:b + 1], gf[b:b + 1], params))
     for name, arr in batched.arrays().items():
         assert np.allclose(arr, summed.arrays()[name], atol=1e-10)
 
@@ -329,7 +329,7 @@ def test_fd_check_flags_corrupted_gradient():
     def corrupted(p):
         feat, logits, cache = forward(x, p)
         loss, grad_o = softmax_cross_entropy(logits, 1)
-        grads = backward(cache, grad_o, np.zeros_like(feat), p)
+        grads = backward_batch(cache, grad_o[None, :], np.zeros((1, feat.size)), p)
         grads.add_scaled(grads)  # doubles every gradient
         return loss, grads
 

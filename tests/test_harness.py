@@ -256,9 +256,10 @@ def test_cli_bad_override_exits_one(tmp_path, capsys):
     ("methods = ft,topic_al,ft", []),
     ("", ["--seeds", "5,5"]),
     ("", ["--methods", "ft,ft"]),
+    ("eps_var = 1e-320", []),
 ], ids=["growth_k_at_shot", "shot_one", "node_budget_over_samples",
         "duplicate_seeds", "duplicate_methods", "duplicate_seed_override",
-        "duplicate_method_override"])
+        "duplicate_method_override", "eps_var_reciprocal_overflows"])
 def test_cli_rejects_config_before_training(tmp_path, capsys, extra, overrides):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + extra + "\n")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import softmax_cross_entropy
 from topogas import (NGGraph, expand_output_layer, forward_batch, init_params,
-                     make_synthetic_stream, softmax, softmax_cross_entropy)
+                     make_synthetic_stream, softmax)
 
 FAST = settings(max_examples=40, deadline=None)
 

@@ -85,7 +85,7 @@ def test_anchor_loss_refresh_consistency():
     g.centroids += np.random.default_rng(7).normal(scale=0.2, size=g.centroids.shape)
     loss, _ = anchor_loss(g, np.arange(3), params)
     stored = g.centroids.copy()
-    g.refresh_anchors(lambda v: forward(v, params)[0])
+    g.refresh_anchors(lambda x: forward_batch(x, params)[0])
     shifts = g.centroids - stored
     recomputed = float(np.sum(shifts * shifts / g.variances))
     assert recomputed == pytest.approx(loss, rel=1e-10)
@@ -268,7 +268,7 @@ def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGr
                 new_fwd[j] = (fj, oj, cj)
                 new_grad[j] = np.zeros_like(fj)
             mj = new_fwd[j][0] if is_new else graph.centroids[j]
-            for i in graph.neighbors(j):
+            for i in np.flatnonzero(graph.edges[j]):
                 if int(graph.labels[i]) == y:
                     continue
                 gap = mj - graph.centroids[i]
@@ -580,7 +580,7 @@ def test_hyperparams_validate_accepts_defaults():
     ("growth_k", 0), ("eps_var", 0.0), ("xi", -2.0),
     ("eta", math.nan), ("xi", math.nan), ("lambda1", math.inf),
     ("lambda2", math.nan), ("alpha", math.inf), ("eps_var", -math.inf),
-    ("t_life", math.inf),
+    ("t_life", math.inf), ("eps_var", 1e-320),
 ])
 def test_hyperparams_validate_rejects_bad_values(field, value):
     hp = HyperParams(**{field: value})

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from topogas import InputError, NGGraph, StateError, init_graph, train_on_features
+from topogas import InputError, NGGraph, StateError, init_graph, neural_gas, train_on_features
+from topogas.neural_gas import nearest
 
 EPS = 1e-6
 
@@ -363,7 +364,7 @@ def test_grow_rejects_bad_k():
 def test_refresh_anchors_constant_extractor():
     g = graph_from_centroids([[1.0, 1.0], [2.0, 2.0]])
     g.pseudo_inputs = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
-    g.refresh_anchors(lambda x: np.array([7.0, 7.0]))
+    g.refresh_anchors(lambda x: np.full((len(x), 2), 7.0))
     assert np.allclose(g.centroids, 7.0)
 
 
@@ -402,6 +403,51 @@ def test_quantization_error_rejects_empty_features():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
         g.quantization_error(np.zeros((0, 2)))
+
+
+# -- winner search in blocks ------------------------------------------------------
+
+def tie_heavy_points(seed):
+    """Grid-valued queries and refs: repeated refs tie exactly, repeated queries
+    land on both sides of block edges."""
+    rng = np.random.default_rng([seed, 0xB10C])
+    refs = rng.integers(-1, 2, size=(9, 2)) / 2.0
+    refs = np.vstack([refs, refs[::-1]])
+    queries = np.repeat(rng.integers(-2, 3, size=(11, 2)) / 2.0, 2, axis=0)
+    return queries, refs
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 17, 19, 37, 55])
+def test_nearest_matches_brute_force_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
+    for seed in range(5):
+        queries, refs = tie_heavy_points(seed)
+        index, dist = nearest(queries, refs)
+        for q, i, d in zip(queries, index, dist):
+            dists = [math.dist(q, r) for r in refs]
+            expected = min(range(len(refs)), key=lambda j: (dists[j], j))
+            assert i == expected
+            assert abs(d - dists[expected]) <= 1e-9
+
+
+@pytest.mark.parametrize("block", [1, 25, 61, 130])
+def test_graph_searches_do_not_depend_on_block_size(monkeypatch, block):
+    rng = np.random.default_rng(12)
+    centroids = np.vstack([rng.normal(size=(6, 3)), rng.integers(-1, 2, size=(6, 3)) / 2.0])
+    feats = np.vstack([rng.normal(size=(30, 3)), rng.integers(-1, 2, size=(30, 3)) / 2.0])
+    labels = rng.integers(0, 4, size=60)
+
+    def run():
+        g = graph_from_centroids(centroids)
+        g.estimate_variances(feats)
+        qe = g.quantization_error(feats)
+        g.assign_pseudo_exemplars(feats, labels, identity_features)
+        return g.variances, qe, np.stack(g.pseudo_inputs), g.labels
+
+    default = run()
+    monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
+    for a, b in zip(default, run()):
+        assert np.array_equal(a, b)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -116,6 +116,27 @@ def test_incremental_expands_classifier_and_grows_graph():
     graph.check_invariants()
 
 
+def test_refreshed_anchors_are_exact():
+    # Anchors are re-encoded by the same batch pass the losses use, so the
+    # anchor loss right after a refresh is exactly zero, not merely tiny.
+    from topogas import ExemplarSet
+    from topogas.losses import _exemplar_anchor_loss
+    from topogas.protocol import extract_features
+    stream = desk_stream(5)
+    hp = small_hp(inc_epochs=5)
+    params, graph = train_base_session(stream, hp, 5)
+    assert anchor_loss(graph, np.arange(len(graph)), params)[0] == 0.0
+    params, graph = train_incremental_session(params, graph, stream.session(2),
+                                              hp, "topic_al_mml", None, 5)
+    assert anchor_loss(graph, np.arange(len(graph)), params)[0] == 0.0
+    store = ExemplarSet()
+    base = stream.session(1)
+    for i in range(0, len(base.train_y), 25):
+        store.add(base.train_x[i], base.train_y[i])
+    store.refresh_features(lambda x: extract_features(params, x))
+    assert _exemplar_anchor_loss(store, params)[0] == 0.0
+
+
 def test_finetuning_forgets_old_classes():
     for seed in range(3):
         stream = desk_stream(seed)
