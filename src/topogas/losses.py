@@ -14,7 +14,7 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
                             softmax, softmax_cross_entropy_batch)
-from .neural_gas import NGGraph, nearest
+from .neural_gas import NGGraph, max_distance, nearest
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,7 @@ def xi_heuristic(graph: NGGraph) -> float:
     """Margin set to the maximum pairwise centroid distance."""
     if len(graph) < 2:
         raise StateError("margin heuristic needs at least two nodes")
-    c = graph.centroids
-    return float(np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2).max())
+    return max_distance(graph.centroids)
 
 
 def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,

@@ -7,10 +7,15 @@ distance, centroids move with a rank-decayed step, and the winner pair
 gains an edge while the winner's other edges age out past a lifetime.
 
 Node state is kept in parallel arrays on the graph (centroids, variances,
-labels, ...) so the update rules stay vectorized.  `nearest` is the one
-winner search; encoders passed to the graph map an input batch to features.
+labels, ...) so the update rules stay vectorized.  A presentation computes
+f - m once for all nodes and uses it for both the ranking and the step; the
+edge update computes the winner's row of ages and edges and mirrors it into
+the winner's column.  `nearest` is the one winner search; it and
+`max_distance` work through blocks of distances small enough to stay in
+cache.  Encoders passed to the graph map an input batch to features.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -23,8 +28,14 @@ log = logging.getLogger(__name__)
 
 FORMAT_HEADER = "nggraph v1"
 KMEANS_ITERS = 10
-# Most distances one block of a winner search holds (a block is at least one query row).
-NEAREST_BLOCK = 1 << 16
+# Most distances one block of a winner search holds (a block is at least one query
+# row); at 2048 a block's (rows, refs, dim) temporaries stay within cache.
+NEAREST_BLOCK = 1 << 11
+
+
+def _rows_per_block(refs) -> int:
+    """Query rows per block so that one block holds at most NEAREST_BLOCK distances."""
+    return max(1, NEAREST_BLOCK // max(1, len(refs)))
 
 
 def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
@@ -34,7 +45,7 @@ def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
     in blocks, so memory stays bounded for any number of queries.
     """
     queries, refs = np.asarray(queries, dtype=float), np.asarray(refs, dtype=float)
-    step = max(1, NEAREST_BLOCK // max(1, len(refs)))
+    step = _rows_per_block(refs)
     index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
     for start in range(0, len(queries), step):
         block = slice(start, start + step)
@@ -42,6 +53,22 @@ def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
         index[block] = np.argmin(d, axis=1)
         dist[block] = d.min(axis=1)
     return index, dist
+
+
+def max_distance(points: np.ndarray) -> float:
+    """Largest Euclidean distance between two rows, searched in blocks like `nearest`."""
+    points = np.asarray(points, dtype=float)
+    step = _rows_per_block(points)
+    return max(float(np.linalg.norm(points[start:start + step, None, :] - points, axis=-1).max())
+               for start in range(0, len(points), step))
+
+
+@functools.lru_cache(maxsize=16)
+def _rank_steps(eta: float, alpha: float, count: int) -> np.ndarray:
+    """Read-only step table eta*exp(-i/alpha) for ranks i = 1..count."""
+    steps = eta * np.exp(-np.arange(1, count + 1) / alpha)
+    steps.flags.writeable = False
+    return steps
 
 
 @dataclass
@@ -97,15 +124,21 @@ class NGGraph:
 
     def rank_nodes(self, f: np.ndarray) -> Ranking:
         """Rank all nodes by Euclidean distance to f, ascending, ties by index."""
+        return self._rank(f)[0]
+
+    def _rank(self, f: np.ndarray) -> tuple:
+        """The ranking of all nodes for f, and f - m for every node."""
         if len(self) == 0:
             raise StateError("cannot rank nodes of an empty graph")
         f = np.asarray(f, dtype=float)
         if f.shape != (self.feature_dim,):
             raise InputError(
                 f"feature has shape {f.shape}, expected ({self.feature_dim},)")
-        d = np.linalg.norm(self.centroids - f, axis=1)
+        diff = f - self.centroids
+        # The arithmetic of np.linalg.norm(self.centroids - f, axis=1), bit for bit.
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
         order = np.argsort(d, kind="stable")
-        return Ranking(order, d[order])
+        return Ranking(order, d[order]), diff
 
     def hebbian_update(self, f: np.ndarray, eta: float, alpha: float,
                        updatable: np.ndarray | None = None) -> Ranking:
@@ -121,16 +154,25 @@ class NGGraph:
             raise InputError(f"eta must be in (0, 1], got {eta}")
         if alpha <= 0.0:
             raise InputError(f"alpha must be positive, got {alpha}")
-        ranking = self.rank_nodes(f)
+        ranking, diff = self._rank(f)
         n = len(self)
         limit = n - 1 if n > 1 else 1
-        idx = ranking.order[:limit]
-        steps = eta * np.exp(-np.arange(1, limit + 1) / alpha)
-        if updatable is not None:
-            keep = np.asarray(updatable, dtype=bool)[idx]
-            idx, steps = idx[keep], steps[keep]
-        f = np.asarray(f, dtype=float)
-        self.centroids[idx] += steps[:, None] * (f - self.centroids[idx])
+        steps = np.zeros(n)
+        steps[ranking.order[:limit]] = _rank_steps(eta, alpha, limit)
+        still = ranking.order[limit:]  # the farthest node, unless it is the only one
+        if updatable is None:
+            # Restoring the still row keeps its bits: adding 0 * diff turns -0.0 into 0.0.
+            kept = self.centroids[still]
+            diff *= steps[:, None]
+            self.centroids += diff
+            self.centroids[still] = kept
+        else:
+            moving = np.array(updatable, dtype=bool)
+            if moving.shape != (n,):
+                raise InputError(f"updatable mask has shape {moving.shape}, expected ({n},)")
+            moving[still] = False
+            idx = np.flatnonzero(moving)
+            self.centroids[idx] += steps[idx, None] * diff[idx]
         return ranking
 
     def edge_update(self, r1: int, r2: int) -> None:
@@ -138,20 +180,18 @@ class NGGraph:
 
         Ages of all pairs (r1, j), j != r2 increase by one; any connected
         pair whose age now exceeds the lifetime loses its edge.  The (r1, r2)
-        edge is then set with age 1.  Symmetry is maintained throughout and
-        only pairs incident to r1 are touched.
+        edge is then set with age 1.  Only row r1 is computed; column r1
+        becomes its copy, which keeps both matrices symmetric.
         """
         if r1 == r2:
             raise InputError("edge update needs two distinct nodes")
-        others = np.ones(len(self), dtype=bool)
-        others[[r1, r2]] = False
-        self.ages[r1, others] += 1
-        self.ages[others, r1] = self.ages[r1, others]
-        expired = others & self.edges[r1] & (self.ages[r1] > self.lifetime)
-        self.edges[r1, expired] = False
-        self.edges[expired, r1] = False
-        self.ages[r1, r2] = self.ages[r2, r1] = 1
-        self.edges[r1, r2] = self.edges[r2, r1] = True
+        ages, edges = self.ages[r1], self.edges[r1]
+        own = ages[r1]
+        ages += 1
+        ages[r1] = own
+        edges &= ages <= self.lifetime
+        ages[r2], edges[r2] = 1, True
+        self.ages[:, r1], self.edges[:, r1] = ages, edges
 
     def present(self, features: np.ndarray, eta: float, alpha: float,
                 updatable: np.ndarray | None = None) -> None:

@@ -18,3 +18,38 @@ def softmax_cross_entropy(o: np.ndarray, y: int):
     grad = np.exp(z - log_norm)
     grad[y] -= 1.0
     return loss, grad
+
+
+def rank_nodes(graph, f):
+    """Node order by Euclidean distance to f, ties by index, and the sorted distances."""
+    d = np.linalg.norm(graph.centroids - np.asarray(f, dtype=float), axis=1)
+    order = np.argsort(d, kind="stable")
+    return order, d[order]
+
+
+def hebbian_update(graph, f, eta, alpha, updatable=None):
+    """Per-rank gather/scatter Hebbian step; returns the node order."""
+    order, _ = rank_nodes(graph, f)
+    n = len(graph)
+    limit = n - 1 if n > 1 else 1
+    idx = order[:limit]
+    steps = eta * np.exp(-np.arange(1, limit + 1) / alpha)
+    if updatable is not None:
+        keep = np.asarray(updatable, dtype=bool)[idx]
+        idx, steps = idx[keep], steps[keep]
+    f = np.asarray(f, dtype=float)
+    graph.centroids[idx] += steps[:, None] * (f - graph.centroids[idx])
+    return order
+
+
+def edge_update(graph, r1, r2):
+    """Winner-pair edge refresh that ages row and column r1 through an `others` mask."""
+    others = np.ones(len(graph), dtype=bool)
+    others[[r1, r2]] = False
+    graph.ages[r1, others] += 1
+    graph.ages[others, r1] = graph.ages[r1, others]
+    expired = others & graph.edges[r1] & (graph.ages[r1] > graph.lifetime)
+    graph.edges[r1, expired] = False
+    graph.edges[expired, r1] = False
+    graph.ages[r1, r2] = graph.ages[r2, r1] = 1
+    graph.edges[r1, r2] = graph.edges[r2, r1] = True

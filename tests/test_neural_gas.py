@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from topogas import InputError, NGGraph, StateError, init_graph, neural_gas, train_on_features
-from topogas.neural_gas import nearest
+from topogas.neural_gas import max_distance, nearest
+
+import oracles
 
 EPS = 1e-6
 
@@ -107,6 +109,16 @@ def test_hebbian_respects_updatable_mask():
     assert not np.array_equal(g.centroids[1], before[1])
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_hebbian_rejects_mask_of_wrong_length(length):
+    g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
+    before = g.centroids.copy()
+    with pytest.raises(InputError):
+        g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0,
+                         updatable=np.ones(length, dtype=bool))
+    assert np.array_equal(g.centroids, before)
+
+
 def test_hebbian_rejects_bad_rates():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
@@ -162,6 +174,55 @@ def test_edge_update_refresh_resets_age():
     assert g.ages[0, 1] == 6
     g.edge_update(0, 1)
     assert g.ages[0, 1] == 1
+
+
+# -- presentations against the per-rank oracle -----------------------------------
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: tells -0.0 from 0.0, unlike np.array_equal."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def presentation_case(n, seed, lifetime=3):
+    """A graph with duplicated, grid-valued and signed-zero centroids, a far
+    outlier and random live edges, plus grid and Gaussian features to present."""
+    rng = np.random.default_rng([seed, n, 0x0A1])
+    centroids = rng.integers(-2, 3, size=(n, 3)) / 2.0
+    centroids[rng.integers(0, n, size=n // 3)] = centroids[0]
+    centroids[(centroids == 0.0) & (rng.random(centroids.shape) < 0.5)] = -0.0
+    if n > 3:
+        centroids[-1] = [-0.0, 50.0, -0.0]  # always farthest: its signed zeros must stay
+    g = graph_from_centroids(centroids, lifetime=lifetime)
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    g.edges = upper | upper.T
+    ages = np.triu(rng.integers(1, lifetime + 1, size=(n, n)), k=1)
+    g.ages = np.where(g.edges, ages + ages.T, 0)
+    g.check_invariants()
+    feats = np.vstack([rng.integers(-2, 3, size=(30, 3)) / 2.0, rng.normal(size=(30, 3))])
+    return g, feats[rng.permutation(len(feats))], rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+@pytest.mark.parametrize("mask", ["none", "all_false", "all_true", "sparse"])
+def test_presentation_matches_per_rank_oracle(n, mask):
+    g, feats, rng = presentation_case(n, seed=len(mask))
+    ref = NGGraph.from_text(g.to_text())
+    updatable = {"none": None, "all_false": np.zeros(n, dtype=bool),
+                 "all_true": np.ones(n, dtype=bool), "sparse": rng.random(n) < 0.3}[mask]
+    for f in feats:
+        distances = oracles.rank_nodes(ref, f)[1]
+        ranking = g.hebbian_update(f, 0.3, 1.5, updatable)
+        order = oracles.hebbian_update(ref, f, 0.3, 1.5, updatable)
+        assert same_bits(ranking.order, order)
+        assert same_bits(ranking.distances, distances)
+        if n >= 2:
+            g.edge_update(ranking.winner, ranking.runner_up)
+            oracles.edge_update(ref, int(order[0]), int(order[1]))
+        for name in ("centroids", "edges", "ages"):
+            assert same_bits(getattr(g, name), getattr(ref, name)), name
+    g.check_invariants()
+    assert g.to_text() == ref.to_text()
 
 
 # -- init and training -----------------------------------------------------------
@@ -448,6 +509,16 @@ def test_graph_searches_do_not_depend_on_block_size(monkeypatch, block):
     monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
     for a, b in zip(default, run()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("block", [1, 3, 17, 1 << 16])
+def test_max_distance_matches_full_pairwise_array(monkeypatch, block):
+    monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
+    for seed in range(3):
+        points = np.vstack([tie_heavy_points(seed)[1],
+                            np.random.default_rng(seed).normal(size=(12, 2))])
+        full = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2).max()
+        assert same_bits(max_distance(points), float(full))
 
 
 # -- serialization ----------------------------------------------------------------
