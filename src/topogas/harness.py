@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, InputError, StateError
 from .losses import HyperParams
 from .protocol import RUNNABLE_METHODS, make_synthetic_stream, run_method
 
@@ -190,8 +190,10 @@ def _write_confusion(path: str, method: str, seed: int, session: int,
 def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
     """Run every (method, seed) pair and write result files.
 
-    Returns the process exit status: 0 on success, 2 on divergence (with a
-    diagnostic naming the failed run; summary.csv is then not written).
+    Returns the process exit status: 0 on success, 2 on divergence and 3
+    when a run raises InputError or StateError; on 2 and 3 a diagnostic line
+    names the failed run and summary.csv is not written.  Runs of one seed
+    share its base session, which is trained once.
     """
     config.validate()
     out = config.out_dir
@@ -206,7 +208,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
         config.input_dim, config.cluster_spread, config.train_per_base,
         config.test_per_class, seed) for seed in config.seeds}
 
-    rows = []
+    rows, bases = [], {}
     results_path = os.path.join(out, "results.csv")
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
@@ -219,10 +221,14 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
             try:
                 metrics = run_method(streams[seed], method, config.hp, seed,
                                      config.hidden_dim, config.feature_dim,
-                                     graph_sink=sink)
+                                     graph_sink=sink, bases=bases)
             except DivergenceError as exc:
                 print(f"divergence: method={method} seed={seed}: {exc}")
                 return 2
+            except (InputError, StateError) as exc:
+                print(f"run error: method={method} seed={seed}: "
+                      f"{type(exc).__name__}: {exc}")
+                return 3
             run_rows = [_format_row(method, seed, m) for m in metrics]
             rows.extend(run_rows)
             with open(results_path, "a", encoding="utf-8") as fh:

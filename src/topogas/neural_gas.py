@@ -31,6 +31,9 @@ KMEANS_ITERS = 10
 # Most distances one block of a winner search holds (a block is at least one query
 # row); at 2048 a block's (rows, refs, dim) temporaries stay within cache.
 NEAREST_BLOCK = 1 << 11
+# Range of every integer field a checkpoint may hold: labels, origins and ages
+# are stored in int64 arrays, and session and lifetime end up in them.
+INT64 = np.iinfo(np.int64)
 
 
 def _rows_per_block(refs) -> int:
@@ -354,7 +357,10 @@ class NGGraph:
                 values = [kind(w) for w in words]
             except ValueError:
                 raise bad(f"expected {kind.__name__} values") from None
-            if not all(math.isfinite(v) for v in values):
+            if kind is int:
+                if not all(INT64.min <= v <= INT64.max for v in values):
+                    raise bad("integer outside int64")
+            elif not all(math.isfinite(v) for v in values):
                 raise bad("non-finite value")
             return values
 

@@ -5,7 +5,8 @@ session is large-scale, later ones are C-way K-shot.  After each session the
 model is evaluated jointly on the union of all test sets seen so far.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -251,12 +252,10 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
         new_acc = float(correct[new_mask].mean())
 
     n_classes = len(stream.cumulative_labels(upto_session))
-    confusion = np.zeros((n_classes, n_classes))
-    totals = np.zeros((n_classes, 1))
-    for true, hat in zip(y, pred):
-        totals[true, 0] += 1
-        if hat < n_classes:  # a wider head may predict outside the eval set
-            confusion[true, hat] += 1
+    inside = pred < n_classes  # a wider head may predict outside the eval set
+    pairs = np.bincount(y[inside] * n_classes + pred[inside], minlength=n_classes ** 2)
+    confusion = pairs.reshape(n_classes, n_classes).astype(float)
+    totals = np.bincount(y, minlength=n_classes)[:, None].astype(float)
     confusion = np.divide(confusion, totals, out=np.zeros_like(confusion),
                           where=totals > 0)
     return SessionMetrics(upto_session, joint, old_acc, new_acc, confusion)
@@ -295,20 +294,53 @@ def _add_class_exemplars(store: ExemplarSet, session: Session, per_class: int,
             store.add(pool[i], label)
 
 
+@dataclass
+class _TrainedBase:
+    """A base session and what it was trained from; bases are looked up by seed alone."""
+
+    stream: SessionStream
+    hp: HyperParams
+    dims: tuple
+    params: ModelParams
+    graph: NGGraph
+
+
+def _base_session(stream: SessionStream, hp: HyperParams, seed: int,
+                  dims: tuple, bases: dict | None) -> tuple:
+    """(params, graph) of the base session, the run's own to mutate.
+
+    With a bases dict the base is trained on the seed's first lookup and
+    copied on every later one; a lookup with another stream, hyperparameters
+    or dims raises InputError.
+    """
+    if bases is None:
+        return train_base_session(stream, hp, seed, *dims)
+    base = bases.get(seed)
+    if base is None:
+        base = bases[seed] = _TrainedBase(stream, replace(hp), dims,
+                                          *train_base_session(stream, hp, seed, *dims))
+    elif base.stream is not stream or base.hp != hp or base.dims != dims:
+        raise InputError(f"the base session stored for seed {seed} was trained "
+                         "from another stream, hyperparameters or model dims")
+    return base.params.copy(), copy.deepcopy(base.graph)
+
+
 def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
                hidden_dim: int = 32, feature_dim: int = 8,
-               graph_sink=None) -> list:
+               graph_sink=None, bases: dict | None = None) -> list:
     """Full pipeline for one method and seed; returns SessionMetrics per session.
 
     The extra tag "joint" trains a fresh model on the union of all data seen
     so far at every session (the upper-bound reference).  graph_sink, when
     given, is called with (session_index, graph) after each session so the
-    harness can write checkpoints.
+    harness can write checkpoints.  bases, when given, holds trained base
+    sessions by seed, so that runs of one seed with different methods train
+    the shared base session once.
     """
     if method not in RUNNABLE_METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {RUNNABLE_METHODS}")
     hp.validate()
-    params, graph = train_base_session(stream, hp, seed, hidden_dim, feature_dim)
+    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim), bases)
     metrics = [evaluate_joint(params, stream, 1)]
     if graph_sink is not None:
         graph_sink(1, graph)

@@ -53,3 +53,14 @@ def edge_update(graph, r1, r2):
     graph.edges[expired, r1] = False
     graph.ages[r1, r2] = graph.ages[r2, r1] = 1
     graph.edges[r1, r2] = graph.edges[r2, r1] = True
+
+
+def confusion_matrix(y, pred, n_classes):
+    """Per-row count of (true, predicted) pairs, rows normalized where they have samples."""
+    confusion = np.zeros((n_classes, n_classes))
+    totals = np.zeros((n_classes, 1))
+    for true, hat in zip(y, pred):
+        totals[true, 0] += 1
+        if hat < n_classes:  # a wider head may predict outside the eval set
+            confusion[true, hat] += 1
+    return np.divide(confusion, totals, out=np.zeros_like(confusion), where=totals > 0)

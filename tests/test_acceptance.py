@@ -224,11 +224,11 @@ def test_criterion_3_nodes_beat_random_exemplars():
 def desk_runs():
     started = time.time()
     hp = HyperParams()
-    runs = {}
+    runs, bases = {}, {}  # the four methods of a seed share its base session
     for seed in range(10):
         stream = make_synthetic_stream(seed=seed, **DESK)
         for method in ("ft", "distill", "topic_al", "topic_al_mml"):
-            runs[(method, seed)] = run_method(stream, method, hp, seed)
+            runs[(method, seed)] = run_method(stream, method, hp, seed, bases=bases)
     return runs, time.time() - started
 
 

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
-from topogas import ConfigError, DivergenceError, parse_config, run_experiment
+from topogas import (ConfigError, DivergenceError, InputError, StateError,
+                     parse_config, run_experiment)
 from topogas.cli import main
 from topogas.harness import ExperimentConfig, default_config_text
+from topogas.protocol import RUNNABLE_METHODS
 
 TINY = """
 # small everything so runs finish in well under a second each
@@ -211,6 +213,61 @@ def test_divergence_exits_two_without_summary(tmp_path, monkeypatch, capsys):
     assert "method=ft" in captured.out and "seed=0" in captured.out
     assert "session 2" in captured.out
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("error", [InputError, StateError])
+def test_run_error_exits_three_without_summary(tmp_path, monkeypatch, capsys, error):
+    import topogas.harness as harness
+
+    def fail(*args, **kwargs):
+        raise error("a node has no pseudo input to re-encode")
+
+    monkeypatch.setattr(harness, "run_method", fail)
+    config = parse_config(TINY)
+    config.out_dir = str(tmp_path)
+    assert run_experiment(config, quiet=True) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert "method=ft" in lines[0] and "seed=0" in lines[0]
+    assert error.__name__ in lines[0] and "pseudo input" in lines[0]
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def output_files(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_shared_base_sessions_write_the_files_of_unshared_runs(tmp_path, monkeypatch):
+    import topogas.harness as harness
+    import topogas.protocol as protocol
+
+    train_base_session, trained = protocol.train_base_session, []
+
+    def counting_base(stream, hp, seed, *dims):
+        trained.append(seed)
+        return train_base_session(stream, hp, seed, *dims)
+
+    monkeypatch.setattr(protocol, "train_base_session", counting_base)
+    config = parse_config(TINY + "methods = " + ",".join(RUNNABLE_METHODS) + "\n")
+    config.emit_confusion = config.emit_graphs = True
+    config.out_dir = str(tmp_path / "shared")
+    assert run_experiment(config, quiet=True) == 0
+    assert trained == [0, 1, 2]  # once per seed
+
+    # The oracle: every run trains its own base session.
+    monkeypatch.setattr(harness, "run_method", lambda *args, bases, **kwargs:
+                        protocol.run_method(*args, **kwargs))
+    config.out_dir = str(tmp_path / "unshared")
+    assert run_experiment(config, quiet=True) == 0
+    assert len(trained) == 3 + len(RUNNABLE_METHODS) * 3
+
+    shared, unshared = output_files(tmp_path / "shared"), output_files(tmp_path / "unshared")
+    # results, summary, 7 x 3 x 3 confusion files, 6 x 3 x 3 + 3 graphs (joint emits session 1's)
+    assert len(shared) == 2 + 63 + 57
+    assert shared.keys() == unshared.keys()
+    for name in shared:
+        assert shared[name] == unshared[name], name
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import softmax_cross_entropy
-from topogas import (NGGraph, expand_output_layer, forward_batch, init_params,
-                     make_synthetic_stream, softmax)
+from topogas import (InputError, NGGraph, expand_output_layer, forward_batch,
+                     init_params, make_synthetic_stream, softmax)
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -131,3 +131,80 @@ def test_expansion_never_changes_old_logits(seed):
     x = rng.normal(size=(4, 5))
     assert np.array_equal(forward_batch(x, params)[1],
                           forward_batch(x, grown)[1][:, :6])
+
+
+# -- checkpoint fuzz ------------------------------------------------------------------
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def checkpoint_graphs(draw):
+    """Any graph a checkpoint can hold: finite floats, int64 fields, live edges only."""
+    n, dim, z_dim = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    eps_var = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    lifetime = draw(st.integers(1, 2 ** 63 - 1))
+    vectors = lambda width, elements=FINITE: st.lists(elements, min_size=width,
+                                                       max_size=width).map(np.array)
+    ages = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            age = draw(st.none() | st.integers(1, lifetime))  # None: no edge
+            ages[i, j] = ages[j, i] = age or 0
+    return NGGraph(np.array(draw(st.lists(vectors(dim), min_size=n, max_size=n))),
+                   np.array(draw(st.lists(vectors(dim, st.floats(eps_var, allow_infinity=False)),
+                                          min_size=n, max_size=n))),
+                   draw(st.lists(st.none() | vectors(z_dim), min_size=n, max_size=n)),
+                   np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
+                   np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
+                   lifetime, eps_var, draw(INT64), edges=ages > 0, ages=ages)
+
+
+@given(checkpoint_graphs())
+@settings(max_examples=50, deadline=None)
+def test_random_checkpoints_round_trip_exactly(g):
+    text = g.to_text()
+    h = NGGraph.from_text(text)
+    assert h.to_text() == text
+    for name in ("centroids", "variances", "labels", "origins", "edges", "ages"):
+        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+    assert (h.lifetime, h.session, h.eps_var) == (g.lifetime, g.session, g.eps_var)
+    for a, b in zip(g.pseudo_inputs, h.pseudo_inputs):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+NUMBERS = ["0", "1", "-1", "0.5", "-0.0", "nan", "inf", "-inf", "1e309", "1e-320",
+           "9223372036854775807", "9223372036854775808", "-9223372036854775809"]
+WORDS = ["x", "-", "node", "label", "origin", "m", "var", "z", "edges"]
+TOKENS = (st.sampled_from(NUMBERS) | st.integers().map(str) | st.sampled_from(WORDS)
+          | st.text(max_size=4))
+
+
+@given(checkpoint_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_mutated_checkpoints_raise_only_input_error(g, data):
+    lines = g.to_text().splitlines()
+    edit = data.draw(st.sampled_from(["word", "word", "word", "drop", "repeat", "swap", "char"]))
+    if edit == "word":  # replace a word anywhere in the text, or append one to a line
+        spots = [(i, k) for i, line in enumerate(lines) for k in range(len(line.split()) + 1)]
+        i, k = data.draw(st.sampled_from(spots))
+        words = lines[i].split()
+        words[k:k + 1] = [data.draw(TOKENS)]
+        lines[i] = " ".join(words)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + data.draw(st.characters()) + lines[i][at + 1:]
+    try:
+        NGGraph.from_text("\n".join(lines) + "\n")
+    except InputError:
+        pass

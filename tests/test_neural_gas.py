@@ -602,6 +602,18 @@ CHECKPOINT_MUTATIONS = {
     "zero_nodes": (lambda lines: lines[:4] + ["nodes 0", "edges 0"], "at least one node"),
     "truncated": (lambda lines: lines[:7], "expected 'var"),
     "trailing_junk": (lambda lines: lines + ["junk"], "trailing content"),
+    "label_outside_int64": (
+        set_line("node 1 ", "node 1 label 9223372036854775808 origin 1"), "outside int64"),
+    "origin_outside_int64": (
+        set_line("node 1 ", lambda old: old.rsplit(" ", 1)[0] + " 9999999999999999999999"),
+        "outside int64"),
+    "edge_age_outside_int64": (
+        set_line("edges ", lambda old: old.rsplit(" ", 1)[0] + " -9223372036854775809",
+                 offset=1), "outside int64"),
+    "session_outside_int64": (set_line("session ", "session 9223372036854775808"),
+                              "outside int64"),
+    "lifetime_outside_int64": (set_line("lifetime ", "lifetime 99999999999999999999"),
+                               "outside int64"),
 }
 
 

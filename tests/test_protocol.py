@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import confusion_matrix
 from topogas import (HyperParams, InputError, ModelParams, Session,
-                     SessionStream, evaluate_joint, forward,
-                     make_synthetic_stream, run_method, train_base_session,
-                     train_incremental_session)
+                     SessionStream, evaluate_joint, expand_output_layer, forward,
+                     forward_batch, make_synthetic_stream, run_method,
+                     train_base_session, train_incremental_session)
 from topogas.losses import anchor_loss
 from topogas.protocol import _balanced_union
 
@@ -228,6 +229,24 @@ def test_confusion_rows_sum_to_one():
     assert np.allclose(m.confusion.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("upto,extra", [(1, 0), (2, 0), (1, 3)],
+                         ids=["base_head", "narrower_head", "wider_head"])
+def test_confusion_matches_per_row_oracle(upto, extra):
+    stream = desk_stream(7)
+    params, _ = train_base_session(stream, small_hp(base_epochs=3), 7)
+    if extra:
+        # Copies of the first columns, scaled up, win the rows those columns won.
+        params = expand_output_layer(params, extra, seed=7)
+        params.phi[:, -extra:] = 1.5 * params.phi[:, :extra]
+    x, y = stream.cumulative_test(upto)
+    pred = np.argmax(forward_batch(x, params)[1], axis=1)
+    n_classes = len(stream.cumulative_labels(upto))
+    assert np.any(pred < n_classes)
+    assert np.any(pred >= n_classes) == bool(extra)
+    got = evaluate_joint(params, stream, upto).confusion
+    assert got.tobytes() == confusion_matrix(y, pred, n_classes).tobytes()
+
+
 # -- full pipeline -----------------------------------------------------------------
 
 def test_run_method_metrics_length_and_width_bookkeeping():
@@ -247,6 +266,32 @@ def test_run_method_base_session_identical_across_methods():
     for m, got in first.items():
         assert got.joint_acc == ref.joint_acc, m
         assert np.array_equal(got.confusion, ref.confusion), m
+
+
+def test_stored_base_session_survives_runs_unchanged():
+    stream, hp, bases = desk_stream(4), small_hp(), {}
+    params, graph = train_base_session(stream, hp, 4)
+    for method in ("ft", "topic_al_mml"):
+        run_method(stream, method, hp, 4, bases=bases)
+    stored = bases[4]
+    assert stored.graph.to_text() == graph.to_text()
+    for name, array in params.arrays().items():
+        assert stored.params.arrays()[name].tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize("change", ["stream", "hp", "dims"])
+def test_stored_base_session_rejects_another_config(change):
+    stream, hp, bases = desk_stream(8), small_hp(base_epochs=2, inc_epochs=1), {}
+    run_method(stream, "ft", hp, 8, bases=bases)
+    dims = (32, 8)
+    if change == "stream":
+        stream = desk_stream(8)  # equal data, another object
+    elif change == "hp":
+        hp.inc_lr = 0.05  # the stored copy keeps the old value
+    else:
+        dims = (16, 8)
+    with pytest.raises(InputError, match="seed 8"):
+        run_method(stream, "ft", hp, 8, *dims, bases=bases)
 
 
 def test_run_method_is_bit_reproducible():
