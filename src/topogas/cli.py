@@ -36,10 +36,10 @@ def main(argv=None) -> int:
         if args.methods is not None:
             config.methods = parse_methods(args.methods)
         config.validate()
+        return run_experiment(config, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run_experiment(config, quiet=args.quiet)
 
 
 if __name__ == "__main__":

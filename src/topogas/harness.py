@@ -192,16 +192,23 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
 
     Returns the process exit status: 0 on success, 2 on divergence and 3
     when a run raises InputError or StateError; on 2 and 3 a diagnostic line
-    names the failed run and summary.csv is not written.  Runs of one seed
-    share its base session, which is trained once.
+    names the failed run and summary.csv is not written.  An output
+    directory that cannot be created raises ConfigError before any run.
+    Runs of one seed share its base session, which is trained once; the
+    neural gas is fitted only for runs that read it or write checkpoints.
     """
     config.validate()
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
+    dirs = [out]
     if config.emit_confusion:
-        os.makedirs(os.path.join(out, "confusion"), exist_ok=True)
+        dirs.append(os.path.join(out, "confusion"))
     if config.emit_graphs:
-        os.makedirs(os.path.join(out, "graphs"), exist_ok=True)
+        dirs.append(os.path.join(out, "graphs"))
+    for path in dirs:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {path!r}: {exc}") from exc
 
     streams = {seed: make_synthetic_stream(
         config.base_classes, config.new_classes, config.way, config.shot,

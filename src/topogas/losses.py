@@ -14,7 +14,7 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
                             softmax, softmax_cross_entropy_batch)
-from .neural_gas import NGGraph, max_distance, nearest
+from .neural_gas import MAX_LIFETIME, NGGraph, max_distance, nearest
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,11 @@ class MethodSpec:
     anchor: str | None = None  # "graph" (old nodes) or "exemplar" (stored exemplars)
     min_max: bool = False
     distill: bool = False
+
+    @property
+    def reads_graph(self) -> bool:
+        """Whether a term reads the neural-gas graph; other methods run without one."""
+        return self.anchor == "graph" or self.min_max
 
 
 # The single source for which terms each incremental method composes.
@@ -35,6 +40,14 @@ METHODS = {
     "topic_al_mml": MethodSpec(anchor="graph", min_max=True),
     "topic_al_mml_dl": MethodSpec(anchor="graph", min_max=True, distill=True),
 }
+
+
+def method_spec(method: str) -> MethodSpec:
+    """METHODS[method]; an unknown tag raises InputError."""
+    spec = METHODS.get(method)
+    if spec is None:
+        raise InputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return spec
 
 
 @dataclass
@@ -70,6 +83,8 @@ class HyperParams:
             kind = "non-negative" if name in ("lambda1", "lambda2", "gamma") else "positive"
             if not math.isfinite(value) or value < 0 or (value == 0 and kind == "positive"):
                 raise InputError(f"{name} must be finite and {kind}, got {value}")
+        if self.t_life > MAX_LIFETIME:
+            raise InputError(f"t_life must be at most {MAX_LIFETIME}, got {self.t_life}")
         if self.eta > 1.0:
             raise InputError(f"eta must be at most 1, got {self.eta}")
         if not math.isfinite(1.0 / self.eps_var):
@@ -259,10 +274,8 @@ def total_loss(batch, graph: NGGraph | None, params: ModelParams,
     (distillation against the frozen snapshot on batch + exemplar rows), go
     through one backward_batch.  Cross-entropy covers the batch alone.
     """
-    spec = METHODS.get(method)
-    if spec is None:
-        raise InputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    if (spec.anchor == "graph" or spec.min_max) and graph is None:
+    spec = method_spec(method)
+    if spec.reads_graph and graph is None:
         raise StateError(f"method {method!r} requires a neural-gas graph")
     batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
     store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else []

@@ -18,6 +18,7 @@ cache.  Encoders passed to the graph map an input batch to features.
 import functools
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ NEAREST_BLOCK = 1 << 11
 # Range of every integer field a checkpoint may hold: labels, origins and ages
 # are stored in int64 arrays, and session and lifetime end up in them.
 INT64 = np.iinfo(np.int64)
+# Largest edge lifetime: a live edge's age is at most the lifetime, and the next
+# edge_update adds one before it expires the edge, so that age must fit in int64.
+MAX_LIFETIME = int(INT64.max) - 1
+# The integers to_text writes; int() also reads "1_0" and non-ASCII digits.
+INT_WORD = re.compile(r"-?[0-9]+")
 
 
 def _rows_per_block(refs) -> int:
@@ -102,8 +108,8 @@ class NGGraph:
                  pseudo_inputs: list, labels: np.ndarray, origins: np.ndarray,
                  lifetime: int, eps_var: float, session: int = 1,
                  edges: np.ndarray | None = None, ages: np.ndarray | None = None):
-        if lifetime < 1:
-            raise InputError(f"lifetime must be positive, got {lifetime}")
+        if not 1 <= lifetime <= MAX_LIFETIME:
+            raise InputError(f"lifetime must be between 1 and {MAX_LIFETIME}, got {lifetime}")
         n = centroids.shape[0]
         self.centroids = np.asarray(centroids, dtype=float)
         self.variances = np.asarray(variances, dtype=float)
@@ -354,6 +360,9 @@ class NGGraph:
 
         def numbers(words: list, kind=int) -> list:
             try:
+                if not all(INT_WORD.fullmatch(w) if kind is int else w.isascii() and "_" not in w
+                           for w in words):
+                    raise ValueError
                 values = [kind(w) for w in words]
             except ValueError:
                 raise bad(f"expected {kind.__name__} values") from None

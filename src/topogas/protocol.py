@@ -15,7 +15,8 @@ from .errors import DivergenceError, InputError
 from .feature_model import (ModelParams, expand_output_layer, forward,  # noqa: F401
                             forward_batch, init_params, sgd_step,
                             softmax_cross_entropy_batch, backward_batch)
-from .losses import METHODS, ExemplarSet, HyperParams, total_loss, xi_heuristic
+from .losses import (METHODS, ExemplarSet, HyperParams, method_spec, total_loss,
+                     xi_heuristic)
 from .neural_gas import NGGraph, init_graph, train_on_features
 
 BASE_BATCH_SIZE = 128
@@ -156,12 +157,12 @@ def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
 
 
 def train_base_session(stream: SessionStream, hp: HyperParams, seed: int,
-                       hidden_dim: int = 32, feature_dim: int = 8):
+                       hidden_dim: int = 32, feature_dim: int = 8, *,
+                       fit_graph: bool = True):
     """Train the base model with cross-entropy, then fit the neural gas.
 
-    Returns (params, graph) with pseudo-exemplars assigned, variances
-    estimated, and anchors refreshed so the next session starts from a
-    zero-deviation anchor state.
+    Returns (params, graph); the graph is fit_base_graph's, or None without
+    fit_graph.
     """
     base = stream.session(1)
     params = init_params(stream.input_dim, hidden_dim, feature_dim,
@@ -169,6 +170,19 @@ def train_base_session(stream: SessionStream, hp: HyperParams, seed: int,
     params = _train_cross_entropy(params, base.train_x, base.train_y,
                                   hp.base_epochs, hp.base_lr, seed,
                                   context="base session")
+    return params, fit_base_graph(params, stream, hp, seed) if fit_graph else None
+
+
+def fit_base_graph(params: ModelParams, stream: SessionStream, hp: HyperParams,
+                   seed: int) -> NGGraph:
+    """The neural gas over the trained base model's features of session 1.
+
+    Pseudo-exemplars are assigned, variances estimated, and anchors
+    refreshed so the next session starts from a zero-deviation anchor
+    state.  Only the graph's own seeded generators are drawn from, so the
+    graph depends on params, stream, hp and seed alone.
+    """
+    base = stream.session(1)
     feats = extract_features(params, base.train_x)
     graph = init_graph(feats, base.train_y, hp.node_budget, hp.t_life,
                        hp.eps_var, seed)
@@ -177,7 +191,7 @@ def train_base_session(stream: SessionStream, hp: HyperParams, seed: int,
     graph.assign_pseudo_exemplars(base.train_x, base.train_y, encode)
     graph.estimate_variances(feats)
     graph.refresh_anchors(encode)
-    return params, graph
+    return graph
 
 
 def train_incremental_session(params: ModelParams, graph: NGGraph | None,
@@ -189,7 +203,8 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     clipped SGD step on the method's composed loss, then re-ranks the batch
     features (taken after the step) to move new-class nodes and refresh
     edges.  Old nodes keep their centroids during the session and are
-    re-anchored at the end.
+    re-anchored at the end.  With graph None the session trains the model
+    alone; methods whose loss does not read the graph run that way.
     """
     n_old = params.class_count
     old_params = params.copy()
@@ -203,7 +218,8 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
             shots[label] = (extract_features(params, session.train_x[mask]),
                             session.train_x[mask])
         graph.grow(shots, hp.growth_k, session.index, seed=seed)
-        xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
+        if method_spec(method).min_max:
+            xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
         updatable = graph.origins == session.index
 
     batch = (session.train_x, session.train_y)
@@ -296,33 +312,39 @@ def _add_class_exemplars(store: ExemplarSet, session: Session, per_class: int,
 
 @dataclass
 class _TrainedBase:
-    """A base session and what it was trained from; bases are looked up by seed alone."""
+    """A base session and what it was trained from; bases are looked up by seed alone.
+
+    The graph is fitted on the first lookup that needs it.
+    """
 
     stream: SessionStream
     hp: HyperParams
     dims: tuple
     params: ModelParams
-    graph: NGGraph
+    graph: NGGraph | None
 
 
 def _base_session(stream: SessionStream, hp: HyperParams, seed: int,
-                  dims: tuple, bases: dict | None) -> tuple:
+                  dims: tuple, bases: dict | None, need_graph: bool) -> tuple:
     """(params, graph) of the base session, the run's own to mutate.
 
-    With a bases dict the base is trained on the seed's first lookup and
-    copied on every later one; a lookup with another stream, hyperparameters
-    or dims raises InputError.
+    The graph is None unless need_graph.  With a bases dict the base is
+    trained on the seed's first lookup and copied on every later one; a
+    lookup with another stream, hyperparameters or dims raises InputError.
     """
     if bases is None:
-        return train_base_session(stream, hp, seed, *dims)
+        return train_base_session(stream, hp, seed, *dims, fit_graph=need_graph)
     base = bases.get(seed)
     if base is None:
-        base = bases[seed] = _TrainedBase(stream, replace(hp), dims,
-                                          *train_base_session(stream, hp, seed, *dims))
+        base = bases[seed] = _TrainedBase(
+            stream, replace(hp), dims,
+            *train_base_session(stream, hp, seed, *dims, fit_graph=need_graph))
     elif base.stream is not stream or base.hp != hp or base.dims != dims:
         raise InputError(f"the base session stored for seed {seed} was trained "
                          "from another stream, hyperparameters or model dims")
-    return base.params.copy(), copy.deepcopy(base.graph)
+    if need_graph and base.graph is None:
+        base.graph = fit_base_graph(base.params, stream, hp, seed)
+    return base.params.copy(), copy.deepcopy(base.graph) if need_graph else None
 
 
 def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
@@ -332,18 +354,24 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
 
     The extra tag "joint" trains a fresh model on the union of all data seen
     so far at every session (the upper-bound reference).  graph_sink, when
-    given, is called with (session_index, graph) after each session so the
-    harness can write checkpoints.  bases, when given, holds trained base
-    sessions by seed, so that runs of one seed with different methods train
-    the shared base session once.
+    given, is called with (session_index, graph) after each session the run
+    holds a graph: every session for methods whose loss reads the graph,
+    session 1 (the base graph) for the others.  The graph is fitted only
+    for those calls or for such a loss.  bases, when given, holds trained
+    base sessions by seed, so that runs of one seed with different methods
+    train the shared base session once.
     """
     if method not in RUNNABLE_METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {RUNNABLE_METHODS}")
     hp.validate()
-    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim), bases)
+    reads_graph = method != "joint" and METHODS[method].reads_graph
+    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim), bases,
+                                  need_graph=reads_graph or graph_sink is not None)
     metrics = [evaluate_joint(params, stream, 1)]
     if graph_sink is not None:
         graph_sink(1, graph)
+    if not reads_graph:
+        graph = None
 
     if method == "joint":
         for t in range(2, len(stream) + 1):
@@ -376,7 +404,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
         params, graph = train_incremental_session(params, graph, session, hp,
                                                   method, exemplars, seed)
         metrics.append(evaluate_joint(params, stream, t))
-        if graph_sink is not None:
+        if graph_sink is not None and graph is not None:
             graph_sink(t, graph)
 
         rng = _exemplar_rng(seed, t)

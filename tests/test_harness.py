@@ -167,8 +167,10 @@ def test_confusion_and_graph_files_emitted(tiny_run):
     graphs = sorted(os.listdir(out / "graphs"))
     assert len(confusion) == 2 * 3 * 3
     assert "ft_0_1.txt" in confusion and "topic_al_2_3.txt" in confusion
-    assert len(graphs) == 2 * 3 * 3
+    # topic_al writes every session's graph, ft only the shared base graph
+    assert len(graphs) == 3 * 3 + 3
     assert "topic_al_1_2.ngtxt" in graphs
+    assert "ft_0_1.ngtxt" in graphs and "ft_0_2.ngtxt" not in graphs
     text = (out / "confusion" / "topic_al_0_3.txt").read_text().splitlines()
     assert text[0] == "confusion v1"
     assert text[1] == "method topic_al" and text[4] == "classes 8"
@@ -238,22 +240,60 @@ def output_files(root):
             for path in root.rglob("*") if path.is_file()}
 
 
+def count_base_training(monkeypatch):
+    """Seeds of every base training and every base graph fit, in call order."""
+    import topogas.protocol as protocol
+
+    train_base_session, fit_base_graph = protocol.train_base_session, protocol.fit_base_graph
+    trained, fitted = [], []
+
+    def counting_base(stream, hp, seed, *dims, **kwargs):
+        trained.append(seed)
+        return train_base_session(stream, hp, seed, *dims, **kwargs)
+
+    def counting_fit(params, stream, hp, seed):
+        fitted.append(seed)
+        return fit_base_graph(params, stream, hp, seed)
+
+    monkeypatch.setattr(protocol, "train_base_session", counting_base)
+    monkeypatch.setattr(protocol, "fit_base_graph", counting_fit)
+    return trained, fitted
+
+
+@pytest.mark.parametrize("methods,fits", [
+    ("ft,topic_al,topic_al_mml,joint", [0, 1, 2]),
+    ("joint", []),
+    ("ft,distill,exemplar_anchor,joint", []),
+])
+def test_graph_is_fitted_only_for_runs_that_read_it(tmp_path, monkeypatch, methods, fits):
+    from topogas import NGGraph
+
+    trained, fitted = count_base_training(monkeypatch)
+    present, presented = NGGraph.present, []
+
+    def counting_present(graph, *args):
+        presented.append(len(graph))
+        return present(graph, *args)
+
+    monkeypatch.setattr(NGGraph, "present", counting_present)
+    config = parse_config(TINY + f"methods = {methods}\n")
+    config.out_dir = str(tmp_path)
+    assert run_experiment(config, quiet=True) == 0
+    assert trained == [0, 1, 2]
+    assert fitted == fits
+    assert bool(presented) == bool(fits)
+
+
 def test_shared_base_sessions_write_the_files_of_unshared_runs(tmp_path, monkeypatch):
     import topogas.harness as harness
     import topogas.protocol as protocol
 
-    train_base_session, trained = protocol.train_base_session, []
-
-    def counting_base(stream, hp, seed, *dims):
-        trained.append(seed)
-        return train_base_session(stream, hp, seed, *dims)
-
-    monkeypatch.setattr(protocol, "train_base_session", counting_base)
+    trained, fitted = count_base_training(monkeypatch)
     config = parse_config(TINY + "methods = " + ",".join(RUNNABLE_METHODS) + "\n")
     config.emit_confusion = config.emit_graphs = True
     config.out_dir = str(tmp_path / "shared")
     assert run_experiment(config, quiet=True) == 0
-    assert trained == [0, 1, 2]  # once per seed
+    assert trained == fitted == [0, 1, 2]  # once per seed
 
     # The oracle: every run trains its own base session.
     monkeypatch.setattr(harness, "run_method", lambda *args, bases, **kwargs:
@@ -263,8 +303,9 @@ def test_shared_base_sessions_write_the_files_of_unshared_runs(tmp_path, monkeyp
     assert len(trained) == 3 + len(RUNNABLE_METHODS) * 3
 
     shared, unshared = output_files(tmp_path / "shared"), output_files(tmp_path / "unshared")
-    # results, summary, 7 x 3 x 3 confusion files, 6 x 3 x 3 + 3 graphs (joint emits session 1's)
-    assert len(shared) == 2 + 63 + 57
+    # results, summary, 7 x 3 x 3 confusion files, 3 x 3 x 3 topic_* graphs and
+    # 4 x 3 base graphs (ft, distill, exemplar_anchor and joint emit session 1's)
+    assert len(shared) == 2 + 63 + 39
     assert shared.keys() == unshared.keys()
     for name in shared:
         assert shared[name] == unshared[name], name
@@ -302,6 +343,22 @@ def test_cli_bad_override_exits_one(tmp_path, capsys):
     assert main(["--config", str(cfg), "--methods", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("where", ["file", "under_file", "graphs_file"])
+def test_cli_rejects_unusable_output_directory(tmp_path, capsys, where):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY + "emit_graphs = true\n")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = {"file": blocker, "under_file": blocker / "out", "graphs_file": tmp_path}[where]
+    if where == "graphs_file":
+        (tmp_path / "graphs").write_text("not a directory\n")
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use output directory")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "results.csv").exists()
+
+
 # Without a check before training, each of these configs would fail only after
 # the base session trained, or would repeat runs.  TINY has shot = 3 and 4 x 30
 # base samples.
@@ -314,9 +371,12 @@ def test_cli_bad_override_exits_one(tmp_path, capsys):
     ("", ["--seeds", "5,5"]),
     ("", ["--methods", "ft,ft"]),
     ("eps_var = 1e-320", []),
+    ("t_life = 100000000000000000000", []),
+    ("t_life = 9223372036854775807", []),
 ], ids=["growth_k_at_shot", "shot_one", "node_budget_over_samples",
         "duplicate_seeds", "duplicate_methods", "duplicate_seed_override",
-        "duplicate_method_override", "eps_var_reciprocal_overflows"])
+        "duplicate_method_override", "eps_var_reciprocal_overflows",
+        "t_life_outside_int64", "t_life_ages_would_wrap"])
 def test_cli_rejects_config_before_training(tmp_path, capsys, extra, overrides):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + extra + "\n")

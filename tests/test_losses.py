@@ -504,6 +504,11 @@ def test_total_loss_is_linear_in_lambda1():
     assert one - base == pytest.approx(2.0 * (half - base), rel=1e-9)
 
 
+def test_reads_graph_is_true_for_exactly_the_topic_methods():
+    reading = {method for method, spec in METHODS.items() if spec.reads_graph}
+    assert reading == {"topic_al", "topic_al_mml", "topic_al_mml_dl"}
+
+
 def test_total_loss_graph_method_requires_graph():
     params = make_params()
     with pytest.raises(StateError):
@@ -581,6 +586,7 @@ def test_hyperparams_validate_accepts_defaults():
     ("eta", math.nan), ("xi", math.nan), ("lambda1", math.inf),
     ("lambda2", math.nan), ("alpha", math.inf), ("eps_var", -math.inf),
     ("t_life", math.inf), ("eps_var", 1e-320),
+    ("t_life", 2 ** 63 - 1), ("t_life", 10 ** 20),
 ])
 def test_hyperparams_validate_rejects_bad_values(field, value):
     hp = HyperParams(**{field: value})

@@ -152,6 +152,19 @@ def test_edge_update_expiry_boundary():
     g.check_invariants()
 
 
+def test_edge_update_at_the_largest_lifetime_keeps_ages_non_negative():
+    lifetime = neural_gas.MAX_LIFETIME
+    g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
+    for (i, j), age in (((0, 1), lifetime), ((0, 2), lifetime - 1)):
+        g.edges[i, j] = g.edges[j, i] = True
+        g.ages[i, j] = g.ages[j, i] = age
+    g.edge_update(0, 3)
+    assert np.all(g.ages >= 0)
+    assert not g.edges[0, 1] and g.ages[0, 1] == lifetime + 1
+    assert g.edges[0, 2] and g.ages[0, 2] == lifetime
+    g.check_invariants()
+
+
 def test_edge_update_touches_only_winner_incident_pairs():
     g = graph_from_centroids(np.zeros((4, 2)))
     g.edges[2, 3] = g.edges[3, 2] = True
@@ -614,6 +627,12 @@ CHECKPOINT_MUTATIONS = {
                               "outside int64"),
     "lifetime_outside_int64": (set_line("lifetime ", "lifetime 99999999999999999999"),
                                "outside int64"),
+    "lifetime_at_int64_max": (set_line("lifetime ", "lifetime 9223372036854775807"),
+                              "lifetime must be between"),
+    "label_with_underscore": (set_line("node 1 ", "node 1 label 1_0 origin 1"), "int values"),
+    "label_non_ascii_digit": (set_line("node 1 ", "node 1 label \u0661 origin 1"),
+                              "int values"),
+    "centroid_with_underscore": (set_line("m ", "m 1_0.0 0.5 0.5"), "float values"),
 }
 
 

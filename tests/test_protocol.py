@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import confusion_matrix
-from topogas import (HyperParams, InputError, ModelParams, Session,
+from topogas import (ExemplarSet, HyperParams, InputError, ModelParams, Session,
                      SessionStream, evaluate_joint, expand_output_layer, forward,
                      forward_batch, make_synthetic_stream, run_method,
-                     train_base_session, train_incremental_session)
+                     total_loss, train_base_session, train_incremental_session)
 from topogas.losses import anchor_loss
 from topogas.protocol import _balanced_union
 
@@ -277,6 +277,49 @@ def test_stored_base_session_survives_runs_unchanged():
     assert stored.graph.to_text() == graph.to_text()
     for name, array in params.arrays().items():
         assert stored.params.arrays()[name].tobytes() == array.tobytes(), name
+
+
+def test_lazily_fitted_graph_equals_the_eagerly_fitted_one():
+    stream, hp, bases = desk_stream(10), small_hp(inc_epochs=2), {}
+    run_method(stream, "ft", hp, 10, bases=bases)
+    assert bases[10].graph is None  # no sink and no loss reads it
+    run_method(stream, "topic_al_mml", hp, 10, bases=bases)
+    assert bases[10].graph.to_text() == train_base_session(stream, hp, 10)[1].to_text()
+
+
+@pytest.mark.parametrize("method,sessions", [
+    ("ft", [1]), ("distill", [1]), ("exemplar_anchor", [1]), ("joint", [1]),
+    ("topic_al", [1, 2, 3, 4, 5]),
+])
+def test_graph_sink_sees_the_graphs_a_run_holds(method, sessions):
+    stream, hp = desk_stream(11), small_hp(base_epochs=3, inc_epochs=2, ng_passes=1)
+    seen = []
+    run_method(stream, method, hp, 11, graph_sink=lambda t, g: seen.append((t, g.to_text())))
+    assert [t for t, _ in seen] == sessions
+    assert seen[0][1] == train_base_session(stream, hp, 11)[1].to_text()
+
+
+@pytest.mark.parametrize("method", ["ft", "distill", "exemplar_anchor"])
+def test_graph_free_methods_do_not_read_the_graph(method):
+    stream, hp = desk_stream(12), small_hp(base_epochs=3, ng_passes=1)
+    old_params, graph = train_base_session(stream, hp, 12)
+    session = stream.session(2)
+    params = expand_output_layer(old_params, len(session.labels), seed=12)
+    encode = lambda x: forward_batch(x, params)[0]
+    graph.grow({label: (encode(session.train_x[session.train_y == label]),
+                        session.train_x[session.train_y == label])
+                for label in session.labels}, 1, 2)
+    base, store = stream.session(1), ExemplarSet()
+    for i in range(0, len(base.train_y), 97):
+        store.add(base.train_x[i], base.train_y[i])
+    store.refresh_features(lambda x: encode(x) + 0.1)
+    batch = (session.train_x, session.train_y)
+    with_graph, without = (total_loss(batch, g, params, store, hp, method,
+                                      old_params=old_params, n_old=10)
+                           for g in (graph, None))
+    assert with_graph[0] == without[0]
+    for name, array in with_graph[1].arrays().items():
+        assert array.tobytes() == without[1].arrays()[name].tobytes(), name
 
 
 @pytest.mark.parametrize("change", ["stream", "hp", "dims"])
