@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .harness import parse_config, parse_methods, parse_seeds, run_experiment
+from .harness import parse_config, run_experiment, set_key
 
 
 def main(argv=None) -> int:
@@ -29,13 +29,10 @@ def main(argv=None) -> int:
             return 1
     try:
         config = parse_config(text)
-        if args.out is not None:
-            config.out_dir = args.out
-        if args.seeds is not None:
-            config.seeds = parse_seeds(args.seeds)
-        if args.methods is not None:
-            config.methods = parse_methods(args.methods)
-        config.validate()
+        for key, value in (("out_dir", args.out), ("seeds", args.seeds),
+                           ("methods", args.methods)):
+            if value is not None:
+                set_key(config, key, value)
         return run_experiment(config, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

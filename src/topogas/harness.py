@@ -1,23 +1,28 @@
 """Experiment harness: plain-text config, multi-run orchestration, CSV output.
 
-Config files are line-oriented `key = value` with `#` comments.  Every run
-(method x seed) appends per-session rows to results.csv; a mean-over-seeds
-summary.csv is written only after all runs succeed.  All emitted files are
-deterministic functions of the config.
+Config files are line-oriented `key = value` with `#` comments; the keys are
+the fields of ExperimentConfig and HyperParams, and each value is parsed by
+its field's type.  Every run (method x seed) appends per-session rows to
+results.csv; a mean-over-seeds summary.csv is written only after all runs
+succeed.  All emitted files are deterministic functions of the config.
 """
 
 import dataclasses
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
 from .losses import HyperParams
+from .neural_gas import INT_WORD
 from .protocol import RUNNABLE_METHODS, make_synthetic_stream, run_method
 
 RESULTS_HEADER = "method,seed,session,joint_acc,old_acc,new_acc"
 SUMMARY_HEADER = "method,session,joint_acc,old_acc,new_acc"
 CONFUSION_HEADER = "confusion v1"
+BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
+              "false": False, "no": False, "0": False, "off": False}
 
 
 @dataclass
@@ -39,17 +44,21 @@ class ExperimentConfig:
     # training
     hp: HyperParams = field(default_factory=HyperParams)
     # run matrix
-    methods: list = field(default_factory=lambda: ["ft", "topic_al", "topic_al_mml"])
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
+    methods: list[str] = field(default_factory=lambda: ["ft", "topic_al", "topic_al_mml"])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     out_dir: str = "results"
     emit_confusion: bool = False
     emit_graphs: bool = False
 
     def validate(self) -> None:
-        self.hp.validate()
-        for name in _INT_KEYS:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+        """Raise ConfigError for any value no run can use."""
+        try:
+            self.hp.validate()
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
+        for f in dataclasses.fields(self):
+            if f.type is int and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be a positive integer")
         if not 0 < self.cluster_spread < math.inf:
             raise ConfigError(f"cluster_spread must be positive and finite: {self.cluster_spread}")
         if self.new_classes % self.way != 0:
@@ -62,45 +71,42 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ConfigError(f"{name} must be a non-empty list without duplicates")
-        for m in self.methods:
-            if m not in RUNNABLE_METHODS:
-                raise ConfigError(
-                    f"unknown method {m!r}; expected one of {RUNNABLE_METHODS}")
+        unknown = [m for m in self.methods if m not in RUNNABLE_METHODS]
+        if unknown:
+            raise ConfigError(f"unknown method {unknown[0]!r}; expected one of {RUNNABLE_METHODS}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
 
 
-_INT_KEYS = ("base_classes", "new_classes", "way", "shot", "input_dim",
-             "train_per_base", "test_per_class", "hidden_dim", "feature_dim")
-_FLOAT_KEYS = ("cluster_spread",)
-_BOOL_KEYS = ("emit_confusion", "emit_graphs")
-_HP_INT_KEYS = ("t_life", "base_epochs", "inc_epochs", "node_budget",
-                "growth_k", "exemplars_per_class", "ng_passes")
-_HP_FLOAT_KEYS = ("eta", "alpha", "lambda1", "lambda2", "gamma", "t_distill",
-                  "base_lr", "inc_lr", "eps_var")
-
-
-def parse_methods(value: str) -> list:
-    methods = [m.strip() for m in value.split(",") if m.strip()]
-    for m in methods:
-        if m not in RUNNABLE_METHODS:
-            raise ConfigError(
-                f"unknown method {m!r}; expected one of {RUNNABLE_METHODS}")
-    return methods
-
-
-def parse_seeds(value: str) -> list:
+def _parse_value(key: str, kind, value: str):
+    """`value` as the field type `kind`; numbers are written as plain ASCII."""
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return [_parse_value(key, item, v.strip()) for v in value.split(",") if v.strip()]
+    if kind == float | None and value.lower() == "auto":
+        return None
+    if kind is str:
+        return value
+    if kind is bool and value.lower() in BOOL_WORDS:
+        return BOOL_WORDS[value.lower()]
     try:
-        return [int(s.strip()) for s in value.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"seeds must be a comma list of integers: {value!r}") from exc
+        if kind is int and INT_WORD.fullmatch(value):
+            return int(value)
+        if kind in (float, float | None) and value.isascii() and "_" not in value:
+            return float(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} expects {getattr(kind, '__name__', kind)}, got {value!r}")
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+def set_key(config: ExperimentConfig, key: str, value: str) -> None:
+    """Set the field `key` of config or config.hp to `value` parsed by the field's type."""
+    for target in (config, config.hp):
+        kinds = {f.name: f.type for f in dataclasses.fields(target) if f.name != "hp"}
+        if key in kinds:
+            setattr(target, key, _parse_value(key, kinds[key], value))
+            return
+    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -113,46 +119,15 @@ def parse_config(text: str) -> ExperimentConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         try:
-            _apply_key(config, key, value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    try:
-        config.validate()
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+            set_key(config, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+    config.validate()
     return config
-
-
-def _apply_key(config: ExperimentConfig, key: str, value: str) -> None:
-    if key in _INT_KEYS:
-        setattr(config, key, int(value))
-    elif key in _FLOAT_KEYS:
-        setattr(config, key, float(value))
-    elif key in _BOOL_KEYS:
-        setattr(config, key, _parse_bool(key, value))
-    elif key in _HP_INT_KEYS:
-        setattr(config.hp, key, int(value))
-    elif key in _HP_FLOAT_KEYS:
-        setattr(config.hp, key, float(value))
-    elif key == "xi":
-        config.hp.xi = None if value.lower() == "auto" else float(value)
-    elif key == "methods":
-        config.methods = parse_methods(value)
-    elif key == "seeds":
-        config.seeds = parse_seeds(value)
-    elif key == "out_dir":
-        config.out_dir = value
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
 
 
 def default_config_text() -> str:

@@ -93,18 +93,16 @@ class HyperParams:
 
 @dataclass
 class ExemplarSet:
-    """Stored old-class raw inputs with labels and (optionally) anchor features."""
+    """Stored old-class raw inputs and (optionally) their anchor features."""
 
     inputs: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
     features: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def add(self, x: np.ndarray, label: int, feature: np.ndarray | None = None) -> None:
+    def add(self, x: np.ndarray, feature: np.ndarray | None = None) -> None:
         self.inputs.append(np.asarray(x, dtype=float).copy())
-        self.labels.append(int(label))
         self.features.append(None if feature is None else
                              np.asarray(feature, dtype=float).copy())
 

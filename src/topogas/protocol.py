@@ -95,6 +95,8 @@ def make_synthetic_stream(base_classes: int, new_classes: int, way: int,
             f"new_classes={new_classes} is not divisible by way={way}")
     if cluster_spread <= 0:
         raise InputError(f"cluster_spread must be positive, got {cluster_spread}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, 0x57E4])
     total = base_classes + new_classes
     means = rng.normal(size=(total, input_dim))
@@ -307,7 +309,7 @@ def _add_class_exemplars(store: ExemplarSet, session: Session, per_class: int,
         take = rng.choice(pool.shape[0], size=min(per_class, pool.shape[0]),
                           replace=False)
         for i in take:
-            store.add(pool[i], label)
+            store.add(pool[i])
 
 
 @dataclass
@@ -394,7 +396,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
                           size=min(hp.node_budget, base.train_x.shape[0]),
                           replace=False)
         for i in take:
-            anchor_store.add(base.train_x[i], int(base.train_y[i]))
+            anchor_store.add(base.train_x[i])
         anchor_store.refresh_features(lambda x: extract_features(params, x))
     # total_loss reads the store only for the terms METHODS[method] names.
     exemplars = anchor_store if exemplar_anchor else distill_store

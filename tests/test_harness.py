@@ -1,11 +1,12 @@
+import dataclasses
 import os
 
 import pytest
 
-from topogas import (ConfigError, DivergenceError, InputError, StateError,
+from topogas import (ConfigError, DivergenceError, HyperParams, InputError, StateError,
                      parse_config, run_experiment)
 from topogas.cli import main
-from topogas.harness import ExperimentConfig, default_config_text
+from topogas.harness import ExperimentConfig, default_config_text, set_key
 from topogas.protocol import RUNNABLE_METHODS
 
 TINY = """
@@ -98,6 +99,34 @@ def test_nan_cluster_spread_rejected():
 
 def test_default_config_text_round_trips():
     assert parse_config(default_config_text()) == ExperimentConfig()
+
+
+# int() and float() also read "1_0", "+5" and non-ASCII digits; the config
+# takes numbers only as default_config_text and checkpoints write them.
+@pytest.mark.parametrize("line", [
+    "base_epochs = 1_0", "input_dim = \u0661\u0666", "t_life = +5", "seeds = 0, 1_0",
+    "seeds = \u0661", "eta = 0.0_2", "cluster_spread = \u0661.5", "xi = 2_5.0",
+])
+def test_config_numbers_are_plain_ascii(line):
+    with pytest.raises(ConfigError, match="line 2: "):
+        parse_config("lambda1 = 0.5\n" + line)
+
+
+def test_a_new_field_is_a_config_key():
+    @dataclasses.dataclass
+    class MoreParams(HyperParams):
+        var_shrink: float = 0.0
+
+    config = ExperimentConfig(hp=MoreParams())
+    set_key(config, "var_shrink", "0.25")
+    assert config.hp.var_shrink == 0.25
+
+
+def test_run_experiment_reports_bad_hyperparameters_as_config_errors(tmp_path):
+    config = ExperimentConfig(hp=HyperParams(eta=2.0), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="eta"):
+        run_experiment(config, quiet=True)
+    assert not (tmp_path / "out").exists()
 
 
 # -- experiment runner -----------------------------------------------------------
@@ -373,14 +402,19 @@ def test_cli_rejects_unusable_output_directory(tmp_path, capsys, where):
     ("eps_var = 1e-320", []),
     ("t_life = 100000000000000000000", []),
     ("t_life = 9223372036854775807", []),
+    ("seeds = 0,-1", []),
+    ("", ["--seeds=-1"]),
+    ("", ["--seeds", "1_0"]),
 ], ids=["growth_k_at_shot", "shot_one", "node_budget_over_samples",
         "duplicate_seeds", "duplicate_methods", "duplicate_seed_override",
         "duplicate_method_override", "eps_var_reciprocal_overflows",
-        "t_life_outside_int64", "t_life_ages_would_wrap"])
+        "t_life_outside_int64", "t_life_ages_would_wrap", "negative_seed",
+        "negative_seed_override", "underscore_seed_override"])
 def test_cli_rejects_config_before_training(tmp_path, capsys, extra, overrides):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + extra + "\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), *overrides]) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not out.exists()

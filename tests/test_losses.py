@@ -465,9 +465,9 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     hp = HyperParams()
     xi = 2.0
     store = ExemplarSet()
-    for label in range(2):
+    for _ in range(2):
         z = rng.normal(size=3)
-        store.add(z, label, feature=forward(z, params)[0] + 0.3)
+        store.add(z, feature=forward(z, params)[0] + 0.3)
 
     feat, logits, cache = forward_batch(bx, params)
     ce, grad_o = softmax_cross_entropy_batch(logits, by)
@@ -527,9 +527,9 @@ def test_total_loss_exemplar_anchor_identity_weighting():
     params = make_params(seed=36)
     store = ExemplarSet()
     rng = np.random.default_rng(37)
-    for i in range(3):
+    for _ in range(3):
         z = rng.normal(size=3)
-        store.add(z, i, feature=forward(z, params)[0] + 0.5)
+        store.add(z, feature=forward(z, params)[0] + 0.5)
     bx, by = random_batch(rng, n=2)
     hp = HyperParams()
     loss, _ = total_loss((bx, by), None, params, store, hp, "exemplar_anchor")
@@ -560,7 +560,7 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
     rng = np.random.default_rng(40)
     bx, by = random_batch(rng, n=2)
     store = ExemplarSet()
-    store.add(rng.normal(size=3), 0)
+    store.add(rng.normal(size=3))
     hp = HyperParams()
     with_p, _ = total_loss((bx, by), None, params, store, hp, "distill",
                            old_params=old, n_old=4)

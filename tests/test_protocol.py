@@ -69,6 +69,11 @@ def test_stream_rejects_bad_divisibility():
         make_synthetic_stream(10, 7, 2, 5, 16, 0.5, 100, 100, seed=0)
 
 
+def test_stream_rejects_negative_seed():
+    with pytest.raises(InputError, match="seed"):
+        make_synthetic_stream(seed=-1, **DESK)
+
+
 # -- base session ------------------------------------------------------------------
 
 def test_base_session_reaches_high_accuracy_over_seeds():
@@ -133,7 +138,7 @@ def test_refreshed_anchors_are_exact():
     store = ExemplarSet()
     base = stream.session(1)
     for i in range(0, len(base.train_y), 25):
-        store.add(base.train_x[i], base.train_y[i])
+        store.add(base.train_x[i])
     store.refresh_features(lambda x: extract_features(params, x))
     assert _exemplar_anchor_loss(store, params)[0] == 0.0
 
@@ -311,7 +316,7 @@ def test_graph_free_methods_do_not_read_the_graph(method):
                 for label in session.labels}, 1, 2)
     base, store = stream.session(1), ExemplarSet()
     for i in range(0, len(base.train_y), 97):
-        store.add(base.train_x[i], base.train_y[i])
+        store.add(base.train_x[i])
     store.refresh_features(lambda x: encode(x) + 0.1)
     batch = (session.train_x, session.train_y)
     with_graph, without = (total_loss(batch, g, params, store, hp, method,
