@@ -7,7 +7,7 @@ margin loss, all on top of a small hand-differentiated feature model.
 """
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
-from .feature_model import (ForwardCache, GradReport, Gradients, ModelParams,
+from .feature_model import (ForwardCache, GradReport, ModelParams,
                             backward_batch, expand_output_layer, finite_difference_check,
                             forward, forward_batch, init_params, sgd_step, softmax,
                             softmax_cross_entropy_batch)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DivergenceError", "InputError", "StateError",
-    "ForwardCache", "GradReport", "Gradients", "ModelParams",
+    "ForwardCache", "GradReport", "ModelParams",
     "backward_batch", "expand_output_layer", "finite_difference_check", "forward",
     "forward_batch", "init_params", "sgd_step", "softmax", "softmax_cross_entropy_batch",
     "METHODS", "ExemplarSet", "HyperParams", "anchor_loss",

@@ -22,7 +22,7 @@ class ModelParams:
     """Extractor weights (w1, b1, w2, b2) and classifier columns (phi).
 
     Shapes: w1 (hidden, input), b1 (hidden,), w2 (feature, hidden),
-    b2 (feature,), phi (feature, classes).
+    b2 (feature,), phi (feature, classes).  Gradients use the same record.
     """
 
     w1: np.ndarray
@@ -55,44 +55,18 @@ class ModelParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
                 "b2": self.b2, "phi": self.phi}
 
-
-@dataclass
-class Gradients:
-    """Per-parameter gradient arrays, same shapes as ModelParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    phi: np.ndarray
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "Gradients":
-        return Gradients(np.zeros_like(params.w1), np.zeros_like(params.b1),
-                         np.zeros_like(params.w2), np.zeros_like(params.b2),
-                         np.zeros_like(params.phi))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
-                "b2": self.b2, "phi": self.phi}
-
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> None:
-        """In-place self += scale * other."""
-        for name, arr in self.arrays().items():
-            arr += scale * other.arrays()[name]
-
     def norm(self) -> float:
-        """Global L2 norm over all parameter gradients."""
+        """Global L2 norm over all arrays."""
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays().values())))
 
-    def clipped(self, max_norm: float) -> "Gradients":
-        """Return gradients rescaled so the global norm is at most max_norm."""
+    def clipped(self, max_norm: float) -> "ModelParams":
+        """These arrays rescaled so the global norm is at most max_norm."""
         n = self.norm()
         if n <= max_norm or n == 0.0:
             return self
         s = max_norm / n
-        return Gradients(self.w1 * s, self.b1 * s, self.w2 * s,
-                         self.b2 * s, self.phi * s)
+        return ModelParams(self.w1 * s, self.b1 * s, self.w2 * s,
+                           self.b2 * s, self.phi * s)
 
 
 @dataclass
@@ -154,11 +128,11 @@ def forward(x: np.ndarray, params: ModelParams):
 
 
 def backward_batch(cache: ForwardCache, grad_logits: np.ndarray,
-                   grad_feature: np.ndarray, params: ModelParams) -> Gradients:
+                   grad_feature: np.ndarray, params: ModelParams) -> ModelParams:
     """Backpropagate upstream gradients on logits and features to all parameters.
 
-    Gradients are summed over the batch.  grad_logits flows through phi into
-    the extractor; grad_feature flows into the extractor only.
+    Gradients are summed over the batch into a ModelParams.  grad_logits flows
+    through phi into the extractor; grad_feature into the extractor only.
     """
     grad_logits = np.asarray(grad_logits, dtype=float)
     grad_feature = np.asarray(grad_feature, dtype=float)
@@ -176,7 +150,7 @@ def backward_batch(cache: ForwardCache, grad_logits: np.ndarray,
     d_a1 = d_h * (cache.hidden_pre > 0.0)
     d_b1 = d_a1.sum(axis=0)
     d_w1 = d_a1.T @ cache.x
-    return Gradients(d_w1, d_b1, d_w2, d_b2, d_phi)
+    return ModelParams(d_w1, d_b1, d_w2, d_b2, d_phi)
 
 
 def softmax(o: np.ndarray) -> np.ndarray:
@@ -201,7 +175,7 @@ def softmax_cross_entropy_batch(o: np.ndarray, y: np.ndarray):
     return loss, grad
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient step p <- p - lr*g; returns a new parameter record."""
     if lr <= 0:
         raise InputError(f"learning rate must be positive, got {lr}")
@@ -229,7 +203,8 @@ def finite_difference_check(loss_evaluator, params: ModelParams,
                             tol: float) -> GradReport:
     """Compare analytic gradients against central finite differences.
 
-    loss_evaluator(params) must deterministically return (loss, Gradients).
+    loss_evaluator(params) must deterministically return (loss, gradients)
+    with the gradients in a ModelParams record.
     Every entry of every parameter array is perturbed by +-FD_STEP; the
     relative error is |a - fd| / max(|a|, |fd|, 1e-8).
     """

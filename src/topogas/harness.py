@@ -2,7 +2,9 @@
 
 Config files are line-oriented `key = value` with `#` comments; the keys are
 the fields of ExperimentConfig and HyperParams, and each value is parsed by
-its field's type.  Every run (method x seed) appends per-session rows to
+its field's type.  Values are checked by ExperimentConfig.validate, which
+run_experiment calls first, so CLI overrides replace file values before the
+check.  Every run (method x seed) appends per-session rows to
 results.csv; a mean-over-seeds summary.csv is written only after all runs
 succeed.  All emitted files are deterministic functions of the config.
 """
@@ -110,7 +112,7 @@ def set_key(config: ExperimentConfig, key: str, value: str) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse `key = value` lines into a validated ExperimentConfig.
+    """Parse `key = value` lines into an ExperimentConfig, not yet validated.
 
     Unknown keys are rejected; missing keys keep the desk-scale defaults.
     """
@@ -126,7 +128,6 @@ def parse_config(text: str) -> ExperimentConfig:
             set_key(config, key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    config.validate()
     return config
 
 

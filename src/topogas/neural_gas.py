@@ -16,7 +16,6 @@ cache.  Encoders passed to the graph map an input batch to features.
 """
 
 import functools
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
-
-log = logging.getLogger(__name__)
 
 FORMAT_HEADER = "nggraph v1"
 KMEANS_ITERS = 10
@@ -244,10 +241,10 @@ class NGGraph:
     def grow(self, class_samples: dict, k: int, session: int, seed: int = 0) -> None:
         """Insert k nodes per new class from its few-shot features.
 
-        class_samples maps label -> (features (K, n), inputs (K, d)).  With
-        k = 1 the centroid is the mean of the K shot features; with k > 1
-        centroids come from a seeded k-means over the shots.  New nodes get
-        the floor variance, the nearest shot as pseudo input, and no edges.
+        class_samples maps label -> (features (K, n), inputs (K, d)).
+        Centroids come from a seeded k-means over the shots (for k = 1, the
+        mean of the K shot features).  New nodes get the floor variance, the
+        nearest shot as pseudo input, and no edges.
         """
         known = set(self.labels.tolist())
         for label in class_samples:
@@ -261,7 +258,7 @@ class NGGraph:
             if not 1 <= k < feats.shape[0]:
                 raise InputError(
                     f"growth count {k} must be below the {feats.shape[0]} shots")
-            centers = feats.mean(axis=0, keepdims=True) if k == 1 else _kmeans(feats, k, rng)
+            centers = _kmeans(feats, k, rng)
             new_centroids.extend(centers)
             new_inputs.extend(np.array(inputs, dtype=float)[nearest(centers, feats)[0]])
             new_labels.extend([int(label)] * len(centers))
@@ -452,11 +449,11 @@ def init_graph(features: np.ndarray, labels, node_count: int, lifetime: int,
 
 
 def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,
-                      alpha: float, passes: int, seed: int) -> float:
+                      alpha: float, passes: int, seed: int) -> None:
     """Run shuffled competitive-Hebbian sweeps over the feature set.
 
     Each presented feature ranks the nodes, moves centroids, and refreshes
-    the winner-pair edge.  Returns the final quantization error.
+    the winner-pair edge.
     """
     if passes < 1:
         raise InputError(f"need at least one pass, got {passes}")
@@ -464,7 +461,3 @@ def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,
     rng = np.random.default_rng([seed, 0x7A41])
     for _ in range(passes):
         graph.present(features[rng.permutation(features.shape[0])], eta, alpha)
-    qe = graph.quantization_error(features)
-    log.info("neural gas trained: %d nodes, %d passes, quantization error %.6f",
-             len(graph), passes, qe)
-    return qe

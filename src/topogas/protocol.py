@@ -45,8 +45,6 @@ class Session:
 class SessionStream:
     sessions: list
     input_dim: int
-    way: int
-    shot: int
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -122,7 +120,7 @@ def make_synthetic_stream(base_classes: int, new_classes: int, way: int,
         start = base_classes + (t - 2) * way
         labels = list(range(start, start + way))
         sessions.append(Session(t, labels, *pack(labels)))
-    return SessionStream(sessions, input_dim, way, shot)
+    return SessionStream(sessions, input_dim)
 
 
 def extract_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -327,15 +325,13 @@ class _TrainedBase:
 
 
 def _base_session(stream: SessionStream, hp: HyperParams, seed: int,
-                  dims: tuple, bases: dict | None, need_graph: bool) -> tuple:
+                  dims: tuple, bases: dict, need_graph: bool) -> tuple:
     """(params, graph) of the base session, the run's own to mutate.
 
-    The graph is None unless need_graph.  With a bases dict the base is
-    trained on the seed's first lookup and copied on every later one; a
-    lookup with another stream, hyperparameters or dims raises InputError.
+    The graph is None unless need_graph.  The base is trained on the seed's
+    first lookup in bases and copied on every later one; a lookup with
+    another stream, hyperparameters or dims raises InputError.
     """
-    if bases is None:
-        return train_base_session(stream, hp, seed, *dims, fit_graph=need_graph)
     base = bases.get(seed)
     if base is None:
         base = bases[seed] = _TrainedBase(
@@ -367,7 +363,8 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
         raise InputError(f"unknown method {method!r}; expected one of {RUNNABLE_METHODS}")
     hp.validate()
     reads_graph = method != "joint" and METHODS[method].reads_graph
-    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim), bases,
+    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim),
+                                  {} if bases is None else bases,
                                   need_graph=reads_graph or graph_sink is not None)
     metrics = [evaluate_joint(params, stream, 1)]
     if graph_sink is not None:

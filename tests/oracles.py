@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from topogas import InputError
+from topogas import InputError, ModelParams
+
+
+def zero_grads(params):
+    """A ModelParams of zeros shaped like params, for summing gradients into."""
+    return ModelParams(*(np.zeros_like(a) for a in params.arrays().values()))
+
+
+def add_scaled(grads, other, scale=1.0):
+    """In-place grads += scale * other over every array."""
+    for name, arr in grads.arrays().items():
+        arr += scale * other.arrays()[name]
 
 
 def softmax_cross_entropy(o: np.ndarray, y: int):

@@ -203,8 +203,8 @@ def test_criterion_3_nodes_beat_random_exemplars():
         feats = np.vstack([m + 0.5 * rng.normal(size=(200, 2)) for m in means])
         labels = np.repeat(np.arange(5), 200)
         g = init_graph(feats, labels, 25, hp.t_life, hp.eps_var, seed)
-        qe_trained = train_on_features(g, feats, hp.eta, hp.alpha, passes=10,
-                                       seed=seed)
+        train_on_features(g, feats, hp.eta, hp.alpha, passes=10, seed=seed)
+        qe_trained = g.quantization_error(feats)
         picks = np.random.default_rng([seed, 0x3C]).choice(1000, 25, replace=False)
         exemplars = NGGraph(feats[picks].copy(), np.full((25, 2), hp.eps_var),
                             [None] * 25, labels[picks], np.ones(25, dtype=int),

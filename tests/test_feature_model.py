@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import softmax_cross_entropy
-from topogas import (DivergenceError, Gradients, InputError, ModelParams,
+from oracles import add_scaled, softmax_cross_entropy, zero_grads
+from topogas import (DivergenceError, InputError, ModelParams,
                      backward_batch, expand_output_layer,
                      finite_difference_check, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
@@ -209,10 +209,10 @@ def test_backward_batch_sums_per_sample_grads():
     gf = rng.normal(size=(4, 3))
     _, _, cache = forward_batch(x, params)
     batched = backward_batch(cache, go, gf, params)
-    summed = Gradients.zeros_like(params)
+    summed = zero_grads(params)
     for b in range(4):
         _, _, c1 = forward(x[b], params)
-        summed.add_scaled(backward_batch(c1, go[b:b + 1], gf[b:b + 1], params))
+        add_scaled(summed, backward_batch(c1, go[b:b + 1], gf[b:b + 1], params))
     for name, arr in batched.arrays().items():
         assert np.allclose(arr, summed.arrays()[name], atol=1e-10)
 
@@ -221,7 +221,7 @@ def test_backward_batch_sums_per_sample_grads():
 
 def test_sgd_zero_grads_leave_params_unchanged():
     params = small_params(seed=1)
-    after = sgd_step(params, Gradients.zeros_like(params), 0.1)
+    after = sgd_step(params, zero_grads(params), 0.1)
     for name, arr in after.arrays().items():
         assert np.array_equal(arr, params.arrays()[name])
 
@@ -229,8 +229,8 @@ def test_sgd_zero_grads_leave_params_unchanged():
 def test_sgd_single_scalar_arithmetic():
     params = ModelParams(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]),
                          np.zeros(1), np.array([[1.0]]))
-    grads = Gradients(np.array([[2.0]]), np.zeros(1), np.zeros((1, 1)),
-                      np.zeros(1), np.zeros((1, 1)))
+    grads = ModelParams(np.array([[2.0]]), np.zeros(1), np.zeros((1, 1)),
+                        np.zeros(1), np.zeros((1, 1)))
     after = sgd_step(params, grads, 0.1)
     assert after.w1[0, 0] == pytest.approx(0.8)
 
@@ -244,8 +244,7 @@ def test_sgd_descends_convex_quadratic_monotonically():
 
     losses = [quad_loss(params)]
     for _ in range(25):
-        grads = Gradients(params.w1.copy(), params.b1.copy(), params.w2.copy(),
-                          params.b2.copy(), params.phi.copy())
+        grads = params.copy()
         params = sgd_step(params, grads, 0.1)
         losses.append(quad_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -254,7 +253,7 @@ def test_sgd_descends_convex_quadratic_monotonically():
 def test_sgd_rejects_nonpositive_lr():
     params = small_params()
     with pytest.raises(InputError):
-        sgd_step(params, Gradients.zeros_like(params), 0.0)
+        sgd_step(params, zero_grads(params), 0.0)
 
 
 def test_expand_keeps_old_columns_bit_identical():
@@ -298,9 +297,9 @@ def test_fd_check_linear_loss_is_exact():
     def evaluator(p):
         loss = sum(float(np.sum(coeffs[name] * arr))
                    for name, arr in p.arrays().items())
-        return loss, Gradients(coeffs["w1"].copy(), coeffs["b1"].copy(),
-                               coeffs["w2"].copy(), coeffs["b2"].copy(),
-                               coeffs["phi"].copy())
+        return loss, ModelParams(coeffs["w1"].copy(), coeffs["b1"].copy(),
+                                 coeffs["w2"].copy(), coeffs["b2"].copy(),
+                                 coeffs["phi"].copy())
 
     report = finite_difference_check(evaluator, params, tol=1e-9)
     assert report.passed
@@ -330,7 +329,7 @@ def test_fd_check_flags_corrupted_gradient():
         feat, logits, cache = forward(x, p)
         loss, grad_o = softmax_cross_entropy(logits, 1)
         grads = backward_batch(cache, grad_o[None, :], np.zeros((1, feat.size)), p)
-        grads.add_scaled(grads)  # doubles every gradient
+        add_scaled(grads, grads)  # doubles every gradient
         return loss, grads
 
     report = finite_difference_check(corrupted, params, tol=1e-4)
@@ -341,7 +340,7 @@ def test_fd_check_rejects_nonfinite_loss():
     params = small_params()
 
     def bad(p):
-        return float("nan"), Gradients.zeros_like(p)
+        return float("nan"), zero_grads(p)
 
     with pytest.raises(DivergenceError):
         finite_difference_check(bad, params, tol=1e-4)

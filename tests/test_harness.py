@@ -46,7 +46,7 @@ def test_lambda1_round_trips():
 
 def test_negative_lambda1_rejected():
     with pytest.raises(ConfigError):
-        parse_config("lambda1 = -1")
+        parse_config("lambda1 = -1").validate()
 
 
 def test_unknown_key_rejected():
@@ -72,7 +72,7 @@ def test_method_and_seed_lists_parse():
 
 def test_unknown_method_rejected():
     with pytest.raises(ConfigError, match="unknown method"):
-        parse_config("methods = ft, warp")
+        parse_config("methods = ft, warp").validate()
 
 
 def test_bad_seed_rejected():
@@ -84,17 +84,17 @@ def test_xi_auto_and_numeric():
     assert parse_config("xi = auto").hp.xi is None
     assert parse_config("xi = 2.5").hp.xi == 2.5
     with pytest.raises(ConfigError):
-        parse_config("xi = -1.0")
+        parse_config("xi = -1.0").validate()
 
 
 def test_divisibility_validated():
     with pytest.raises(ConfigError):
-        parse_config("new_classes = 7\nway = 2")
+        parse_config("new_classes = 7\nway = 2").validate()
 
 
 def test_nan_cluster_spread_rejected():
     with pytest.raises(ConfigError, match="cluster_spread"):
-        parse_config("cluster_spread = nan")
+        parse_config("cluster_spread = nan").validate()
 
 
 def test_default_config_text_round_trips():
@@ -364,6 +364,21 @@ def test_cli_overrides_and_quiet(tmp_path, capsys):
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 1 + 3  # one method, one seed, three sessions
     assert all(line.startswith("ft,4,") for line in lines[1:])
+
+
+def test_cli_override_replaces_file_value_before_validation(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(TINY + "seeds = 1,1\n")
+    out = tmp_path / "dup_out"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "--seeds", "0", "--methods", "ft", "--quiet"]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 and all(line.startswith("ft,0,") for line in lines[1:])
+    bad_out = tmp_path / "bad_out"
+    assert main(["--config", str(cfg), "--out", str(bad_out), "--seeds", "0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not bad_out.exists()
 
 
 def test_cli_bad_override_exits_one(tmp_path, capsys):

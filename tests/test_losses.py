@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import add_scaled
 from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
                      StateError, anchor_loss, distillation_loss,
                      finite_difference_check, forward, forward_batch,
@@ -280,8 +281,8 @@ def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGr
     grads = backward_batch(cache, np.zeros_like(logits), grad_feat, params)
     for j, g in new_grad.items():
         fj, oj, cj = new_fwd[j]
-        grads.add_scaled(backward_batch(cj, np.zeros_like(oj)[None, :],
-                                        g[None, :], params))
+        add_scaled(grads, backward_batch(cj, np.zeros_like(oj)[None, :],
+                                         g[None, :], params))
     return float(loss), grads
 
 
@@ -486,7 +487,7 @@ def test_total_loss_weighted_sum_matches_term_by_term():
         for name in names:
             weight, (term_loss, term_grads) = terms[name]
             expected += weight * term_loss
-            recomposed.add_scaled(term_grads, weight)
+            add_scaled(recomposed, term_grads, weight)
         assert loss == pytest.approx(expected, rel=1e-12), method
         for name, arr in grads.arrays().items():
             assert np.allclose(arr, recomposed.arrays()[name], atol=1e-12), (method, name)

@@ -276,8 +276,8 @@ def test_training_single_node_contracts_geometrically():
         d_next = np.linalg.norm(g.centroids[0] - f)
         assert d_next == pytest.approx(rate * d, rel=1e-12)
         d = d_next
-    qe = train_on_features(g, f[None, :], eta=0.5, alpha=1.0, passes=40, seed=0)
-    assert qe < 1e-3
+    train_on_features(g, f[None, :], eta=0.5, alpha=1.0, passes=40, seed=0)
+    assert g.quantization_error(f[None, :]) < 1e-3
 
 
 def test_training_with_tiny_eta_limit():
@@ -405,6 +405,13 @@ def test_grow_line_of_shots_centroid_at_mean():
     g.grow({3: shots(line)}, k=1, session=2)
     assert np.allclose(g.centroids[1], [2.0, 0.0])
     assert np.array_equal(g.pseudo_inputs[1], [2.0, 0.0])
+    # Random shots at mixed scales: the k = 1 centroid is their mean, bit for bit.
+    rng = np.random.default_rng(9)
+    for count in (2, 7, 39):
+        feats = rng.normal(scale=10.0 ** rng.uniform(-8, 8), size=(count, 6))
+        g = graph_from_centroids(np.zeros((1, 6)), labels=[0])
+        g.grow({1: shots(feats)}, k=1, session=2, seed=count)
+        assert g.centroids[1].tobytes() == feats.mean(axis=0).tobytes()
 
 
 def test_grow_appends_k_nodes_per_class_without_touching_old():

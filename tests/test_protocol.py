@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import confusion_matrix
-from topogas import (ExemplarSet, HyperParams, InputError, ModelParams, Session,
-                     SessionStream, evaluate_joint, expand_output_layer, forward,
-                     forward_batch, make_synthetic_stream, run_method,
+from topogas import (ExemplarSet, HyperParams, InputError, ModelParams, NGGraph,
+                     Session, SessionStream, evaluate_joint, expand_output_layer,
+                     forward, forward_batch, make_synthetic_stream, run_method,
                      total_loss, train_base_session, train_incremental_session)
 from topogas.losses import anchor_loss
 from topogas.protocol import _balanced_union
@@ -189,7 +189,7 @@ def onehot_stream():
         test_y = np.repeat(labels, 3)
         sessions.append(Session(t, list(labels), test_x.copy(), test_y.copy(),
                                 test_x, test_y))
-    return SessionStream(sessions, 4, 2, 3)
+    return SessionStream(sessions, 4)
 
 
 def identity_params(classes=4):
@@ -302,6 +302,16 @@ def test_graph_sink_sees_the_graphs_a_run_holds(method, sessions):
     run_method(stream, method, hp, 11, graph_sink=lambda t, g: seen.append((t, g.to_text())))
     assert [t for t, _ in seen] == sessions
     assert seen[0][1] == train_base_session(stream, hp, 11)[1].to_text()
+
+
+def test_graph_runs_never_compute_the_quantization_error(monkeypatch):
+    calls = []
+    measure = NGGraph.quantization_error
+    monkeypatch.setattr(NGGraph, "quantization_error",
+                        lambda graph, features: calls.append(1) or measure(graph, features))
+    stream, hp = desk_stream(13), small_hp(base_epochs=3, inc_epochs=2, ng_passes=1)
+    run_method(stream, "topic_al_mml", hp, 13, graph_sink=lambda t, g: None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("method", ["ft", "distill", "exemplar_anchor"])
