@@ -6,7 +6,7 @@ sums over batch samples, graph nodes or exemplars, not means.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,12 +77,13 @@ class HyperParams:
     ng_passes: int = 3
 
     def validate(self) -> None:
-        for name, value in asdict(self).items():
-            if value is None:  # xi = auto
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type not in (int, float, float | None) or value is None:  # xi = None is auto
                 continue
-            kind = "non-negative" if name in ("lambda1", "lambda2", "gamma") else "positive"
+            kind = "non-negative" if f.name in ("lambda1", "lambda2", "gamma") else "positive"
             if not math.isfinite(value) or value < 0 or (value == 0 and kind == "positive"):
-                raise InputError(f"{name} must be finite and {kind}, got {value}")
+                raise InputError(f"{f.name} must be finite and {kind}, got {value}")
         if self.t_life > MAX_LIFETIME:
             raise InputError(f"t_life must be at most {MAX_LIFETIME}, got {self.t_life}")
         if self.eta > 1.0:

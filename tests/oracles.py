@@ -66,6 +66,20 @@ def edge_update(graph, r1, r2):
     graph.edges[r1, r2] = graph.edges[r2, r1] = True
 
 
+def present(graph, features, eta, alpha, updatable=None):
+    """Row by row: the per-rank Hebbian step, then the winner-pair edge refresh.
+
+    Returns each row's (winner, runner-up); the runner-up is -1 on a single-node graph.
+    """
+    pairs = []
+    for f in features:
+        order = hebbian_update(graph, f, eta, alpha, updatable)
+        if len(graph) >= 2:
+            edge_update(graph, int(order[0]), int(order[1]))
+        pairs.append((int(order[0]), int(order[1]) if len(graph) >= 2 else -1))
+    return pairs
+
+
 def confusion_matrix(y, pred, n_classes):
     """Per-row count of (true, predicted) pairs, rows normalized where they have samples."""
     confusion = np.zeros((n_classes, n_classes))

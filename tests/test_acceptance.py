@@ -275,8 +275,7 @@ def test_criterion_6_invariants(tmp_path):
     g = NGGraph(rng.normal(size=(6, 2)), np.full((6, 2), 1e-6), [None] * 6,
                 np.zeros(6, dtype=int), np.ones(6, dtype=int), 5, 1e-6)
     for _ in range(200):
-        ranking = g.hebbian_update(rng.normal(size=2), eta=0.2, alpha=1.0)
-        g.edge_update(ranking.winner, ranking.runner_up)
+        g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.2, alpha=1.0))
     g.check_invariants()
     assert g.ages[g.edges].max() <= g.lifetime
     notes.append("edges")

@@ -122,6 +122,20 @@ def test_a_new_field_is_a_config_key():
     assert config.hp.var_shrink == 0.25
 
 
+def test_a_text_field_is_a_config_key_that_validates():
+    @dataclasses.dataclass
+    class WithMode(HyperParams):
+        ng_mode: str = "online"
+
+    config = ExperimentConfig(hp=WithMode())
+    set_key(config, "ng_mode", "batch")
+    assert config.hp.ng_mode == "batch"
+    config.validate()
+    set_key(config, "eta", "nan")
+    with pytest.raises(ConfigError, match="eta"):
+        config.validate()
+
+
 def test_run_experiment_reports_bad_hyperparameters_as_config_errors(tmp_path):
     config = ExperimentConfig(hp=HyperParams(eta=2.0), out_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError, match="eta"):

@@ -53,8 +53,7 @@ def test_edge_and_age_symmetry_survives_random_update_sequences(n_nodes, seed,
                 [None] * n_nodes, np.zeros(n_nodes, dtype=int),
                 np.ones(n_nodes, dtype=int), lifetime, 1e-6)
     for _ in range(30):
-        ranking = g.hebbian_update(rng.normal(size=2), eta=0.3, alpha=1.0)
-        g.edge_update(ranking.winner, ranking.runner_up)
+        g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.3, alpha=1.0))
     g.check_invariants()  # symmetry, zero diagonal, lifetime bound
     live = g.ages[g.edges]
     assert live.size == 0 or live.max() <= lifetime
@@ -67,7 +66,7 @@ def test_hebbian_zero_rate_limit_is_identity_on_centroids(seed):
     g = NGGraph(rng.normal(size=(5, 2)), np.full((5, 2), 1e-6), [None] * 5,
                 np.zeros(5, dtype=int), np.ones(5, dtype=int), 10, 1e-6)
     before = g.centroids.copy()
-    g.hebbian_update(rng.normal(size=2), eta=1e-300, alpha=1.0)
+    g.hebbian_update(rng.normal(size=(1, 2)), eta=1e-300, alpha=1.0)
     assert np.array_equal(g.centroids, before)
 
 
@@ -80,7 +79,7 @@ def test_hebbian_contracts_the_winner(seed, eta, alpha):
     f = rng.normal(size=3)
     before = g.centroids.copy()
     ranking = g.rank_nodes(f)
-    g.hebbian_update(f, eta=eta, alpha=alpha)
+    g.hebbian_update(f[None], eta=eta, alpha=alpha)
     w = ranking.winner
     if not np.allclose(before[w], f):
         assert (np.linalg.norm(g.centroids[w] - f)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -593,3 +594,13 @@ def test_hyperparams_validate_rejects_bad_values(field, value):
     hp = HyperParams(**{field: value})
     with pytest.raises(InputError):
         hp.validate()
+
+
+def test_hyperparams_validate_checks_numeric_fields_only():
+    @dataclasses.dataclass
+    class WithMode(HyperParams):
+        ng_mode: str = "online"
+
+    WithMode().validate()
+    with pytest.raises(InputError, match="eta"):
+        WithMode(eta=math.nan).validate()

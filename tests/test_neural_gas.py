@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topogas import InputError, NGGraph, StateError, init_graph, neural_gas, train_on_features
 from topogas.neural_gas import max_distance, nearest
@@ -73,7 +76,7 @@ def test_rank_nodes_bad_feature_dimension_rejected():
 def test_hebbian_winner_step_scalar_oracle():
     # eta * exp(-1/alpha) with the winner at rank position 1.
     g = graph_from_centroids([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]])
-    g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0)
+    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0)
     assert np.allclose(g.centroids[0], [0.5 * math.exp(-1.0), 0.0], atol=1e-12)
 
 
@@ -81,7 +84,7 @@ def test_hebbian_winner_at_feature_stays_while_others_decay():
     g = graph_from_centroids([[1.0, 1.0], [4.0, 0.0], [9.0, 0.0]])
     f = np.array([1.0, 1.0])
     before = g.centroids.copy()
-    g.hebbian_update(f, eta=0.5, alpha=2.0)
+    g.hebbian_update(f[None], eta=0.5, alpha=2.0)
     assert np.array_equal(g.centroids[0], before[0])
     assert np.linalg.norm(g.centroids[1] - f) < np.linalg.norm(before[1] - f)
 
@@ -89,21 +92,21 @@ def test_hebbian_winner_at_feature_stays_while_others_decay():
 def test_hebbian_skips_farthest_rank_position():
     g = graph_from_centroids([[0.0, 0.0], [10.0, 0.0]])
     before = g.centroids.copy()
-    g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0)
+    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0)
     assert not np.array_equal(g.centroids[0], before[0])
     assert np.array_equal(g.centroids[1], before[1])
 
 
 def test_hebbian_single_node_updates_its_winner():
     g = graph_from_centroids([[0.0, 0.0]])
-    g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0)
+    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0)
     assert np.allclose(g.centroids[0], [0.5 * math.exp(-1.0), 0.0])
 
 
 def test_hebbian_respects_updatable_mask():
     g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
     before = g.centroids.copy()
-    g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0,
+    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0,
                      updatable=np.array([False, True, False]))
     assert np.array_equal(g.centroids[0], before[0])
     assert not np.array_equal(g.centroids[1], before[1])
@@ -114,7 +117,7 @@ def test_hebbian_rejects_mask_of_wrong_length(length):
     g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
     before = g.centroids.copy()
     with pytest.raises(InputError):
-        g.hebbian_update(np.array([1.0, 0.0]), eta=0.5, alpha=1.0,
+        g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0,
                          updatable=np.ones(length, dtype=bool))
     assert np.array_equal(g.centroids, before)
 
@@ -122,9 +125,9 @@ def test_hebbian_rejects_mask_of_wrong_length(length):
 def test_hebbian_rejects_bad_rates():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
-        g.hebbian_update(np.zeros(2), eta=0.0, alpha=1.0)
+        g.hebbian_update(np.zeros((1, 2)), eta=0.0, alpha=1.0)
     with pytest.raises(InputError):
-        g.hebbian_update(np.zeros(2), eta=0.5, alpha=0.0)
+        g.hebbian_update(np.zeros((1, 2)), eta=0.5, alpha=0.0)
 
 
 # -- edge update ---------------------------------------------------------------
@@ -216,26 +219,224 @@ def presentation_case(n, seed, lifetime=3):
     return g, feats[rng.permutation(len(feats))], rng
 
 
+# Settings of hebbian_update's dispatch: exact distances to every node, or a
+# frozen side screened by one product per block (here blocks of a few rows).
+SIDES = {"exact": {"SCREEN_MIN": 1 << 62}, "screened": {"SCREEN_MIN": 0, "SCREEN_BLOCK": 64}}
+
+
+def assert_same_graph(g, ref):
+    for name in ("centroids", "edges", "ages"):
+        assert same_bits(getattr(g, name), getattr(ref, name)), name
+    assert g.to_text() == ref.to_text()
+
+
+def present_in_batches(g, feats, eta, alpha, updatable, size):
+    """Present feats in calls of `size` rows; the (winner, runner-up) of every row."""
+    pairs = []
+    for start in range(0, len(feats), size):
+        r1, r2 = g.hebbian_update(feats[start:start + size], eta, alpha, updatable)
+        if len(g) >= 2:
+            g.edge_update(r1, r2)
+        pairs.extend(zip(r1.tolist(), r2.tolist()))
+    return pairs
+
+
+def screened_calls(monkeypatch, side):
+    """Force one side of the dispatch; the list of graph sizes the screen ran on."""
+    for name, value in SIDES[side].items():
+        monkeypatch.setattr(neural_gas, name, value)
+    screened, calls = NGGraph._hebbian_screened, []
+
+    def spy(self, *args):
+        calls.append(len(self))
+        return screened(self, *args)
+
+    monkeypatch.setattr(NGGraph, "_hebbian_screened", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 40])
 @pytest.mark.parametrize("mask", ["none", "all_false", "all_true", "sparse"])
-def test_presentation_matches_per_rank_oracle(n, mask):
-    g, feats, rng = presentation_case(n, seed=len(mask))
+def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
+    for side in SIDES:
+        calls = screened_calls(monkeypatch, side)
+        g, feats, rng = presentation_case(n, seed=len(mask))
+        ref = NGGraph.from_text(g.to_text())
+        updatable = {"none": None, "all_false": np.zeros(n, dtype=bool),
+                     "all_true": np.ones(n, dtype=bool), "sparse": rng.random(n) < 0.3}[mask]
+        expected = oracles.present(ref, feats, 0.3, 1.5, updatable)
+        assert present_in_batches(g, feats, 0.3, 1.5, updatable, size=7) == expected
+        assert_same_graph(g, ref)
+        g.check_invariants()
+        for f in feats[:10]:
+            ranking, (order, distances) = g.rank_nodes(f), oracles.rank_nodes(ref, f)
+            assert same_bits(ranking.order, order) and same_bits(ranking.distances, distances)
+        frozen = n if updatable is None else n - int(updatable.sum())
+        assert bool(calls) == (side == "screened" and updatable is not None and frozen >= 2)
+
+
+def screen_case(case, seed):
+    """(graph, features, updatable) for a named hard case of the masked presentation."""
+    n = 2 if case.startswith("two_nodes") else 30
+    g, feats, rng = presentation_case(n, seed, lifetime=4)
+    moving = rng.random(n) < 0.2
+    if case == "moving_farthest":
+        moving[-1] = True  # the outlier at (-0, 50, -0) is every row's farthest node
+    elif case == "one_moving":
+        moving = np.arange(n) == int(rng.integers(n))
+    elif case == "two_nodes_one_moving":
+        moving = np.array([False, True])
+    elif case in ("no_moving", "two_nodes_none_moving"):
+        moving[:] = False
+    elif case == "all_moving":
+        moving[:] = True
+    elif case == "offset_1e8":  # |x|^2 dwarfs the distances, so the screen decides nothing
+        g.centroids += 1e8
+        feats = feats + 1e8
+    elif case == "scale_1e-200":  # squares underflow to zero: every distance ties
+        g.centroids *= 1e-200
+        feats = feats * 1e-200
+    elif case == "signed_zeros":
+        g.centroids[np.abs(g.centroids) < 1.0] = -0.0
+        feats = np.where(np.abs(feats) < 1.0, -0.0, feats)
+    return g, feats, moving
+
+
+SCREEN_CASES = ["grid_ties", "signed_zeros", "moving_farthest", "one_moving",
+                "two_nodes_one_moving", "two_nodes_none_moving", "no_moving", "all_moving",
+                "offset_1e8", "scale_1e-200"]
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch):
+    calls = screened_calls(monkeypatch, side)
+    for seed in range(3):
+        g, feats, moving = screen_case(case, seed)
+        ref = NGGraph.from_text(g.to_text())
+        ref.ages = g.ages.copy()
+        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+        assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+        assert_same_graph(g, ref)
+    screens = side == "screened" and (~moving).sum() >= 2
+    assert len(calls) == (3 * 3 if screens else 0)  # 60 rows in three calls, three seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_presentation_fuzz_matches_row_by_row_oracle(data):
+    n, dim = data.draw(st.integers(1, 9), label="nodes"), data.draw(st.integers(1, 4), label="dim")
+    grid = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    values = st.one_of(grid, st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+    scale = data.draw(st.sampled_from([1.0, 1e-200, 1e150, 1e8]), label="scale")
+    centroids = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                            min_size=n, max_size=n))) * scale
+    feats = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                        max_size=12))).reshape(-1, dim) * scale
+    masks = st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    moving = data.draw(masks, label="updatable")
+    lifetime = data.draw(st.integers(1, 4), label="lifetime")
+    size = data.draw(st.integers(1, 12), label="rows per call")
+    settings_ = {"SCREEN_MIN": data.draw(st.sampled_from([0, 1 << 62]), label="screen_min"),
+                 "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
+    g = graph_from_centroids(centroids, lifetime=lifetime)
+    ref = graph_from_centroids(centroids, lifetime=lifetime)
+    expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+    with mock.patch.multiple(neural_gas, **settings_):
+        assert present_in_batches(g, feats, 0.3, 1.5, moving, size) == expected
+    assert_same_graph(g, ref)
+
+
+def test_hebbian_returns_runner_up_minus_one_on_a_single_node():
+    g = graph_from_centroids([[0.0, 0.0]])
+    winners, runners = g.hebbian_update(np.array([[1.0, 0.0], [2.0, 0.0]]), 0.5, 1.0)
+    assert winners.tolist() == [0, 0] and runners.tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("rows", [np.zeros((3, 2)), np.zeros((1, 4)), np.zeros(3),
+                                  np.zeros((1, 3, 1)),
+                                  np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+                                  np.array([[0.0, 1.0, 0.0], [1.0, np.inf, 0.0]]),
+                                  np.array([[-np.inf, 1.0, 0.0]])])
+@pytest.mark.parametrize("call", ["hebbian_update", "present"])
+def test_bad_batch_is_rejected_before_anything_moves(rows, call, monkeypatch):
+    for side in SIDES:
+        screened_calls(monkeypatch, side)
+        g, _, _ = presentation_case(40, seed=2)
+        text, ages = g.to_text(), g.ages.tobytes()
+        with pytest.raises(InputError):
+            getattr(g, call)(rows, 0.3, 1.5, np.arange(40) < 3)
+        assert g.to_text() == text and g.ages.tobytes() == ages
+
+
+# -- closed-form edge updates ----------------------------------------------------
+
+def aged_graph(n, lifetime, rng):
+    """Random live edges with ages up to the lifetime, and any age on the other pairs."""
+    g = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
+    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+    low = max(0, lifetime - 3) if lifetime > 100 else 0
+    live = np.triu(rng.integers(max(1, low), lifetime + 1, size=(n, n)), k=1)
+    dead = np.triu(rng.integers(0, 2 * lifetime + 2 if lifetime < 100 else 1 << 20,
+                                size=(n, n)), k=1)
+    g.edges = upper | upper.T
+    ages = np.where(upper, live, dead)
+    g.ages = ages + ages.T
+    return g
+
+
+@pytest.mark.parametrize("lifetime", [1, 2, 5, neural_gas.MAX_LIFETIME])
+def test_edge_update_sequence_matches_sequential_updates(lifetime):
+    rng = np.random.default_rng([lifetime % 1000, 0xED6E])
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        g = aged_graph(n, lifetime, rng)
+        ref = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
+        ref.edges, ref.ages = g.edges.copy(), g.ages.copy()
+        r1 = rng.integers(0, n, size=int(rng.integers(0, 40)))
+        r2 = (r1 + rng.integers(1, n, size=len(r1))) % n
+        for a, b in zip(r1, r2):
+            oracles.edge_update(ref, int(a), int(b))
+        g.edge_update(r1, r2)
+        assert same_bits(g.ages, ref.ages) and same_bits(g.edges, ref.edges)
+        if lifetime < neural_gas.MAX_LIFETIME:  # there, ages aged past int64 max wrap
+            g.check_invariants()
+
+
+def test_edge_update_at_the_largest_lifetime_wraps_unlinked_ages_like_sequential_updates():
+    lifetime = neural_gas.MAX_LIFETIME
+    g = graph_from_centroids(np.zeros((3, 2)), lifetime=lifetime)
+    g.edges[0, 1] = g.edges[1, 0] = True
+    g.ages[0, 1] = g.ages[1, 0] = lifetime
     ref = NGGraph.from_text(g.to_text())
-    updatable = {"none": None, "all_false": np.zeros(n, dtype=bool),
-                 "all_true": np.ones(n, dtype=bool), "sparse": rng.random(n) < 0.3}[mask]
-    for f in feats:
-        distances = oracles.rank_nodes(ref, f)[1]
-        ranking = g.hebbian_update(f, 0.3, 1.5, updatable)
-        order = oracles.hebbian_update(ref, f, 0.3, 1.5, updatable)
-        assert same_bits(ranking.order, order)
-        assert same_bits(ranking.distances, distances)
-        if n >= 2:
-            g.edge_update(ranking.winner, ranking.runner_up)
-            oracles.edge_update(ref, int(order[0]), int(order[1]))
-        for name in ("centroids", "edges", "ages"):
-            assert same_bits(getattr(g, name), getattr(ref, name)), name
-    g.check_invariants()
-    assert g.to_text() == ref.to_text()
+    pairs = [(0, 2), (1, 2), (0, 2)]
+    for a, b in pairs:
+        oracles.edge_update(ref, a, b)
+    g.edge_update(*np.array(pairs).T)
+    assert same_bits(g.ages, ref.ages) and same_bits(g.edges, ref.edges)
+    # Three ageings from the lifetime: to int64 max, then wrapped past it twice.
+    assert not g.edges[0, 1] and g.ages[0, 1] == neural_gas.INT64.min + 1
+
+
+def test_edge_update_scalar_pair_matches_array_of_one():
+    g = aged_graph(6, 3, np.random.default_rng(4))
+    h = NGGraph.from_text(g.to_text())
+    h.ages = g.ages.copy()
+    g.edge_update(2, 5)
+    h.edge_update(np.array([2]), np.array([5]))
+    assert same_bits(g.ages, h.ages) and same_bits(g.edges, h.edges)
+
+
+@pytest.mark.parametrize("r1,r2", [(-1, 0), (0, -1), (4, 0), (0, 4), (-4, 0), (2, 2),
+                                   ([0, 1, 2], [1, 2, 4]), ([0, -1], [1, 2]),
+                                   ([0, 1, 3], [1, 1, 3]), ([0, 1], [1]), ([[0]], [[1]]),
+                                   ([0.0], [1.0]), (True, False)])
+def test_edge_update_rejects_bad_indices_before_anything_changes(r1, r2):
+    g = aged_graph(4, 3, np.random.default_rng(6))
+    text, ages, edges = g.to_text(), g.ages.tobytes(), g.edges.tobytes()
+    with pytest.raises(InputError):
+        g.edge_update(r1, r2)
+    assert g.to_text() == text and g.ages.tobytes() == ages and g.edges.tobytes() == edges
 
 
 # -- init and training -----------------------------------------------------------
@@ -272,7 +473,7 @@ def test_training_single_node_contracts_geometrically():
     rate = 1.0 - 0.5 * math.exp(-1.0)
     d = np.linalg.norm(g.centroids[0] - f)
     for _ in range(3):
-        g.hebbian_update(f, eta=0.5, alpha=1.0)
+        g.hebbian_update(f[None], eta=0.5, alpha=1.0)
         d_next = np.linalg.norm(g.centroids[0] - f)
         assert d_next == pytest.approx(rate * d, rel=1e-12)
         d = d_next
