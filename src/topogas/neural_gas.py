@@ -11,12 +11,15 @@ labels, ...) so the update rules stay vectorized.  A presentation call takes
 a batch of rows: the Hebbian update steps through them in order with
 buffers allocated once, computing f - m once per row for both the ranking
 and the step, and the edge update applies the rows' winner pairs in closed
-form.  When only a few nodes move, the frozen side is screened once per
-block of rows, so each row computes exact distances only where the screen
-cannot decide.  Every result is bit for bit that of the row-by-row rules.
-`nearest` is the one winner search; it and
-`max_distance` work through blocks of distances small enough to stay in
-cache.  Encoders passed to the graph map an input batch to features.
+form, ages saturating at lifetime + 1.  When only a few nodes move, the
+frozen side is screened once per block of rows, so each row computes exact
+distances only where the screen cannot decide.  Large graphs otherwise step
+a node-major copy of the centroids and rank each row by fast squared sums
+wherever a rounding margin certifies the exact order.  Every result is bit
+for bit that of the row-by-row rules.  `nearest` is the one winner search:
+small searches compute every distance, larger ones screen the refs with one
+product per block of query rows.  Both it and `max_distance` work through
+bounded blocks.  Encoders passed to the graph map an input batch to features.
 """
 
 import functools
@@ -38,7 +41,12 @@ NEAREST_BLOCK = 1 << 11
 # Measured on a 2-CPU box with one BLAS thread: exact 19 vs screened 37 us per row
 # at 40 x 8, 38 vs 24 at 128 x 8, 72 vs 32 at 195 x 32, 127 vs 39 at 400 x 32.
 SCREEN_MIN = 2048
-# Most row x node products one block of the screen holds.
+# Nodes x feature dim from which the other Hebbian calls run node-major.  Measured
+# on the same box, row-major vs node-major us per row: 13.2 vs 13.9 at 40 x 8,
+# 8.8 vs 11.1 at 10 x 8, 17.4 vs 16.1 at 64 x 8, 23.9 vs 17.8 at 128 x 8, 91 vs 55
+# at 400 x 32.
+NODE_MAJOR_MIN = 1024
+# Most row x node (or query x ref) products one block of a screen holds.
 SCREEN_BLOCK = 1 << 14
 # Headroom of the screen's bound over the worst-case rounding error, and the
 # squared norm from which rows or centroids are too large to screen.
@@ -65,9 +73,20 @@ def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
     """Winner search: per query row, the nearest ref row's index and distance.
 
     Euclidean distance, ties to the lowest index.  Query rows are searched
-    in blocks, so memory stays bounded for any number of queries.
+    in blocks, so memory stays bounded for any number of queries.  A search
+    of more than one block of distances screens the refs with one product
+    per block (`_nearest_screened`); both ways give the same bits.
     """
     queries, refs = np.asarray(queries, dtype=float), np.asarray(refs, dtype=float)
+    if queries.ndim != 2 or refs.ndim != 2 or queries.shape[1] != refs.shape[1]:
+        raise InputError(f"winner search needs 2-D queries and refs of one width, "
+                         f"got shapes {queries.shape} and {refs.shape}")
+    if len(refs) == 0:
+        raise InputError("winner search needs at least one ref row")
+    if len(queries) * len(refs) > NEAREST_BLOCK:
+        q_sq, r_sq = _sq_norms(queries), _sq_norms(refs)
+        if q_sq.max() < SCREEN_NORM_LIMIT and r_sq.max() < SCREEN_NORM_LIMIT:
+            return _nearest_screened(queries, refs, q_sq, r_sq)
     step = _rows_per_block(refs)
     index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
     for start in range(0, len(queries), step):
@@ -75,6 +94,32 @@ def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
         d = np.linalg.norm(queries[block, None, :] - refs, axis=-1)
         index[block] = np.argmin(d, axis=1)
         dist[block] = d.min(axis=1)
+    return index, dist
+
+
+def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
+    """`nearest` with the refs screened by one product per block of query rows.
+
+    For query q and ref r, h = |r|^2 - 2 q.r is within `_screen_bound` of
+    |q - r|^2 - |q|^2, so the refs whose h is within twice the bound of the
+    row's lowest hold its winner.  Only those get exact distances; the
+    lowest, ties to the lower index, wins.
+    """
+    bound = 2.0 * _screen_bound(queries.shape[1], q_sq.max(), r_sq.max())
+    index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
+    step = max(1, SCREEN_BLOCK // len(refs))
+    for start in range(0, len(queries), step):
+        block = slice(start, start + step)
+        h = (-2.0 * queries[block]) @ refs.T
+        h += r_sq
+        # Candidates in row-major order: by query row, then by ref index.
+        row, ref = np.divmod(np.flatnonzero(h <= h.min(axis=1, keepdims=True) + bound), len(refs))
+        d = _exact_distances(queries[block][row], refs[ref])
+        rows = np.arange(len(h))
+        best = np.minimum.reduceat(d, np.searchsorted(row, rows))
+        hit = np.flatnonzero(d == best[row])
+        first = hit[np.searchsorted(row[hit], rows)]  # the lowest ref index at the minimum
+        index[block], dist[block] = ref[first], d[first]
     return index, dist
 
 
@@ -111,6 +156,26 @@ def _exact_distances(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each row, in any summation order."""
     return np.einsum("ij,ij->i", rows, rows)
+
+
+def _screen_bound(dim: int, x_sq_max: float, c_sq_max: float) -> float:
+    """Rounding bound of a screen over rows x and c of squared norms at most
+    x_sq_max and c_sq_max.
+
+    |x|^2 + h, with h = |c|^2 - 2 x.c from one matrix product, is within the
+    bound of |x - c|^2 as the exact distances compute it.  It covers the
+    worst-case rounding of h, of the exact squared distances and of the
+    comparisons in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1), TINY per operation for
+    underflow, and SCREEN_MARGIN to spare.
+    """
+    return SCREEN_MARGIN * 8 * (dim + 4) * (
+        UNIT_ROUNDOFF * (x_sq_max + max(x_sq_max, c_sq_max)) + TINY)
+
+
+def _exact_order(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Ref rows by exact distance to f, ties by index."""
+    return _exact_distances(f, refs).argsort(kind="stable")
 
 
 @dataclass
@@ -191,7 +256,9 @@ class NGGraph:
 
         Masked calls with at least SCREEN_MIN frozen nodes x feature dims
         screen the frozen side (`_hebbian_screened`); the others rank every
-        node exactly.  Both give the same bits.
+        node, node-major from NODE_MAJOR_MIN nodes x feature dims
+        (`_hebbian_node_major`), else row by row (`_hebbian_exact`).  All
+        three give the same bits.
         """
         if not 0.0 < eta <= 1.0:
             raise InputError(f"eta must be in (0, 1], got {eta}")
@@ -210,12 +277,14 @@ class NGGraph:
             raise InputError(f"updatable mask has shape {moving.shape}, expected ({n},)")
         frozen = np.flatnonzero(~moving)
         steps = _rank_steps(eta, alpha, n)
+        screen = len(frozen) >= 2 and len(frozen) * dim >= SCREEN_MIN
         pairs = None
-        if len(x) and len(frozen) >= 2 and len(frozen) * dim >= SCREEN_MIN:
+        if len(x) and (screen or n * dim >= NODE_MAJOR_MIN):
             x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
-            # Far from overflow, every distance and bound of the screen stays finite.
+            # Far from overflow, every squared distance and bound stays finite.
             if x_sq.max() < SCREEN_NORM_LIMIT and c_sq.max() < SCREEN_NORM_LIMIT:
-                pairs = self._hebbian_screened(x, steps, moving, x_sq, c_sq)
+                pairs = (self._hebbian_screened(x, steps, moving, x_sq, c_sq) if screen
+                         else self._hebbian_node_major(x, steps, frozen))
         if pairs is None:
             pairs = self._hebbian_exact(x, steps, frozen)
         return pairs[:, 0], pairs[:, 1]
@@ -243,6 +312,44 @@ class NGGraph:
             pairs[t, :top] = order[:top]
         return pairs
 
+    def _hebbian_node_major(self, x, steps, frozen) -> np.ndarray:
+        """`_hebbian_exact` on a (dim, N) working copy, so every array operation
+        runs along the nodes; returns (winner, runner-up) rows.
+
+        A row ranks the nodes by squared sums in any summation order, s from
+        einsum, and certifies that ranking: each sorted sum must lie more than
+        `margin` doubles above the one before it, that is, exceed it by a
+        relative 2^11 (dim + 2) u and by 2^11 (dim + 2) TINY.  That is 2^9 times
+        the worst-case rounding of two sums in any summation order and of the
+        square root (Higham, section 3.1), so the exact distances rank the
+        nodes alike, without ties.  Sums stay finite (the caller checks the norms)
+        and non-negative, so their int64 views order like the sums.  A row
+        that fails, through ties or underflow, ranks by `_exact_order`.
+        """
+        n, dim = self.centroids.shape
+        cT = np.ascontiguousarray(self.centroids.T)
+        diff, step = np.empty_like(cT), np.empty(n)
+        pairs = np.full((len(x), 2), -1)
+        top, still, margin = min(n, 2), n > 1, 2 ** 11 * (dim + 2)
+        for t, f in enumerate(x):
+            np.subtract(f[:, None], cT, out=diff)
+            s = np.einsum("ij,ij->j", diff, diff)
+            order = s.argsort()
+            doubles = s.view(np.int64)[order]
+            if still and (doubles[1:] - doubles[:-1]).min() <= margin:
+                order = _exact_order(f, cT.T.copy())
+            step[order] = steps
+            diff *= step
+            # As in _hebbian_exact, -0.0 keeps the bits of the nodes that stay.
+            if still:
+                diff[:, order[-1]] = -0.0
+            if len(frozen):
+                diff[:, frozen] = -0.0
+            cT += diff
+            pairs[t, :top] = order[:top]
+        self.centroids[:] = cT.T
+        return pairs
+
     def _hebbian_screened(self, x, steps, moving, x_sq, c_sq) -> np.ndarray:
         """The masked update with the frozen side screened once per block of rows.
 
@@ -257,14 +364,9 @@ class NGGraph:
         c = self.centroids
         n, dim = c.shape
         nodes = np.flatnonzero(moving).tolist()
-        # Worst-case rounding of h, of the exact squared distances and of the
-        # comparisons in any summation order (Higham, Accuracy and Stability of
-        # Numerical Algorithms, 2nd ed., section 3.1), TINY per operation for
-        # underflow, and SCREEN_MARGIN to spare.  A moving centroid stays in
-        # the hull of its start and the rows, so the norms of the call bound
-        # every term.
-        bound = SCREEN_MARGIN * 8 * (dim + 4) * (
-            UNIT_ROUNDOFF * (x_sq.max() + max(x_sq.max(), c_sq.max())) + TINY)
+        # A moving centroid stays in the hull of its start and the rows, so the
+        # norms of the call bound every term.
+        bound = _screen_bound(dim, x_sq.max(), c_sq.max())
         spread = np.array([-bound, bound]) - x_sq[:, None]
         mov = c[nodes]  # written back at the end; the frozen rows of c stay put
         u = len(mov)
@@ -316,10 +418,11 @@ class NGGraph:
         r1 and r2 are two node indices, or two equal-length 1-D arrays of
         them with one pair per presentation.  Each pair's (r1, r2) edge is
         set with age 1, the ages of all pairs (r1, j), j != r2 increase by
-        one, and any connected pair whose age now exceeds the lifetime loses
-        its edge.  The sequence is applied in closed form: a pair's final age
-        is 1 plus the wins (r1 entries) of either end after its last refresh,
-        or, if never refreshed, its old age plus all those wins; and its edge
+        one, saturating at lifetime + 1, and any connected pair whose age now
+        exceeds the lifetime loses its edge.  The sequence is applied in
+        closed form: a pair's final age is 1 plus the wins (r1 entries) of
+        either end after its last refresh, or, if never refreshed, its old age
+        plus all those wins, in both cases at most lifetime + 1; and its edge
         survives only if every age it passed through is within the lifetime.
         All indices are checked before anything changes.
         """
@@ -344,7 +447,8 @@ class NGGraph:
         # An edge that reached age a + k > lifetime at some step expired there;
         # a <= lifetime - aged tests that without overflowing a + aged.
         edges = self.edges[winners] & (ages <= self.lifetime - aged)
-        ages += aged
+        # min(age, lifetime) + 1 per win, so no age can pass lifetime + 1 or wrap.
+        ages = np.minimum(ages, self.lifetime + 1 - aged) + aged
         self.ages[winners], self.ages[:, winners] = ages, ages.T
         self.edges[winners], self.edges[:, winners] = edges, edges.T
         # Refreshed pairs count from age 1 at their last refresh.  Win times are
@@ -356,7 +460,7 @@ class NGGraph:
         keys, ends = np.sort(r1 * count + np.arange(count)), np.cumsum(wins)
         since = (ends[a] - keys.searchsorted(a * count + last, side="right")
                  + ends[b] - keys.searchsorted(b * count + last, side="right"))
-        self.ages[a, b] = self.ages[b, a] = 1 + since
+        self.ages[a, b] = self.ages[b, a] = np.minimum(1 + since, self.lifetime + 1)
         self.edges[a, b] = self.edges[b, a] = since < self.lifetime
 
     def present(self, features: np.ndarray, eta: float, alpha: float,

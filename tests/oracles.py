@@ -38,6 +38,16 @@ def rank_nodes(graph, f):
     return order, d[order]
 
 
+def nearest(queries, refs):
+    """Per query row, the first ref at the least distance, and that distance."""
+    index, dist = [], []
+    for q in np.asarray(queries, dtype=float):
+        d = np.linalg.norm(np.asarray(refs, dtype=float) - q, axis=1)
+        index.append(int(np.argmin(d)))
+        dist.append(d[index[-1]])
+    return np.array(index, dtype=int), np.array(dist, dtype=float)
+
+
 def hebbian_update(graph, f, eta, alpha, updatable=None):
     """Per-rank gather/scatter Hebbian step; returns the node order."""
     order, _ = rank_nodes(graph, f)
@@ -54,10 +64,13 @@ def hebbian_update(graph, f, eta, alpha, updatable=None):
 
 
 def edge_update(graph, r1, r2):
-    """Winner-pair edge refresh that ages row and column r1 through an `others` mask."""
+    """Winner-pair edge refresh that ages row and column r1 through an `others` mask.
+
+    An age grows by one per ageing up to lifetime + 1 and stays there.
+    """
     others = np.ones(len(graph), dtype=bool)
     others[[r1, r2]] = False
-    graph.ages[r1, others] += 1
+    graph.ages[r1, others] = np.minimum(graph.ages[r1, others], graph.lifetime) + 1
     graph.ages[others, r1] = graph.ages[r1, others]
     expired = others & graph.edges[r1] & (graph.ages[r1] > graph.lifetime)
     graph.edges[r1, expired] = False

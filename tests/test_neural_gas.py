@@ -219,9 +219,15 @@ def presentation_case(n, seed, lifetime=3):
     return g, feats[rng.permutation(len(feats))], rng
 
 
-# Settings of hebbian_update's dispatch: exact distances to every node, or a
-# frozen side screened by one product per block (here blocks of a few rows).
-SIDES = {"exact": {"SCREEN_MIN": 1 << 62}, "screened": {"SCREEN_MIN": 0, "SCREEN_BLOCK": 64}}
+# Settings of hebbian_update's dispatch: exact distances to every node row by
+# row or node-major, or a frozen side screened by one product per block (here
+# blocks of a few rows).
+NEVER = 1 << 62
+SIDES = {"exact": {"SCREEN_MIN": NEVER, "NODE_MAJOR_MIN": NEVER},
+         "node_major": {"SCREEN_MIN": NEVER, "NODE_MAJOR_MIN": 0},
+         "screened": {"SCREEN_MIN": 0, "SCREEN_BLOCK": 64, "NODE_MAJOR_MIN": NEVER}}
+KERNELS = {"_hebbian_exact": "exact", "_hebbian_node_major": "node_major",
+           "_hebbian_screened": "screened"}
 
 
 def assert_same_graph(g, ref):
@@ -241,17 +247,20 @@ def present_in_batches(g, feats, eta, alpha, updatable, size):
     return pairs
 
 
-def screened_calls(monkeypatch, side):
-    """Force one side of the dispatch; the list of graph sizes the screen ran on."""
+def kernel_calls(monkeypatch, side):
+    """Force one side of the dispatch; the list of Hebbian kernels that then run, by side."""
     for name, value in SIDES[side].items():
         monkeypatch.setattr(neural_gas, name, value)
-    screened, calls = NGGraph._hebbian_screened, []
+    calls = []
 
-    def spy(self, *args):
-        calls.append(len(self))
-        return screened(self, *args)
+    def spy(method, kernel):
+        def run(self, *args):
+            calls.append(kernel)
+            return method(self, *args)
+        return run
 
-    monkeypatch.setattr(NGGraph, "_hebbian_screened", spy)
+    for name, kernel in KERNELS.items():
+        monkeypatch.setattr(NGGraph, name, spy(getattr(NGGraph, name), kernel))
     return calls
 
 
@@ -259,7 +268,7 @@ def screened_calls(monkeypatch, side):
 @pytest.mark.parametrize("mask", ["none", "all_false", "all_true", "sparse"])
 def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
     for side in SIDES:
-        calls = screened_calls(monkeypatch, side)
+        calls = kernel_calls(monkeypatch, side)
         g, feats, rng = presentation_case(n, seed=len(mask))
         ref = NGGraph.from_text(g.to_text())
         updatable = {"none": None, "all_false": np.zeros(n, dtype=bool),
@@ -272,7 +281,8 @@ def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
             ranking, (order, distances) = g.rank_nodes(f), oracles.rank_nodes(ref, f)
             assert same_bits(ranking.order, order) and same_bits(ranking.distances, distances)
         frozen = n if updatable is None else n - int(updatable.sum())
-        assert bool(calls) == (side == "screened" and updatable is not None and frozen >= 2)
+        screens = updatable is not None and frozen >= 2
+        assert set(calls) == {"exact" if side == "screened" and not screens else side}
 
 
 def screen_case(case, seed):
@@ -299,18 +309,21 @@ def screen_case(case, seed):
     elif case == "signed_zeros":
         g.centroids[np.abs(g.centroids) < 1.0] = -0.0
         feats = np.where(np.abs(feats) < 1.0, -0.0, feats)
+    elif case == "norms_2^1000":  # too large to screen; squared distances stay finite
+        g.centroids = (g.centroids + 3.0) * 2.0 ** 501
+        feats = (feats + 3.0) * 2.0 ** 501
     return g, feats, moving
 
 
 SCREEN_CASES = ["grid_ties", "signed_zeros", "moving_farthest", "one_moving",
                 "two_nodes_one_moving", "two_nodes_none_moving", "no_moving", "all_moving",
-                "offset_1e8", "scale_1e-200"]
+                "offset_1e8", "scale_1e-200", "norms_2^1000"]
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))
 @pytest.mark.parametrize("case", SCREEN_CASES)
 def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch):
-    calls = screened_calls(monkeypatch, side)
+    calls = kernel_calls(monkeypatch, side)
     for seed in range(3):
         g, feats, moving = screen_case(case, seed)
         ref = NGGraph.from_text(g.to_text())
@@ -318,8 +331,9 @@ def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch)
         expected = oracles.present(ref, feats, 0.3, 1.5, moving)
         assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
         assert_same_graph(g, ref)
-    screens = side == "screened" and (~moving).sum() >= 2
-    assert len(calls) == (3 * 3 if screens else 0)  # 60 rows in three calls, three seeds
+    screens = (~moving).sum() >= 2
+    exact = case == "norms_2^1000" or (side == "screened" and not screens)
+    assert calls == ["exact" if exact else side] * 9  # 60 rows in three calls, three seeds
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,7 +351,8 @@ def test_presentation_fuzz_matches_row_by_row_oracle(data):
     moving = data.draw(masks, label="updatable")
     lifetime = data.draw(st.integers(1, 4), label="lifetime")
     size = data.draw(st.integers(1, 12), label="rows per call")
-    settings_ = {"SCREEN_MIN": data.draw(st.sampled_from([0, 1 << 62]), label="screen_min"),
+    settings_ = {"SCREEN_MIN": data.draw(st.sampled_from([0, NEVER]), label="screen_min"),
+                 "NODE_MAJOR_MIN": data.draw(st.sampled_from([0, NEVER]), label="node_major_min"),
                  "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
     g = graph_from_centroids(centroids, lifetime=lifetime)
     ref = graph_from_centroids(centroids, lifetime=lifetime)
@@ -345,6 +360,50 @@ def test_presentation_fuzz_matches_row_by_row_oracle(data):
     with mock.patch.multiple(neural_gas, **settings_):
         assert present_in_batches(g, feats, 0.3, 1.5, moving, size) == expected
     assert_same_graph(g, ref)
+
+
+def certificate_case(case, seed):
+    """(graph, features, updatable) on which every row, or no row, must rank exactly."""
+    rng = np.random.default_rng([seed, 0xCE7])
+    moving = None
+    if case == "frozen_permutations":
+        # A frozen pair that permutes one vector is equally far from a constant
+        # row, so its sums differ only by the summation order, by up to a few
+        # doubles, and einsum's order often ranks it unlike the exact
+        # distances: every row ties.
+        base = rng.normal(size=32)
+        centroids = np.vstack([base, base[rng.permutation(32)], rng.normal(size=(38, 32))])
+        feats = rng.normal(size=(200, 1)) * rng.uniform(0.5, 4.0, size=(200, 1)) * np.ones(32)
+        moving = np.arange(40) >= 2
+    elif case == "frozen_duplicates":
+        centroids, feats = rng.normal(size=(40, 32)), rng.normal(size=(40, 32))
+        centroids[1:6] = centroids[0]
+        moving = np.arange(40) >= 6
+    elif case == "scale_1e-200":  # every squared distance underflows to zero
+        centroids, feats = rng.normal(size=(40, 32)) * 1e-200, rng.normal(size=(40, 32)) * 1e-200
+    else:  # no two nodes near a tie
+        centroids, feats = rng.normal(size=(40, 32)), rng.normal(size=(40, 32))
+    return graph_from_centroids(centroids, lifetime=4), feats, moving
+
+
+@pytest.mark.parametrize("case", ["frozen_permutations", "frozen_duplicates", "scale_1e-200",
+                                  "gaussian"])
+def test_node_major_certificate_falls_back_exactly_on_ties_and_underflow(case, monkeypatch):
+    kernel_calls(monkeypatch, "node_major")
+    exact_order, fallbacks = neural_gas._exact_order, []
+
+    def spy(f, refs):
+        fallbacks.append(len(refs))
+        return exact_order(f, refs)
+
+    monkeypatch.setattr(neural_gas, "_exact_order", spy)
+    for seed in range(3):
+        g, feats, moving = certificate_case(case, seed)
+        ref = graph_from_centroids(g.centroids, lifetime=4)
+        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+        assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+        assert_same_graph(g, ref)
+    assert len(fallbacks) == (0 if case == "gaussian" else 3 * len(feats))
 
 
 def test_hebbian_returns_runner_up_minus_one_on_a_single_node():
@@ -361,7 +420,7 @@ def test_hebbian_returns_runner_up_minus_one_on_a_single_node():
 @pytest.mark.parametrize("call", ["hebbian_update", "present"])
 def test_bad_batch_is_rejected_before_anything_moves(rows, call, monkeypatch):
     for side in SIDES:
-        screened_calls(monkeypatch, side)
+        kernel_calls(monkeypatch, side)
         g, _, _ = presentation_case(40, seed=2)
         text, ages = g.to_text(), g.ages.tobytes()
         with pytest.raises(InputError):
@@ -399,23 +458,27 @@ def test_edge_update_sequence_matches_sequential_updates(lifetime):
             oracles.edge_update(ref, int(a), int(b))
         g.edge_update(r1, r2)
         assert same_bits(g.ages, ref.ages) and same_bits(g.edges, ref.edges)
-        if lifetime < neural_gas.MAX_LIFETIME:  # there, ages aged past int64 max wrap
-            g.check_invariants()
+        g.check_invariants()
 
 
-def test_edge_update_at_the_largest_lifetime_wraps_unlinked_ages_like_sequential_updates():
+def test_edge_update_saturates_unlinked_ages_at_the_largest_lifetime():
     lifetime = neural_gas.MAX_LIFETIME
     g = graph_from_centroids(np.zeros((3, 2)), lifetime=lifetime)
     g.edges[0, 1] = g.edges[1, 0] = True
     g.ages[0, 1] = g.ages[1, 0] = lifetime
-    ref = NGGraph.from_text(g.to_text())
+    g.check_invariants()
+    ref, one_by_one = NGGraph.from_text(g.to_text()), NGGraph.from_text(g.to_text())
     pairs = [(0, 2), (1, 2), (0, 2)]
     for a, b in pairs:
         oracles.edge_update(ref, a, b)
+        one_by_one.edge_update(a, b)
     g.edge_update(*np.array(pairs).T)
-    assert same_bits(g.ages, ref.ages) and same_bits(g.edges, ref.edges)
-    # Three ageings from the lifetime: to int64 max, then wrapped past it twice.
-    assert not g.edges[0, 1] and g.ages[0, 1] == neural_gas.INT64.min + 1
+    for h in (g, one_by_one):
+        assert same_bits(h.ages, ref.ages) and same_bits(h.edges, ref.edges)
+        # Three ageings from the lifetime: the edge expires at lifetime + 1,
+        # int64 max, and its age stays there.
+        assert not h.edges[0, 1] and h.ages[0, 1] == neural_gas.INT64.max
+        h.check_invariants()
 
 
 def test_edge_update_scalar_pair_matches_array_of_one():
@@ -710,6 +773,101 @@ def test_nearest_matches_brute_force_across_blocks(monkeypatch, block):
             expected = min(range(len(refs)), key=lambda j: (dists[j], j))
             assert i == expected
             assert abs(d - dists[expected]) <= 1e-9
+
+
+# Settings of nearest's dispatch: one block of exact distances, or a screen of
+# one product per block of query rows (here blocks of a few rows).
+NEAREST_SIDES = {"exact": {"NEAREST_BLOCK": NEVER}, "screened": {"NEAREST_BLOCK": 0}}
+
+
+def nearest_case(case, seed):
+    """(queries, refs) for a named hard case of the winner search."""
+    queries, refs = tie_heavy_points(seed)
+    rng = np.random.default_rng([seed, 0x5EA])
+    if case == "signed_zeros":
+        queries = np.where(rng.random(queries.shape) < 0.5, -1.0, 1.0) * queries
+        refs = np.where(rng.random(refs.shape) < 0.5, -1.0, 1.0) * refs
+    elif case == "duplicate_refs":
+        refs = rng.normal(size=(12, 3))[rng.integers(0, 12, size=20)]
+        queries = np.vstack([rng.normal(size=(15, 3)), refs[:5]])
+    elif case == "offset_1e8":  # |q|^2 dwarfs the distances, so the screen decides nothing
+        queries, refs = rng.normal(size=(20, 4)) + 1e8, rng.normal(size=(15, 4)) + 1e8
+    elif case == "scale_1e-200":  # squares underflow to zero: every distance ties
+        queries, refs = queries * 1e-200, refs * 1e-200
+    elif case == "norms_2^1000":  # too large to screen; squared distances stay finite
+        queries, refs = (queries + 3.0) * 2.0 ** 501, (refs + 3.0) * 2.0 ** 501
+    return queries, refs
+
+
+NEAREST_CASES = ["tie_heavy", "signed_zeros", "duplicate_refs", "offset_1e8", "scale_1e-200",
+                 "norms_2^1000"]
+
+
+@pytest.mark.parametrize("side", sorted(NEAREST_SIDES))
+@pytest.mark.parametrize("case", NEAREST_CASES)
+def test_nearest_matches_per_row_oracle_on_both_sides(case, side, monkeypatch):
+    for name, value in NEAREST_SIDES[side].items():
+        monkeypatch.setattr(neural_gas, name, value)
+    screened, calls = neural_gas._nearest_screened, []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return screened(*args)
+
+    monkeypatch.setattr(neural_gas, "_nearest_screened", spy)
+    for block in (1, 40, 1 << 14):  # screened blocks of one query row, a few, all
+        monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
+        for seed in range(3):
+            queries, refs = nearest_case(case, seed)
+            index, dist = nearest(queries, refs)
+            expected = oracles.nearest(queries, refs)
+            assert same_bits(index, expected[0]) and same_bits(dist, expected[1])
+            if case in ("tie_heavy", "signed_zeros"):  # grid distances: brute force agrees
+                for q, i in zip(queries, index):
+                    dists = [math.dist(q, r) for r in refs]
+                    assert i == min(range(len(refs)), key=lambda j: (dists[j], j))
+    assert len(calls) == (9 if side == "screened" and case != "norms_2^1000" else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nearest_fuzz_matches_per_row_oracle(data):
+    dim = data.draw(st.integers(1, 4), label="dim")
+    grid = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    values = st.one_of(grid, st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+    scale = data.draw(st.sampled_from([1.0, 1e-200, 1e150, 1e8, 2.0 ** 501]), label="scale")
+
+    def rows(min_size, max_size):
+        drawn = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                   min_size=min_size, max_size=max_size))
+        return np.array(drawn).reshape(-1, dim) * scale
+
+    queries, refs = rows(0, 12), rows(1, 9)
+    settings_ = {"NEAREST_BLOCK": data.draw(st.sampled_from([0, NEVER]), label="nearest_block"),
+                 "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
+    with mock.patch.multiple(neural_gas, **settings_):
+        index, dist = nearest(queries, refs)
+    expected = oracles.nearest(queries, refs)
+    assert same_bits(index, expected[0]) and same_bits(dist, expected[1])
+
+
+@pytest.mark.parametrize("queries,refs", [
+    (np.zeros((3, 2)), np.zeros((0, 2))),   # no refs
+    (np.zeros((0, 2)), np.zeros((0, 2))),
+    (np.zeros((3, 2)), np.zeros((4, 3))),   # widths differ
+    (np.zeros((3, 3)), np.zeros((1, 2))),
+    (np.zeros(2), np.zeros((4, 2))),        # not 2-D
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((1, 3, 2)), np.zeros((4, 2))),
+    (np.zeros((3, 2)), np.zeros((1, 4, 2)))])
+@pytest.mark.parametrize("side", sorted(NEAREST_SIDES))
+def test_nearest_rejects_bad_input_before_any_work(queries, refs, side, monkeypatch):
+    for name, value in NEAREST_SIDES[side].items():
+        monkeypatch.setattr(neural_gas, name, value)
+    monkeypatch.setattr(neural_gas, "_sq_norms", None)  # any work would raise TypeError
+    monkeypatch.setattr(neural_gas, "_rows_per_block", None)
+    with pytest.raises(InputError):
+        nearest(queries, refs)
 
 
 @pytest.mark.parametrize("block", [1, 25, 61, 130])
