@@ -7,13 +7,12 @@ margin loss, all on top of a small hand-differentiated feature model.
 """
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
-from .feature_model import (ForwardCache, GradReport, ModelParams,
-                            backward_batch, expand_output_layer, finite_difference_check,
-                            forward, forward_batch, init_params, sgd_step, softmax,
-                            softmax_cross_entropy_batch)
+from .feature_model import (ForwardCache, ModelParams, backward_batch,
+                            expand_output_layer, forward, forward_batch, init_params,
+                            sgd_step, softmax, softmax_cross_entropy_batch)
 from .losses import (METHODS, ExemplarSet, HyperParams, anchor_loss,
                      distillation_loss, min_max_loss, total_loss, xi_heuristic)
-from .neural_gas import NGGraph, Ranking, init_graph, train_on_features
+from .neural_gas import NGGraph, init_graph, train_on_features
 from .protocol import (RUNNABLE_METHODS, Session, SessionMetrics,
                        SessionStream, evaluate_joint, make_synthetic_stream,
                        run_method, train_base_session,
@@ -24,12 +23,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DivergenceError", "InputError", "StateError",
-    "ForwardCache", "GradReport", "ModelParams",
-    "backward_batch", "expand_output_layer", "finite_difference_check", "forward",
+    "ForwardCache", "ModelParams",
+    "backward_batch", "expand_output_layer", "forward",
     "forward_batch", "init_params", "sgd_step", "softmax", "softmax_cross_entropy_batch",
     "METHODS", "ExemplarSet", "HyperParams", "anchor_loss",
     "distillation_loss", "min_max_loss", "total_loss", "xi_heuristic",
-    "NGGraph", "Ranking", "init_graph", "train_on_features",
+    "NGGraph", "init_graph", "train_on_features",
     "RUNNABLE_METHODS", "Session", "SessionMetrics", "SessionStream",
     "evaluate_joint", "make_synthetic_stream", "run_method",
     "train_base_session", "train_incremental_session",

@@ -3,18 +3,15 @@
 The model is two affine layers with a ReLU between them (the extractor,
 producing a feature vector f) followed by a bias-free linear head whose
 weight matrix phi has one column per class, so logits o = phi^T f.  All
-passes are written by hand against numpy so every gradient can be checked
-with central finite differences.
+passes are written by hand against numpy; the tests check every gradient
+against central finite differences (`tests/oracles.py`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError
-
-FD_STEP = 1e-5
-REL_ERR_FLOOR = 1e-8
+from .errors import InputError
 
 
 @dataclass
@@ -78,16 +75,6 @@ class ForwardCache:
     hidden: np.ndarray       # (B, hidden)
     feature: np.ndarray      # (B, feature)
     logits: np.ndarray       # (B, classes)
-
-
-@dataclass
-class GradReport:
-    """Result of a finite-difference check over every parameter array."""
-
-    per_parameter: dict[str, float]
-    max_error: float
-    tolerance: float
-    passed: bool
 
 
 def init_params(input_dim: int, hidden_dim: int, feature_dim: int,
@@ -197,39 +184,3 @@ def expand_output_layer(params: ModelParams, added: int, seed: int) -> ModelPara
     phi = np.concatenate([params.phi.copy(), new_cols], axis=1)
     return ModelParams(params.w1.copy(), params.b1.copy(), params.w2.copy(),
                        params.b2.copy(), phi)
-
-
-def finite_difference_check(loss_evaluator, params: ModelParams,
-                            tol: float) -> GradReport:
-    """Compare analytic gradients against central finite differences.
-
-    loss_evaluator(params) must deterministically return (loss, gradients)
-    with the gradients in a ModelParams record.
-    Every entry of every parameter array is perturbed by +-FD_STEP; the
-    relative error is |a - fd| / max(|a|, |fd|, 1e-8).
-    """
-    base_loss, analytic = loss_evaluator(params)
-    if not np.isfinite(base_loss):
-        raise DivergenceError(f"loss evaluator returned non-finite loss {base_loss}")
-    per_parameter: dict[str, float] = {}
-    work = params.copy()
-    for name, arr in work.arrays().items():
-        a_grad = analytic.arrays()[name]
-        worst = 0.0
-        flat = arr.reshape(-1)
-        a_flat = a_grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + FD_STEP
-            loss_plus = loss_evaluator(work)[0]
-            flat[i] = orig - FD_STEP
-            loss_minus = loss_evaluator(work)[0]
-            flat[i] = orig
-            if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-                raise DivergenceError(f"non-finite loss while perturbing {name}[{i}]")
-            fd = (loss_plus - loss_minus) / (2.0 * FD_STEP)
-            denom = max(abs(a_flat[i]), abs(fd), REL_ERR_FLOOR)
-            worst = max(worst, abs(a_flat[i] - fd) / denom)
-        per_parameter[name] = worst
-    max_error = max(per_parameter.values())
-    return GradReport(per_parameter, max_error, tol, max_error < tol)

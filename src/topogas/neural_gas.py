@@ -13,8 +13,8 @@ buffers allocated once, computing f - m once per row for both the ranking
 and the step, and the edge update applies the rows' winner pairs in closed
 form, ages saturating at lifetime + 1.  When only a few nodes move, the
 frozen side is screened once per block of rows, so each row computes exact
-distances only where the screen cannot decide.  Large graphs otherwise step
-a node-major copy of the centroids and rank each row by fast squared sums
+distances only where the screen cannot decide.  Every other call steps a
+node-major copy of the centroids and ranks each row by fast squared sums
 wherever a rounding margin certifies the exact order.  Every result is bit
 for bit that of the row-by-row rules.  `nearest` is the one winner search:
 small searches compute every distance, larger ones screen the refs with one
@@ -25,7 +25,6 @@ bounded blocks.  Encoders passed to the graph map an input batch to features.
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +36,15 @@ KMEANS_ITERS = 10
 # row); at 2048 a block's (rows, refs, dim) temporaries stay within cache.
 NEAREST_BLOCK = 1 << 11
 # Frozen nodes x feature dim from which a masked Hebbian call screens the frozen
-# side with one matrix product instead of computing every row's exact distances.
-# Measured on a 2-CPU box with one BLAS thread: exact 19 vs screened 37 us per row
-# at 40 x 8, 38 vs 24 at 128 x 8, 72 vs 32 at 195 x 32, 127 vs 39 at 400 x 32.
+# side with one matrix product instead of ranking every node.  Measured on a 2-CPU
+# box with one BLAS thread, 20-row calls with two moving nodes: node-major 17 vs
+# screened 20 us per row at 40 x 8, 29 vs 21 at 128 x 8, 57 vs 29 at 195 x 32,
+# 95 vs 37 at 400 x 32.
 SCREEN_MIN = 2048
-# Nodes x feature dim from which the other Hebbian calls run node-major.  Measured
-# on the same box, row-major vs node-major us per row: 13.2 vs 13.9 at 40 x 8,
-# 8.8 vs 11.1 at 10 x 8, 17.4 vs 16.1 at 64 x 8, 23.9 vs 17.8 at 128 x 8, 91 vs 55
-# at 400 x 32.
-NODE_MAJOR_MIN = 1024
 # Most row x node (or query x ref) products one block of a screen holds.
 SCREEN_BLOCK = 1 << 14
 # Headroom of the screen's bound over the worst-case rounding error, and the
-# squared norm from which rows or centroids are too large to screen.
+# squared norm from which rows or centroids are too large to screen or certify.
 SCREEN_MARGIN = 2.0 ** 10
 SCREEN_NORM_LIMIT = 2.0 ** 1000
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -178,22 +173,6 @@ def _exact_order(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return _exact_distances(f, refs).argsort(kind="stable")
 
 
-@dataclass
-class Ranking:
-    """Node indices sorted by distance to a query feature, ties by index."""
-
-    order: np.ndarray     # permutation of 0..N-1
-    distances: np.ndarray  # non-decreasing, aligned with order
-
-    @property
-    def winner(self) -> int:
-        return int(self.order[0])
-
-    @property
-    def runner_up(self) -> int:
-        return int(self.order[1])
-
-
 class NGGraph:
     """Node collection plus symmetric edge/age structure.
 
@@ -229,18 +208,6 @@ class NGGraph:
 
     # -- competitive Hebbian learning -------------------------------------
 
-    def rank_nodes(self, f: np.ndarray) -> Ranking:
-        """Rank all nodes by Euclidean distance to f, ascending, ties by index."""
-        if len(self) == 0:
-            raise StateError("cannot rank nodes of an empty graph")
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.feature_dim,):
-            raise InputError(
-                f"feature has shape {f.shape}, expected ({self.feature_dim},)")
-        d = _exact_distances(f, self.centroids)
-        order = np.argsort(d, kind="stable")
-        return Ranking(order, d[order])
-
     def hebbian_update(self, features: np.ndarray, eta: float, alpha: float,
                        updatable: np.ndarray | None = None) -> tuple:
         """Per feature row in order, move centroids toward it by rank-decayed steps.
@@ -255,15 +222,15 @@ class NGGraph:
         index arrays (runner-up -1 on a single-node graph) for `edge_update`.
 
         Masked calls with at least SCREEN_MIN frozen nodes x feature dims
-        screen the frozen side (`_hebbian_screened`); the others rank every
-        node, node-major from NODE_MAJOR_MIN nodes x feature dims
-        (`_hebbian_node_major`), else row by row (`_hebbian_exact`).  All
-        three give the same bits.
+        screen the frozen side (`_hebbian_screened`); every call that does
+        not screen ranks every node (`_hebbian_node_major`), by exact
+        distances alone once a squared norm reaches SCREEN_NORM_LIMIT.  Both
+        give the same bits.
         """
         if not 0.0 < eta <= 1.0:
             raise InputError(f"eta must be in (0, 1], got {eta}")
-        if alpha <= 0.0:
-            raise InputError(f"alpha must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise InputError(f"alpha must be finite and positive, got {alpha}")
         n, dim = self.centroids.shape
         if n == 0:
             raise StateError("cannot rank nodes of an empty graph")
@@ -275,76 +242,56 @@ class NGGraph:
         moving = np.ones(n, dtype=bool) if updatable is None else np.array(updatable, dtype=bool)
         if moving.shape != (n,):
             raise InputError(f"updatable mask has shape {moving.shape}, expected ({n},)")
-        frozen = np.flatnonzero(~moving)
+        frozen = ~moving
         steps = _rank_steps(eta, alpha, n)
-        screen = len(frozen) >= 2 and len(frozen) * dim >= SCREEN_MIN
-        pairs = None
-        if len(x) and (screen or n * dim >= NODE_MAJOR_MIN):
-            x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
-            # Far from overflow, every squared distance and bound stays finite.
-            if x_sq.max() < SCREEN_NORM_LIMIT and c_sq.max() < SCREEN_NORM_LIMIT:
-                pairs = (self._hebbian_screened(x, steps, moving, x_sq, c_sq) if screen
-                         else self._hebbian_node_major(x, steps, frozen))
-        if pairs is None:
-            pairs = self._hebbian_exact(x, steps, frozen)
+        x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
+        # Far from overflow, every squared distance and bound stays finite.
+        certify = max(x_sq.max(initial=0.0), c_sq.max()) < SCREEN_NORM_LIMIT
+        count = np.count_nonzero(frozen)
+        if certify and len(x) and count >= 2 and count * dim >= SCREEN_MIN:
+            pairs = self._hebbian_screened(x, steps, moving, x_sq, c_sq)
+        else:
+            pairs = self._hebbian_node_major(x, steps, frozen, certify)
         return pairs[:, 0], pairs[:, 1]
 
-    def _hebbian_exact(self, x, steps, frozen) -> np.ndarray:
-        """Rank every node for each row, in buffers allocated once; returns (winner, runner-up) rows."""
-        c = self.centroids
-        diff, work = np.empty_like(c), np.empty_like(c)
-        d, step = np.empty(len(c)), np.empty(len(c))
-        pairs = np.full((len(x), 2), -1)
-        top, still = min(len(c), 2), len(c) > 1
-        for t, f in enumerate(x):
-            np.subtract(f, c, out=diff)
-            np.multiply(diff, diff, out=work)
-            np.sqrt(np.add.reduce(work, axis=1, out=d), out=d)
-            order = d.argsort(kind="stable")
-            step[order] = steps
-            np.multiply(diff, step[:, None], out=work)
-            # x + -0.0 is x for every x, so the nodes that stay keep their bits
-            # (adding 0 * diff would turn -0.0 into 0.0).
-            if still:
-                work[order[-1]] = -0.0
-            work[frozen] = -0.0
-            c += work
-            pairs[t, :top] = order[:top]
-        return pairs
+    def _hebbian_node_major(self, x, steps, frozen, certify) -> np.ndarray:
+        """Rank every node for each row and step the centroids, on a (dim, N)
+        working copy so every array operation runs along the nodes; returns
+        (winner, runner-up) rows.
 
-    def _hebbian_node_major(self, x, steps, frozen) -> np.ndarray:
-        """`_hebbian_exact` on a (dim, N) working copy, so every array operation
-        runs along the nodes; returns (winner, runner-up) rows.
-
-        A row ranks the nodes by squared sums in any summation order, s from
-        einsum, and certifies that ranking: each sorted sum must lie more than
-        `margin` doubles above the one before it, that is, exceed it by a
-        relative 2^11 (dim + 2) u and by 2^11 (dim + 2) TINY.  That is 2^9 times
-        the worst-case rounding of two sums in any summation order and of the
-        square root (Higham, section 3.1), so the exact distances rank the
-        nodes alike, without ties.  Sums stay finite (the caller checks the norms)
-        and non-negative, so their int64 views order like the sums.  A row
-        that fails, through ties or underflow, ranks by `_exact_order`.
+        With `certify`, a row ranks the nodes by squared sums in any summation
+        order, s from einsum, and certifies that ranking: each sorted sum must lie
+        more than `margin` doubles above the one before it, that is, exceed it
+        by a relative 2^11 (dim + 2) u and by 2^11 (dim + 2) TINY.  That is 2^9
+        times the worst-case rounding of two sums in any summation order and of
+        the square root (Higham, section 3.1), so the exact distances rank the
+        nodes alike, without ties.  Sums stay finite (the caller checks the
+        norms) and non-negative, so their int64 views order like the sums.  A
+        row that fails, through ties or underflow, and every row of a call
+        without `certify` ranks by `_exact_order`.
         """
         n, dim = self.centroids.shape
         cT = np.ascontiguousarray(self.centroids.T)
         diff, step = np.empty_like(cT), np.empty(n)
         pairs = np.full((len(x), 2), -1)
         top, still, margin = min(n, 2), n > 1, 2 ** 11 * (dim + 2)
+        masked = frozen.any()
         for t, f in enumerate(x):
             np.subtract(f[:, None], cT, out=diff)
-            s = np.einsum("ij,ij->j", diff, diff)
-            order = s.argsort()
-            doubles = s.view(np.int64)[order]
-            if still and (doubles[1:] - doubles[:-1]).min() <= margin:
+            if certify:
+                s = np.einsum("ij,ij->j", diff, diff)
+                order = s.argsort()
+                doubles = s.view(np.int64)[order]
+            if not certify or still and (doubles[1:] - doubles[:-1]).min() <= margin:
                 order = _exact_order(f, cT.T.copy())
             step[order] = steps
             diff *= step
-            # As in _hebbian_exact, -0.0 keeps the bits of the nodes that stay.
+            # x + -0.0 is x for every x, so the nodes that stay keep their bits
+            # (adding 0 * diff would turn -0.0 into 0.0).
             if still:
                 diff[:, order[-1]] = -0.0
-            if len(frozen):
-                diff[:, frozen] = -0.0
+            if masked:
+                np.copyto(diff, -0.0, where=frozen)
             cT += diff
             pairs[t, :top] = order[:top]
         self.centroids[:] = cT.T
@@ -402,7 +349,7 @@ class NGGraph:
                         rank[j] += np.count_nonzero((dist < d[j]) | ((dist == d[j]) & (tied < nodes[j])))
                 np.multiply(diff, steps[rank][:, None], out=sq)
                 ranks = rank.tolist()
-                if n - 1 in ranks:  # the farthest node stays, as in _hebbian_exact
+                if n - 1 in ranks:  # the farthest node stays, as in _hebbian_node_major
                     sq[ranks.index(n - 1)] = -0.0
                 mov += sq
                 # Rank positions 0 and 1 hold the moving node ranked there, if any,

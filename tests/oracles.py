@@ -1,8 +1,13 @@
 """Slow, obviously correct references that the batched library paths are checked against."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from topogas import InputError, ModelParams
+from topogas import DivergenceError, InputError, ModelParams
+
+FD_STEP = 1e-5
+REL_ERR_FLOOR = 1e-8
 
 
 def zero_grads(params):
@@ -14,6 +19,52 @@ def add_scaled(grads, other, scale=1.0):
     """In-place grads += scale * other over every array."""
     for name, arr in grads.arrays().items():
         arr += scale * other.arrays()[name]
+
+
+@dataclass
+class GradReport:
+    """Result of a finite-difference check over every parameter array."""
+
+    per_parameter: dict[str, float]
+    max_error: float
+    tolerance: float
+    passed: bool
+
+
+def finite_difference_check(loss_evaluator, params: ModelParams,
+                            tol: float) -> GradReport:
+    """Compare analytic gradients against central finite differences.
+
+    loss_evaluator(params) must deterministically return (loss, gradients)
+    with the gradients in a ModelParams record.
+    Every entry of every parameter array is perturbed by +-FD_STEP; the
+    relative error is |a - fd| / max(|a|, |fd|, 1e-8).
+    """
+    base_loss, analytic = loss_evaluator(params)
+    if not np.isfinite(base_loss):
+        raise DivergenceError(f"loss evaluator returned non-finite loss {base_loss}")
+    per_parameter: dict[str, float] = {}
+    work = params.copy()
+    for name, arr in work.arrays().items():
+        a_grad = analytic.arrays()[name]
+        worst = 0.0
+        flat = arr.reshape(-1)
+        a_flat = a_grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            loss_plus = loss_evaluator(work)[0]
+            flat[i] = orig - FD_STEP
+            loss_minus = loss_evaluator(work)[0]
+            flat[i] = orig
+            if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+                raise DivergenceError(f"non-finite loss while perturbing {name}[{i}]")
+            fd = (loss_plus - loss_minus) / (2.0 * FD_STEP)
+            denom = max(abs(a_flat[i]), abs(fd), REL_ERR_FLOOR)
+            worst = max(worst, abs(a_flat[i] - fd) / denom)
+        per_parameter[name] = worst
+    max_error = max(per_parameter.values())
+    return GradReport(per_parameter, max_error, tol, max_error < tol)
 
 
 def softmax_cross_entropy(o: np.ndarray, y: int):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import add_scaled, softmax_cross_entropy, zero_grads
+from oracles import add_scaled, finite_difference_check, softmax_cross_entropy, zero_grads
 from topogas import (DivergenceError, InputError, ModelParams,
-                     backward_batch, expand_output_layer,
-                     finite_difference_check, forward, forward_batch,
+                     backward_batch, expand_output_layer, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
 
 

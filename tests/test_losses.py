@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import add_scaled
+from oracles import add_scaled, finite_difference_check
 from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
-                     StateError, anchor_loss, distillation_loss,
-                     finite_difference_check, forward, forward_batch,
-                     init_params, min_max_loss, softmax, total_loss,
-                     xi_heuristic)
+                     StateError, anchor_loss, distillation_loss, forward,
+                     forward_batch, init_params, min_max_loss, softmax,
+                     total_loss, xi_heuristic)
 from topogas.feature_model import ModelParams, backward_batch
 
 EPS = 1e-6

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topogas import InputError, NGGraph, StateError, init_graph, neural_gas, train_on_features
-from topogas.neural_gas import max_distance, nearest
+from topogas.neural_gas import _exact_distances, _exact_order, max_distance, nearest
 
 import oracles
 
@@ -26,24 +27,38 @@ def graph_from_centroids(centroids, labels=None, lifetime=200, session=1,
 
 # -- ranking ------------------------------------------------------------------
 
+def rank_nodes(g, f):
+    """The exact ranking every Hebbian kernel reproduces: node order and sorted distances."""
+    order = _exact_order(f, g.centroids)
+    return order, _exact_distances(f, g.centroids)[order]
+
+
+def winner_pair(g, f):
+    """The (winner, runner-up) that one Hebbian step on f reports."""
+    r1, r2 = g.hebbian_update(np.asarray(f, dtype=float)[None], eta=0.5, alpha=1.0)
+    return int(r1[0]), int(r2[0])
+
+
 def test_rank_nodes_brute_force_example():
     g = graph_from_centroids([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    r = g.rank_nodes(np.array([0.9, 0.0]))
-    assert list(r.order) == [1, 0, 2]
-    assert np.allclose(r.distances, [0.1, 0.9, 2.1])
+    order, distances = rank_nodes(g, np.array([0.9, 0.0]))
+    assert list(order) == [1, 0, 2]
+    assert np.allclose(distances, [0.1, 0.9, 2.1])
+    assert winner_pair(g, [0.9, 0.0]) == (1, 0)
 
 
 def test_rank_nodes_exact_match_wins_with_zero_distance():
     g = graph_from_centroids([[2.0, 2.0], [0.0, 1.0]])
-    r = g.rank_nodes(np.array([0.0, 1.0]))
-    assert r.winner == 1
-    assert r.distances[0] == 0.0
+    order, distances = rank_nodes(g, np.array([0.0, 1.0]))
+    assert order[0] == 1 and distances[0] == 0.0
+    assert winner_pair(g, [0.0, 1.0]) == (1, 0)
+    assert g.centroids[1].tolist() == [0.0, 1.0]
 
 
 def test_rank_nodes_tie_prefers_lower_index():
     g = graph_from_centroids([[1.0, 0.0], [-1.0, 0.0]])
-    r = g.rank_nodes(np.array([0.0, 0.0]))
-    assert list(r.order) == [0, 1]
+    assert list(rank_nodes(g, np.array([0.0, 0.0]))[0]) == [0, 1]
+    assert winner_pair(g, [0.0, 0.0]) == (0, 1)
 
 
 def test_rank_nodes_random_matches_brute_force():
@@ -52,23 +67,25 @@ def test_rank_nodes_random_matches_brute_force():
         n = int(rng.integers(1, 9))
         g = graph_from_centroids(rng.normal(size=(n, 3)))
         f = rng.normal(size=3)
-        r = g.rank_nodes(f)
+        order, distances = rank_nodes(g, f)
         dists = [math.dist(f, g.centroids[j]) for j in range(n)]
         expected = sorted(range(n), key=lambda j: (dists[j], j))
-        assert list(r.order) == expected
-        assert np.allclose(r.distances, [dists[j] for j in expected])
+        assert list(order) == expected
+        assert np.allclose(distances, [dists[j] for j in expected])
+        assert winner_pair(g, f) == (expected[0], expected[1] if n > 1 else -1)
 
 
 def test_rank_nodes_empty_graph_rejected():
     g = graph_from_centroids(np.zeros((0, 2)))
     with pytest.raises(StateError):
-        g.rank_nodes(np.zeros(2))
+        g.hebbian_update(np.zeros((1, 2)), eta=0.5, alpha=1.0)
 
 
 def test_rank_nodes_bad_feature_dimension_rejected():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
-        g.rank_nodes(np.zeros(3))
+        g.hebbian_update(np.zeros((1, 3)), eta=0.5, alpha=1.0)
+    assert g.centroids.tolist() == [[0.0, 0.0]]
 
 
 # -- Hebbian update -------------------------------------------------------------
@@ -128,6 +145,18 @@ def test_hebbian_rejects_bad_rates():
         g.hebbian_update(np.zeros((1, 2)), eta=0.0, alpha=1.0)
     with pytest.raises(InputError):
         g.hebbian_update(np.zeros((1, 2)), eta=0.5, alpha=0.0)
+
+
+@pytest.mark.parametrize("eta, alpha", [(0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf),
+                                        (0.0, 1.0), (1.5, 1.0), (math.nan, 1.0)])
+def test_hebbian_rejects_bad_rates_before_anything_moves(eta, alpha):
+    g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
+    g.edge_update(0, 1)
+    text, ages = g.to_text(), g.ages.tobytes()
+    for call in (g.hebbian_update, g.present):
+        with pytest.raises(InputError):
+            call(np.array([[1.0, 0.0]]), eta=eta, alpha=alpha)
+        assert g.to_text() == text and g.ages.tobytes() == ages
 
 
 # -- edge update ---------------------------------------------------------------
@@ -219,15 +248,15 @@ def presentation_case(n, seed, lifetime=3):
     return g, feats[rng.permutation(len(feats))], rng
 
 
-# Settings of hebbian_update's dispatch: exact distances to every node row by
-# row or node-major, or a frozen side screened by one product per block (here
-# blocks of a few rows).
-NEVER = 1 << 62
-SIDES = {"exact": {"SCREEN_MIN": NEVER, "NODE_MAJOR_MIN": NEVER},
-         "node_major": {"SCREEN_MIN": NEVER, "NODE_MAJOR_MIN": 0},
-         "screened": {"SCREEN_MIN": 0, "SCREEN_BLOCK": 64, "NODE_MAJOR_MIN": NEVER}}
-KERNELS = {"_hebbian_exact": "exact", "_hebbian_node_major": "node_major",
-           "_hebbian_screened": "screened"}
+# Settings of hebbian_update's dispatch: every node ranked node-major, by
+# certified squared sums or, with a norm limit of 0, by exact distances alone;
+# or a frozen side screened by one product per block (here blocks of a few
+# rows).  Each side sets every name, so sides can follow one another in a test.
+NEVER, LIMIT = 1 << 62, neural_gas.SCREEN_NORM_LIMIT
+SIDES = {"exact": {"SCREEN_MIN": NEVER, "SCREEN_NORM_LIMIT": 0.0},
+         "node_major": {"SCREEN_MIN": NEVER, "SCREEN_NORM_LIMIT": LIMIT},
+         "screened": {"SCREEN_MIN": 0, "SCREEN_BLOCK": 64, "SCREEN_NORM_LIMIT": LIMIT}}
+KERNELS = {"_hebbian_node_major": "node_major", "_hebbian_screened": "screened"}
 
 
 def assert_same_graph(g, ref):
@@ -264,6 +293,18 @@ def kernel_calls(monkeypatch, side):
     return calls
 
 
+def exact_order_calls(monkeypatch):
+    """Spy on the exact ranking; the number of nodes of each row it ranks."""
+    exact_order, calls = neural_gas._exact_order, []
+
+    def spy(f, refs):
+        calls.append(len(refs))
+        return exact_order(f, refs)
+
+    monkeypatch.setattr(neural_gas, "_exact_order", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 40])
 @pytest.mark.parametrize("mask", ["none", "all_false", "all_true", "sparse"])
 def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
@@ -278,11 +319,11 @@ def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
         assert_same_graph(g, ref)
         g.check_invariants()
         for f in feats[:10]:
-            ranking, (order, distances) = g.rank_nodes(f), oracles.rank_nodes(ref, f)
-            assert same_bits(ranking.order, order) and same_bits(ranking.distances, distances)
+            (order, distances), (ref_order, ref_distances) = rank_nodes(g, f), oracles.rank_nodes(ref, f)
+            assert same_bits(order, ref_order) and same_bits(distances, ref_distances)
         frozen = n if updatable is None else n - int(updatable.sum())
-        screens = updatable is not None and frozen >= 2
-        assert set(calls) == {"exact" if side == "screened" and not screens else side}
+        screens = side == "screened" and updatable is not None and frozen >= 2
+        assert set(calls) == {"screened" if screens else "node_major"}
 
 
 def screen_case(case, seed):
@@ -331,9 +372,24 @@ def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch)
         expected = oracles.present(ref, feats, 0.3, 1.5, moving)
         assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
         assert_same_graph(g, ref)
-    screens = (~moving).sum() >= 2
-    exact = case == "norms_2^1000" or (side == "screened" and not screens)
-    assert calls == ["exact" if exact else side] * 9  # 60 rows in three calls, three seeds
+    screens = side == "screened" and case != "norms_2^1000" and (~moving).sum() >= 2
+    assert calls == ["screened" if screens else "node_major"] * 9  # 60 rows in three calls, three seeds
+
+
+@pytest.mark.parametrize("side", ["node_major", "screened"])
+def test_huge_norms_rank_every_row_exactly(side, monkeypatch):
+    calls, fallbacks = kernel_calls(monkeypatch, side), exact_order_calls(monkeypatch)
+    for seed in range(3):
+        g, feats, moving = screen_case("norms_2^1000", seed)
+        ref = NGGraph.from_text(g.to_text())
+        ref.ages = g.ages.copy()
+        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+        assert_same_graph(g, ref)
+    # Neither the screen nor the certificate runs: one exact ranking per row.
+    assert calls == ["node_major"] * 9 and fallbacks == [30] * 180
 
 
 @settings(max_examples=150, deadline=None)
@@ -352,7 +408,7 @@ def test_presentation_fuzz_matches_row_by_row_oracle(data):
     lifetime = data.draw(st.integers(1, 4), label="lifetime")
     size = data.draw(st.integers(1, 12), label="rows per call")
     settings_ = {"SCREEN_MIN": data.draw(st.sampled_from([0, NEVER]), label="screen_min"),
-                 "NODE_MAJOR_MIN": data.draw(st.sampled_from([0, NEVER]), label="node_major_min"),
+                 "SCREEN_NORM_LIMIT": data.draw(st.sampled_from([0.0, LIMIT]), label="norm_limit"),
                  "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
     g = graph_from_centroids(centroids, lifetime=lifetime)
     ref = graph_from_centroids(centroids, lifetime=lifetime)
@@ -390,13 +446,7 @@ def certificate_case(case, seed):
                                   "gaussian"])
 def test_node_major_certificate_falls_back_exactly_on_ties_and_underflow(case, monkeypatch):
     kernel_calls(monkeypatch, "node_major")
-    exact_order, fallbacks = neural_gas._exact_order, []
-
-    def spy(f, refs):
-        fallbacks.append(len(refs))
-        return exact_order(f, refs)
-
-    monkeypatch.setattr(neural_gas, "_exact_order", spy)
+    fallbacks = exact_order_calls(monkeypatch)
     for seed in range(3):
         g, feats, moving = certificate_case(case, seed)
         ref = graph_from_centroids(g.centroids, lifetime=4)
