@@ -102,10 +102,10 @@ class ExemplarSet:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def add(self, x: np.ndarray, feature: np.ndarray | None = None) -> None:
+    def add(self, x: np.ndarray) -> None:
+        """Store a copy of x; its anchor feature is unset until `refresh_features`."""
         self.inputs.append(np.asarray(x, dtype=float).copy())
-        self.features.append(None if feature is None else
-                             np.asarray(feature, dtype=float).copy())
+        self.features.append(None)
 
     def refresh_features(self, encode) -> None:
         """Re-encode the stacked (B, d) inputs as anchor targets with one (B, n) encode call."""
@@ -163,7 +163,7 @@ def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_ma
         is_new = graph.origins[nodes] == graph.session
         m = graph.centroids[nodes]
         m[is_new] = feat[row[is_new]]
-        pair, other = np.nonzero(graph.edges[nodes] & (graph.labels != graph.labels[nodes, None]))
+        pair, other = np.nonzero((graph.ages[nodes] > 0) & (graph.labels != graph.labels[nodes, None]))
         gap = m[pair] - graph.centroids[other]
         d = np.linalg.norm(gap, axis=1)
         hit = d < xi

@@ -11,9 +11,9 @@ labels, ...) so the update rules stay vectorized.  A presentation call takes
 a batch of rows: the Hebbian update steps through them in order with
 buffers allocated once, computing f - m once per row for both the ranking
 and the step, and the edge update applies the rows' winner pairs in closed
-form, ages saturating at lifetime + 1.  When only a few nodes move, the
-frozen side is screened once per block of rows, so each row computes exact
-distances only where the screen cannot decide.  Every other call steps a
+form to one age matrix, where 0 means no edge.  When only a few nodes move,
+the frozen side is screened once per block of rows, so each row computes
+exact distances only where the screen cannot decide.  Every other call steps a
 node-major copy of the centroids and ranks each row by fast squared sums
 wherever a rounding margin certifies the exact order.  Every result is bit
 for bit that of the row-by-row rules.  `nearest` is the one winner search:
@@ -52,8 +52,8 @@ TINY = 2.0 ** -1074
 # Range of every integer field a checkpoint may hold: labels, origins and ages
 # are stored in int64 arrays, and session and lifetime end up in them.
 INT64 = np.iinfo(np.int64)
-# Largest edge lifetime: a live edge's age is at most the lifetime, and the next
-# edge_update adds one before it expires the edge, so that age must fit in int64.
+# Largest edge lifetime: the row-by-row rule adds one to a live edge's age (at most
+# the lifetime) before it expires the edge, so lifetime + 1 must fit in int64.
 MAX_LIFETIME = int(INT64.max) - 1
 # The integers to_text writes; int() also reads "1_0" and non-ASCII digits.
 INT_WORD = re.compile(r"-?[0-9]+")
@@ -174,7 +174,7 @@ def _exact_order(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 
 class NGGraph:
-    """Node collection plus symmetric edge/age structure.
+    """Node collection plus a symmetric age matrix: 0 for no edge, else the edge's age.
 
     Operations mutate the graph in place.  `session` tracks the most recent
     growth session so newly inserted nodes can be told apart from
@@ -184,7 +184,7 @@ class NGGraph:
     def __init__(self, centroids: np.ndarray, variances: np.ndarray,
                  pseudo_inputs: list, labels: np.ndarray, origins: np.ndarray,
                  lifetime: int, eps_var: float, session: int = 1,
-                 edges: np.ndarray | None = None, ages: np.ndarray | None = None):
+                 ages: np.ndarray | None = None):
         if not 1 <= lifetime <= MAX_LIFETIME:
             raise InputError(f"lifetime must be between 1 and {MAX_LIFETIME}, got {lifetime}")
         n = centroids.shape[0]
@@ -196,7 +196,6 @@ class NGGraph:
         self.lifetime = int(lifetime)
         self.eps_var = float(eps_var)
         self.session = int(session)
-        self.edges = np.zeros((n, n), dtype=bool) if edges is None else np.asarray(edges, dtype=bool)
         self.ages = np.zeros((n, n), dtype=int) if ages is None else np.asarray(ages, dtype=int)
 
     def __len__(self) -> int:
@@ -360,18 +359,17 @@ class NGGraph:
         return np.array(pairs)
 
     def edge_update(self, r1, r2) -> None:
-        """Winner-pair edge updates, in order: refresh (r1, r2) and age r1's other pairs.
+        """Winner-pair edge updates, in order: refresh (r1, r2) and age r1's other edges.
 
         r1 and r2 are two node indices, or two equal-length 1-D arrays of
         them with one pair per presentation.  Each pair's (r1, r2) edge is
-        set with age 1, the ages of all pairs (r1, j), j != r2 increase by
-        one, saturating at lifetime + 1, and any connected pair whose age now
-        exceeds the lifetime loses its edge.  The sequence is applied in
-        closed form: a pair's final age is 1 plus the wins (r1 entries) of
-        either end after its last refresh, or, if never refreshed, its old age
-        plus all those wins, in both cases at most lifetime + 1; and its edge
-        survives only if every age it passed through is within the lifetime.
-        All indices are checked before anything changes.
+        set with age 1, every other live edge of r1 ages by one, and an edge
+        whose age now exceeds the lifetime is removed (its age becomes 0).
+        The sequence is applied in closed form: a refreshed pair's final age
+        is 1 plus the wins (r1 entries) of either end after its last refresh,
+        and any other live edge's is its old age plus all those wins; an edge
+        survives only if that age is within the lifetime.  All indices are
+        checked before anything changes.
         """
         n = len(self)
         r1, r2 = np.atleast_1d(r1), np.atleast_1d(r2)
@@ -391,13 +389,10 @@ class NGGraph:
         aged = wins[winners, None] + wins
         aged[np.arange(len(winners)), winners] = 0
         ages = self.ages[winners]
-        # An edge that reached age a + k > lifetime at some step expired there;
-        # a <= lifetime - aged tests that without overflowing a + aged.
-        edges = self.edges[winners] & (ages <= self.lifetime - aged)
-        # min(age, lifetime) + 1 per win, so no age can pass lifetime + 1 or wrap.
-        ages = np.minimum(ages, self.lifetime + 1 - aged) + aged
+        # A live edge whose age a + aged passes the lifetime expired on the way;
+        # a <= lifetime - aged tests that without overflow, and drops any sum that wraps.
+        ages = np.where((ages > 0) & (ages <= self.lifetime - aged), ages + aged, 0)
         self.ages[winners], self.ages[:, winners] = ages, ages.T
-        self.edges[winners], self.edges[:, winners] = edges, edges.T
         # Refreshed pairs count from age 1 at their last refresh.  Win times are
         # grouped by node in `keys`, so node j's wins after step t are the keys
         # in (j * count + t, (j + 1) * count).
@@ -407,8 +402,7 @@ class NGGraph:
         keys, ends = np.sort(r1 * count + np.arange(count)), np.cumsum(wins)
         since = (ends[a] - keys.searchsorted(a * count + last, side="right")
                  + ends[b] - keys.searchsorted(b * count + last, side="right"))
-        self.ages[a, b] = self.ages[b, a] = np.minimum(1 + since, self.lifetime + 1)
-        self.edges[a, b] = self.edges[b, a] = since < self.lifetime
+        self.ages[a, b] = self.ages[b, a] = np.where(since < self.lifetime, 1 + since, 0)
 
     def present(self, features: np.ndarray, eta: float, alpha: float,
                 updatable: np.ndarray | None = None) -> None:
@@ -482,7 +476,6 @@ class NGGraph:
         self.pseudo_inputs.extend(new_inputs)
         self.labels = np.concatenate([self.labels, np.array(new_labels, dtype=int)])
         self.origins = np.concatenate([self.origins, np.full(added, session, dtype=int)])
-        self.edges = np.pad(self.edges, ((0, added), (0, added)))
         self.ages = np.pad(self.ages, ((0, added), (0, added)))
         self.session = int(session)
 
@@ -504,15 +497,13 @@ class NGGraph:
 
     def check_invariants(self) -> None:
         """Raise StateError if symmetry, diagonal, lifetime or floor invariants fail."""
-        if not np.array_equal(self.edges, self.edges.T):
-            raise StateError("edge indicator is not symmetric")
         if not np.array_equal(self.ages, self.ages.T):
             raise StateError("age matrix is not symmetric")
-        if np.any(np.diag(self.edges)):
+        if np.any(np.diag(self.ages)):
             raise StateError("self-edges are not allowed")
         if np.any(self.ages < 0):
             raise StateError("negative edge age")
-        if np.any(self.edges & (self.ages > self.lifetime)):
+        if np.any(self.ages > self.lifetime):
             raise StateError("a surviving edge exceeds the lifetime")
         if np.any(self.variances < self.eps_var * (1 - 1e-12)):
             raise StateError("variance fell below the floor")
@@ -522,9 +513,8 @@ class NGGraph:
     def to_text(self) -> str:
         """Human-readable checkpoint; versioned, exact float round-trip.
 
-        Ages are stored for live edges only: a non-adjacent pair's age can
-        never influence future updates (an edge is only created with its age
-        reset to 1), so it is not persisted.
+        Edges are listed by their lower index, then their higher one, each
+        with its age; pairs of age 0 have no edge and are not listed.
         """
         lines = [FORMAT_HEADER,
                  f"lifetime {self.lifetime}",
@@ -537,11 +527,9 @@ class NGGraph:
             lines.append("var " + " ".join(repr(float(v)) for v in self.variances[j]))
             z = self.pseudo_inputs[j]
             lines.append("z -" if z is None else "z " + " ".join(repr(float(v)) for v in z))
-        pairs = [(i, j) for i in range(len(self)) for j in range(i + 1, len(self))
-                 if self.edges[i, j]]
+        pairs = np.argwhere(np.triu(self.ages, 1)).tolist()
         lines.append(f"edges {len(pairs)}")
-        for i, j in pairs:
-            lines.append(f"{i} {j} {int(self.ages[i, j])}")
+        lines.extend(f"{i} {j} {self.ages[i, j]}" for i, j in pairs)
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -607,9 +595,10 @@ class NGGraph:
                         labels, origins, lifetime, eps_var, session)
         for _ in range(edge_count):
             i, j, age = numbers(take(None, 3))
-            if not 0 <= i < j < count or graph.edges[i, j]:
+            if not 0 <= i < j < count or graph.ages[i, j]:
                 raise bad("an edge must join two in-range nodes once, lower index first")
-            graph.edges[i, j] = graph.edges[j, i] = True
+            if age < 1:
+                raise bad(f"edge age {age} is below 1")
             graph.ages[i, j] = graph.ages[j, i] = age
         if pos != len(lines):
             raise InputError(f"malformed checkpoint: trailing content after line {pos}")

@@ -115,19 +115,16 @@ def hebbian_update(graph, f, eta, alpha, updatable=None):
 
 
 def edge_update(graph, r1, r2):
-    """Winner-pair edge refresh that ages row and column r1 through an `others` mask.
+    """The paper's winner-pair rule on the age matrix alone (0 means no edge).
 
-    An age grows by one per ageing up to lifetime + 1 and stays there.
+    r1's other live edges age by one, those past the lifetime are removed,
+    and (r1, r2) is set to age 1.
     """
-    others = np.ones(len(graph), dtype=bool)
-    others[[r1, r2]] = False
-    graph.ages[r1, others] = np.minimum(graph.ages[r1, others], graph.lifetime) + 1
-    graph.ages[others, r1] = graph.ages[r1, others]
-    expired = others & graph.edges[r1] & (graph.ages[r1] > graph.lifetime)
-    graph.edges[r1, expired] = False
-    graph.edges[expired, r1] = False
-    graph.ages[r1, r2] = graph.ages[r2, r1] = 1
-    graph.edges[r1, r2] = graph.edges[r2, r1] = True
+    row = graph.ages[r1]
+    row[row > 0] += 1
+    row[row > graph.lifetime] = 0
+    row[r2] = 1
+    graph.ages[:, r1] = row
 
 
 def present(graph, features, eta, alpha, updatable=None):

@@ -50,8 +50,7 @@ def random_loss_world(seed: int):
     graph = NGGraph(centroids, rng.uniform(0.3, 2.0, size=(n, 3)), list(z),
                     np.array([0, 1, 2, 3]), np.array([1, 1, 2, 2]), 50, 1e-6,
                     session=2)
-    graph.edges[:] = ~np.eye(n, dtype=bool)
-    graph.ages[:] = np.where(graph.edges, 1, 0)
+    graph.ages[:] = ~np.eye(n, dtype=bool)
     batch_x = rng.normal(size=(3, 3))
     batch_y = np.array(rng.integers(0, 4, size=3))
     old_params = init_params(3, 4, 3, 4, seed + 1000)
@@ -101,11 +100,9 @@ def random_small_graph(rng):
     g = NGGraph(rng.normal(size=(n, dim)), np.full((n, dim), 1e-6),
                 [None] * n, np.array(rng.integers(0, 4, size=n)),
                 np.ones(n, dtype=int), int(rng.integers(1, 8)), 1e-6)
-    mask = rng.random((n, n)) < 0.4
-    mask = np.triu(mask, 1)
-    g.edges = mask | mask.T
-    g.ages = np.where(g.edges, rng.integers(1, g.lifetime + 1, size=(n, n)), 0)
-    g.ages = np.triu(g.ages, 1) + np.triu(g.ages, 1).T
+    mask = np.triu(rng.random((n, n)) < 0.4, 1)
+    ages = np.where(mask, rng.integers(1, g.lifetime + 1, size=(n, n)), 0)
+    g.ages = ages + ages.T
     return g
 
 
@@ -128,21 +125,18 @@ def test_criterion_2_neural_gas_oracles():
         # edge update vs a literal dictionary-based re-implementation
         r1, r2 = expected[0], expected[1] if n > 1 else None
         if r2 is not None:
+            # age 0: no edge
             ages = {(i, j): int(g.ages[i, j]) for i in range(n) for j in range(n)}
-            edges = {(i, j): bool(g.edges[i, j]) for i in range(n) for j in range(n)}
             for j in range(n):
-                if j in (r1, r2):
+                if j in (r1, r2) or ages[(r1, j)] == 0:
                     continue
-                ages[(r1, j)] = ages[(j, r1)] = ages[(r1, j)] + 1
-                if edges[(r1, j)] and ages[(r1, j)] > g.lifetime:
-                    edges[(r1, j)] = edges[(j, r1)] = False
+                age = ages[(r1, j)] + 1
+                ages[(r1, j)] = ages[(j, r1)] = age if age <= g.lifetime else 0
             ages[(r1, r2)] = ages[(r2, r1)] = 1
-            edges[(r1, r2)] = edges[(r2, r1)] = True
             g.edge_update(r1, r2)
             for i in range(n):
                 for j in range(n):
-                    assert g.ages[i, j] == ages[(i, j)] or not g.edges[i, j]
-                    assert bool(g.edges[i, j]) == edges[(i, j)]
+                    assert g.ages[i, j] == ages[(i, j)]
             g.check_invariants()
             checks["edges"] += 1
 
@@ -278,7 +272,7 @@ def test_criterion_6_invariants(tmp_path):
     for _ in range(200):
         g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.2, alpha=1.0))
     g.check_invariants()
-    assert g.ages[g.edges].max() <= g.lifetime
+    assert 0 < g.ages.max() <= g.lifetime
     notes.append("edges")
 
     # ranking validity

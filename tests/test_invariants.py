@@ -57,8 +57,7 @@ def test_edge_and_age_symmetry_survives_random_update_sequences(n_nodes, seed,
     for _ in range(30):
         g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.3, alpha=1.0))
     g.check_invariants()  # symmetry, zero diagonal, lifetime bound
-    live = g.ages[g.edges]
-    assert live.size == 0 or live.max() <= lifetime
+    assert g.ages.max() <= lifetime
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -157,7 +156,7 @@ def checkpoint_graphs(draw):
                    draw(st.lists(st.none() | vectors(z_dim), min_size=n, max_size=n)),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
-                   lifetime, eps_var, draw(INT64), edges=ages > 0, ages=ages)
+                   lifetime, eps_var, draw(INT64), ages=ages)
 
 
 @given(checkpoint_graphs())
@@ -166,7 +165,7 @@ def test_random_checkpoints_round_trip_exactly(g):
     text = g.to_text()
     h = NGGraph.from_text(text)
     assert h.to_text() == text
-    for name in ("centroids", "variances", "labels", "origins", "edges", "ages"):
+    for name in ("centroids", "variances", "labels", "origins", "ages"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
     assert (h.lifetime, h.session, h.eps_var) == (g.lifetime, g.session, g.eps_var)
     for a, b in zip(g.pseudo_inputs, h.pseudo_inputs):

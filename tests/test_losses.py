@@ -133,7 +133,6 @@ def satisfied_setup():
     g = make_graph(params, 2, [0, 1], [1, 1], seed=9)
     g.session = 2
     g.origins = np.array([1, 2])
-    g.edges[0, 1] = g.edges[1, 0] = True
     g.ages[0, 1] = g.ages[1, 0] = 1
     x = g.pseudo_inputs[1]  # feature equals centroid 1 by construction
     return params, g, np.asarray([x]), np.array([1])
@@ -162,8 +161,8 @@ def test_min_max_loss_max_term_is_hinge_on_stored_centroids():
     params = make_params(seed=10)
     g = make_graph(params, 3, [0, 1, 1], [1, 1, 1], seed=10)
     g.session = 2  # all nodes are old
-    g.edges[0, 1] = g.edges[1, 0] = True
-    g.edges[0, 2] = g.edges[2, 0] = True
+    g.ages[0, 1] = g.ages[1, 0] = 1
+    g.ages[0, 2] = g.ages[2, 0] = 1
     x = g.pseudo_inputs[0]
     d01 = float(np.linalg.norm(g.centroids[0] - g.centroids[1]))
     d02 = float(np.linalg.norm(g.centroids[0] - g.centroids[2]))
@@ -190,8 +189,7 @@ def test_min_max_loss_min_term_only_is_distance_sum():
 def test_min_max_loss_gradient_matches_finite_differences():
     params = make_params(seed=13)
     g = make_graph(params, 3, [0, 1, 2], [1, 1, 2], seed=13)
-    g.edges[:] = ~np.eye(3, dtype=bool)
-    g.ages[:] = np.where(g.edges, 1, 0)
+    g.ages[:] = ~np.eye(3, dtype=bool)
     rng = np.random.default_rng(14)
     bx = rng.normal(size=(3, 3))
     by = np.array([2, 0, 2])
@@ -209,9 +207,10 @@ def test_min_max_loss_nonnegative_on_random_cases():
     for seed in range(10):
         params = make_params(seed=seed + 100)
         g = make_graph(params, 4, [0, 1, 2, 3], [1, 1, 2, 2], seed=seed)
-        g.edges[:] = rng.random((4, 4)) < 0.5
-        g.edges |= g.edges.T
-        np.fill_diagonal(g.edges, False)
+        edges = rng.random((4, 4)) < 0.5
+        edges |= edges.T
+        np.fill_diagonal(edges, False)
+        g.ages[:] = edges
         bx = rng.normal(size=(3, 3))
         by = rng.integers(0, 4, size=3)
         loss, _ = min_max_loss(bx, by, g, params, xi=float(rng.uniform(0.1, 3.0)))
@@ -269,7 +268,7 @@ def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGr
                 new_fwd[j] = (fj, oj, cj)
                 new_grad[j] = np.zeros_like(fj)
             mj = new_fwd[j][0] if is_new else graph.centroids[j]
-            for i in np.flatnonzero(graph.edges[j]):
+            for i in np.flatnonzero(graph.ages[j]):
                 if int(graph.labels[i]) == y:
                     continue
                 gap = mj - graph.centroids[i]
@@ -313,7 +312,7 @@ def grid_world(seed):
                     session=2)
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
     upper[2, 3] = True
-    graph.edges = upper | upper.T
+    graph.ages[:] = upper | upper.T
     bx = np.vstack([z[0], z[2], z[2], grid(6, 3)])
     by = np.array([0, 1, 1, *rng.integers(0, 3, size=6)])
     return params, graph, bx, by
@@ -343,7 +342,7 @@ def test_min_max_loss_matches_reference_on_random_graphs():
         g.session = 2
         g.centroids += rng.normal(scale=0.3, size=g.centroids.shape)
         upper = np.triu(rng.random((n, n)) < 0.6, 1)
-        g.edges = upper | upper.T
+        g.ages[:] = upper | upper.T
         bx = rng.normal(size=(8, 3))
         by = rng.integers(0, 3, size=8)
         xi = xi_heuristic(g) * float(rng.uniform(0.3, 1.5))
@@ -459,7 +458,7 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     params = make_params(seed=30)
     g = make_graph(params, 3, [0, 1, 2], [1, 1, 2], seed=30)
     g.centroids += np.random.default_rng(31).normal(scale=0.2, size=g.centroids.shape)
-    g.edges[:] = ~np.eye(3, dtype=bool)
+    g.ages[:] = ~np.eye(3, dtype=bool)
     rng = np.random.default_rng(32)
     bx, by = random_batch(rng, n=3, classes=3)
     old = make_params(seed=33)
@@ -467,8 +466,8 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     xi = 2.0
     store = ExemplarSet()
     for _ in range(2):
-        z = rng.normal(size=3)
-        store.add(z, feature=forward(z, params)[0] + 0.3)
+        store.add(rng.normal(size=3))
+    store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.3)
 
     feat, logits, cache = forward_batch(bx, params)
     ce, grad_o = softmax_cross_entropy_batch(logits, by)
@@ -529,8 +528,8 @@ def test_total_loss_exemplar_anchor_identity_weighting():
     store = ExemplarSet()
     rng = np.random.default_rng(37)
     for _ in range(3):
-        z = rng.normal(size=3)
-        store.add(z, feature=forward(z, params)[0] + 0.5)
+        store.add(rng.normal(size=3))
+    store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.5)
     bx, by = random_batch(rng, n=2)
     hp = HyperParams()
     loss, _ = total_loss((bx, by), None, params, store, hp, "exemplar_anchor")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -164,7 +165,6 @@ def test_hebbian_rejects_bad_rates_before_anything_moves(eta, alpha):
 def test_edge_update_creates_fresh_edge_with_age_one():
     g = graph_from_centroids(np.zeros((3, 2)))
     g.edge_update(0, 1)
-    assert g.edges[0, 1] and g.edges[1, 0]
     assert g.ages[0, 1] == g.ages[1, 0] == 1
     g.check_invariants()
 
@@ -174,13 +174,11 @@ def test_edge_update_expiry_boundary():
     # more increment only if refreshed; at lifetime it is still alive.
     g = graph_from_centroids(np.zeros((4, 2)), lifetime=200)
     for (i, j), age in (((0, 1), 200), ((0, 2), 199)):
-        g.edges[i, j] = g.edges[j, i] = True
         g.ages[i, j] = g.ages[j, i] = age
     g.edge_update(0, 3)
-    assert not g.edges[0, 1]           # 200 -> 201 > lifetime, removed
-    assert g.edges[0, 2]               # 199 -> 200, survives at the bound
-    assert g.ages[0, 2] == 200
-    assert g.edges[0, 3] and g.ages[0, 3] == 1
+    assert g.ages[0, 1] == 0           # 200 -> 201 > lifetime, removed
+    assert g.ages[0, 2] == 200         # 199 -> 200, survives at the bound
+    assert g.ages[0, 3] == 1
     g.check_invariants()
 
 
@@ -188,21 +186,23 @@ def test_edge_update_at_the_largest_lifetime_keeps_ages_non_negative():
     lifetime = neural_gas.MAX_LIFETIME
     g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
     for (i, j), age in (((0, 1), lifetime), ((0, 2), lifetime - 1)):
-        g.edges[i, j] = g.edges[j, i] = True
         g.ages[i, j] = g.ages[j, i] = age
-    g.edge_update(0, 3)
-    assert np.all(g.ages >= 0)
-    assert not g.edges[0, 1] and g.ages[0, 1] == lifetime + 1
-    assert g.edges[0, 2] and g.ages[0, 2] == lifetime
-    g.check_invariants()
+    ref, one_by_one = NGGraph.from_text(g.to_text()), NGGraph.from_text(g.to_text())
+    oracles.edge_update(ref, 0, 3)
+    one_by_one.edge_update(0, 3)
+    g.edge_update(np.array([0]), np.array([3]))
+    for h in (g, one_by_one):
+        assert same_bits(h.ages, ref.ages)
+        assert np.all(h.ages >= 0)
+        assert h.ages[0, 1] == 0 and h.ages[0, 2] == lifetime and h.ages[0, 3] == 1
+        h.check_invariants()
 
 
 def test_edge_update_touches_only_winner_incident_pairs():
     g = graph_from_centroids(np.zeros((4, 2)))
-    g.edges[2, 3] = g.edges[3, 2] = True
     g.ages[2, 3] = g.ages[3, 2] = 7
     g.edge_update(0, 1)
-    assert g.ages[2, 3] == 7 and g.edges[2, 3]
+    assert g.ages[2, 3] == 7
 
 
 def test_edge_update_rejects_self_pair():
@@ -240,9 +240,8 @@ def presentation_case(n, seed, lifetime=3):
         centroids[-1] = [-0.0, 50.0, -0.0]  # always farthest: its signed zeros must stay
     g = graph_from_centroids(centroids, lifetime=lifetime)
     upper = np.triu(rng.random((n, n)) < 0.3, k=1)
-    g.edges = upper | upper.T
-    ages = np.triu(rng.integers(1, lifetime + 1, size=(n, n)), k=1)
-    g.ages = np.where(g.edges, ages + ages.T, 0)
+    ages = np.where(upper, rng.integers(1, lifetime + 1, size=(n, n)), 0)
+    g.ages = ages + ages.T
     g.check_invariants()
     feats = np.vstack([rng.integers(-2, 3, size=(30, 3)) / 2.0, rng.normal(size=(30, 3))])
     return g, feats[rng.permutation(len(feats))], rng
@@ -260,7 +259,7 @@ KERNELS = {"_hebbian_node_major": "node_major", "_hebbian_screened": "screened"}
 
 
 def assert_same_graph(g, ref):
-    for name in ("centroids", "edges", "ages"):
+    for name in ("centroids", "ages"):
         assert same_bits(getattr(g, name), getattr(ref, name)), name
     assert g.to_text() == ref.to_text()
 
@@ -368,7 +367,6 @@ def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch)
     for seed in range(3):
         g, feats, moving = screen_case(case, seed)
         ref = NGGraph.from_text(g.to_text())
-        ref.ages = g.ages.copy()
         expected = oracles.present(ref, feats, 0.3, 1.5, moving)
         assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
         assert_same_graph(g, ref)
@@ -382,7 +380,6 @@ def test_huge_norms_rank_every_row_exactly(side, monkeypatch):
     for seed in range(3):
         g, feats, moving = screen_case("norms_2^1000", seed)
         ref = NGGraph.from_text(g.to_text())
-        ref.ages = g.ages.copy()
         expected = oracles.present(ref, feats, 0.3, 1.5, moving)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -481,15 +478,11 @@ def test_bad_batch_is_rejected_before_anything_moves(rows, call, monkeypatch):
 # -- closed-form edge updates ----------------------------------------------------
 
 def aged_graph(n, lifetime, rng):
-    """Random live edges with ages up to the lifetime, and any age on the other pairs."""
+    """Random live edges with ages up to the lifetime (within 3 of it when it is large)."""
     g = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-    low = max(0, lifetime - 3) if lifetime > 100 else 0
-    live = np.triu(rng.integers(max(1, low), lifetime + 1, size=(n, n)), k=1)
-    dead = np.triu(rng.integers(0, 2 * lifetime + 2 if lifetime < 100 else 1 << 20,
-                                size=(n, n)), k=1)
-    g.edges = upper | upper.T
-    ages = np.where(upper, live, dead)
+    low = max(1, lifetime - 3) if lifetime > 100 else 1
+    ages = np.where(upper, rng.integers(low, lifetime + 1, size=(n, n)), 0)
     g.ages = ages + ages.T
     return g
 
@@ -501,21 +494,21 @@ def test_edge_update_sequence_matches_sequential_updates(lifetime):
         n = int(rng.integers(2, 9))
         g = aged_graph(n, lifetime, rng)
         ref = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
-        ref.edges, ref.ages = g.edges.copy(), g.ages.copy()
+        ref.ages = g.ages.copy()
         r1 = rng.integers(0, n, size=int(rng.integers(0, 40)))
         r2 = (r1 + rng.integers(1, n, size=len(r1))) % n
         for a, b in zip(r1, r2):
             oracles.edge_update(ref, int(a), int(b))
         g.edge_update(r1, r2)
-        assert same_bits(g.ages, ref.ages) and same_bits(g.edges, ref.edges)
+        assert same_bits(g.ages, ref.ages)
         g.check_invariants()
 
 
-def test_edge_update_saturates_unlinked_ages_at_the_largest_lifetime():
+def test_edge_update_expires_live_edges_at_the_largest_lifetime():
     lifetime = neural_gas.MAX_LIFETIME
-    g = graph_from_centroids(np.zeros((3, 2)), lifetime=lifetime)
-    g.edges[0, 1] = g.edges[1, 0] = True
+    g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
     g.ages[0, 1] = g.ages[1, 0] = lifetime
+    g.ages[1, 3] = g.ages[3, 1] = lifetime - 1
     g.check_invariants()
     ref, one_by_one = NGGraph.from_text(g.to_text()), NGGraph.from_text(g.to_text())
     pairs = [(0, 2), (1, 2), (0, 2)]
@@ -524,20 +517,20 @@ def test_edge_update_saturates_unlinked_ages_at_the_largest_lifetime():
         one_by_one.edge_update(a, b)
     g.edge_update(*np.array(pairs).T)
     for h in (g, one_by_one):
-        assert same_bits(h.ages, ref.ages) and same_bits(h.edges, ref.edges)
-        # Three ageings from the lifetime: the edge expires at lifetime + 1,
-        # int64 max, and its age stays there.
-        assert not h.edges[0, 1] and h.ages[0, 1] == neural_gas.INT64.max
+        assert same_bits(h.ages, ref.ages)
+        # (0, 1) expires at its first ageing, three past the lifetime in closed
+        # form; (1, 3) ages once, to the lifetime, and survives.
+        assert h.ages[0, 1] == 0 and h.ages[1, 3] == lifetime
+        assert h.ages[0, 2] == h.ages[1, 2] == 1
         h.check_invariants()
 
 
 def test_edge_update_scalar_pair_matches_array_of_one():
     g = aged_graph(6, 3, np.random.default_rng(4))
     h = NGGraph.from_text(g.to_text())
-    h.ages = g.ages.copy()
     g.edge_update(2, 5)
     h.edge_update(np.array([2]), np.array([5]))
-    assert same_bits(g.ages, h.ages) and same_bits(g.edges, h.edges)
+    assert same_bits(g.ages, h.ages)
 
 
 @pytest.mark.parametrize("r1,r2", [(-1, 0), (0, -1), (4, 0), (0, 4), (-4, 0), (2, 2),
@@ -546,10 +539,10 @@ def test_edge_update_scalar_pair_matches_array_of_one():
                                    ([0.0], [1.0]), (True, False)])
 def test_edge_update_rejects_bad_indices_before_anything_changes(r1, r2):
     g = aged_graph(4, 3, np.random.default_rng(6))
-    text, ages, edges = g.to_text(), g.ages.tobytes(), g.edges.tobytes()
+    text, ages = g.to_text(), g.ages.tobytes()
     with pytest.raises(InputError):
         g.edge_update(r1, r2)
-    assert g.to_text() == text and g.ages.tobytes() == ages and g.edges.tobytes() == edges
+    assert g.to_text() == text and g.ages.tobytes() == ages
 
 
 # -- init and training -----------------------------------------------------------
@@ -560,7 +553,6 @@ def test_init_graph_with_full_budget_is_permutation():
     g = init_graph(feats, np.arange(6), 6, lifetime=200, eps_var=EPS, seed=0)
     seen = {tuple(c) for c in g.centroids}
     assert seen == {tuple(f) for f in feats}
-    assert not g.edges.any()
     assert not g.ages.any()
 
 
@@ -603,7 +595,6 @@ def test_training_with_tiny_eta_limit():
     before = g.centroids.copy()
     train_on_features(g, feats, eta=1e-12, alpha=1.0, passes=1, seed=2)
     assert np.allclose(g.centroids, before, atol=1e-9)
-    assert g.edges.any()
     assert g.ages.max() > 0
 
 
@@ -737,7 +728,7 @@ def test_grow_appends_k_nodes_per_class_without_touching_old():
     assert len(g) == 6
     assert np.array_equal(g.centroids[:2], before)
     assert list(g.labels) == [0, 1, 2, 2, 3, 3]
-    assert not g.edges[2:].any() and not g.edges[:, 2:].any()
+    assert not g.ages[2:].any() and not g.ages[:, 2:].any()
     assert np.allclose(g.variances[2:], EPS)
     g.check_invariants()
 
@@ -970,8 +961,7 @@ def test_serialization_round_trip_is_exact():
     assert np.array_equal(g.variances, h.variances)
     assert np.array_equal(g.labels, h.labels)
     assert np.array_equal(g.origins, h.origins)
-    assert np.array_equal(g.edges, h.edges)
-    assert np.array_equal(g.ages[g.edges], h.ages[h.edges])
+    assert np.array_equal(g.ages, h.ages)
     assert g.lifetime == h.lifetime and g.session == h.session
     assert g.eps_var == h.eps_var
     for a, b in zip(g.pseudo_inputs, h.pseudo_inputs):
@@ -1017,6 +1007,8 @@ CHECKPOINT_MUTATIONS = {
     "negative_edge_index": (set_line("edges ", "-1 2 1", offset=1), "edge must join"),
     "self_edge": (set_line("edges ", "3 3 1", offset=1), "edge must join"),
     "repeated_edge": (repeat_first_edge, "edge must join"),
+    "edge_age_zero": (
+        set_line("edges ", lambda old: old.rsplit(" ", 1)[0] + " 0", offset=1), "age 0 is below 1"),
     "edge_age_above_lifetime": (
         set_line("edges ", lambda old: old.rsplit(" ", 1)[0] + " 51", offset=1), "lifetime"),
     "edge_count_too_high": (set_line("edges ", "edges 99"), "expected 3 values"),
@@ -1073,3 +1065,20 @@ def test_save_and_load_files(tmp_path):
     g.save(path)
     h = NGGraph.load(path)
     assert np.array_equal(g.centroids, h.centroids)
+
+
+def test_an_earlier_desk_sweep_checkpoint_loads_unchanged():
+    """desk_sweep's topic_al_mml checkpoint of seed 1, session 5 (48 nodes, 89
+    edges), as an earlier version of the graph, with an edge matrix beside the
+    ages, wrote it: it loads, re-emits its bytes, and every unlisted pair has age 0."""
+    path = Path(__file__).parent / "data" / "topic_al_mml_1_5.ngtxt"
+    text = path.read_bytes().decode("utf-8")
+    g = NGGraph.load(path)
+    assert g.to_text() == text
+    lines = text.splitlines()
+    start = lines.index("edges 89") + 1
+    expected = np.zeros((48, 48), dtype=int)
+    for line in lines[start:]:
+        i, j, age = map(int, line.split())
+        expected[i, j] = expected[j, i] = age
+    assert len(lines) == start + 89 and same_bits(g.ages, expected)
