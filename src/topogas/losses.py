@@ -6,7 +6,7 @@ sums over batch samples, graph nodes or exemplars, not means.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,22 +94,27 @@ class HyperParams:
 
 @dataclass
 class ExemplarSet:
-    """Stored old-class raw inputs and (optionally) their anchor features."""
+    """Stored old-class raw inputs as one (rows, d) array, None while empty, and their
+    anchor features, None after any `add` until `refresh_features` runs."""
 
-    inputs: list = field(default_factory=list)
-    features: list = field(default_factory=list)
+    inputs: np.ndarray | None = None
+    features: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return 0 if self.inputs is None else len(self.inputs)
 
-    def add(self, x: np.ndarray) -> None:
-        """Store a copy of x; its anchor feature is unset until `refresh_features`."""
-        self.inputs.append(np.asarray(x, dtype=float).copy())
-        self.features.append(None)
+    def add(self, rows: np.ndarray) -> None:
+        """Append a copy of the (k, d) rows; anchor features are unset until `refresh_features`."""
+        rows = np.array(rows, dtype=float)
+        if rows.ndim != 2 or len(self) and rows.shape[1] != self.inputs.shape[1]:
+            raise InputError(f"exemplar rows of shape {rows.shape} are not a (k, d) block "
+                             "as wide as the stored rows")
+        self.inputs = rows if self.inputs is None else np.concatenate([self.inputs, rows])
+        self.features = None
 
     def refresh_features(self, encode) -> None:
-        """Re-encode the stacked (B, d) inputs as anchor targets with one (B, n) encode call."""
-        self.features = list(np.array(encode(np.stack(self.inputs)), dtype=float))
+        """Re-encode the (B, d) inputs as anchor targets with one (B, n) encode call."""
+        self.features = np.array(encode(self.inputs), dtype=float)
 
 
 # -- terms: (features, logits) of their rows -> (loss, dL/dfeature, dL/dlogits)
@@ -174,12 +179,6 @@ def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_ma
     return loss, grad_feat, np.zeros_like(logits)
 
 
-def _node_inputs(graph: NGGraph, nodes) -> list:
-    if any(graph.pseudo_inputs[j] is None for j in nodes):
-        raise StateError("a node in the loss has no pseudo input")
-    return [graph.pseudo_inputs[j] for j in nodes]
-
-
 def _graph_anchors(graph: NGGraph, old_nodes) -> tuple:
     if len(old_nodes) == 0:
         raise InputError("anchor loss needs at least one old node")
@@ -192,13 +191,13 @@ def _graph_anchors(graph: NGGraph, old_nodes) -> tuple:
 def _exemplar_anchors(exemplars: ExemplarSet | None) -> tuple:
     if exemplars is None or len(exemplars) == 0:
         raise StateError("exemplar anchor method needs a non-empty exemplar set")
-    if any(f is None for f in exemplars.features):
+    if exemplars.features is None:
         raise StateError("exemplar set has no anchor features; refresh them first")
-    return np.stack(exemplars.features), 1.0
+    return exemplars.features, 1.0
 
 
-def _through_model(rows: list, params: ModelParams, term, *context):
-    feat, logits, cache = forward_batch(np.vstack(rows), params)
+def _through_model(x: np.ndarray, params: ModelParams, term, *context):
+    feat, logits, cache = forward_batch(x, params)
     loss, grad_feat, grad_logits = term(feat, logits, *context)
     return loss, backward_batch(cache, grad_logits, grad_feat, params)
 
@@ -211,7 +210,7 @@ def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
     inverse variance diagonal.  Gradients flow into the extractor only.
     """
     old_nodes = np.asarray(old_nodes, dtype=int)
-    return _through_model(_node_inputs(graph, old_nodes), params, _anchor_term,
+    return _through_model(graph.pseudo_inputs[old_nodes], params, _anchor_term,
                           *_graph_anchors(graph, old_nodes))
 
 
@@ -244,7 +243,8 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
     if graph is None:
         raise StateError("min-max loss needs a graph")
     new_nodes = np.flatnonzero(graph.origins == graph.session)
-    return _through_model([batch_x, *_node_inputs(graph, new_nodes)], params, _min_max_term,
+    x = np.concatenate([batch_x, graph.pseudo_inputs[new_nodes]])
+    return _through_model(x, params, _min_max_term,
                           np.asarray(batch_y), graph, new_nodes, xi, include_min, include_max)
 
 
@@ -256,7 +256,7 @@ def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
     snapshot is a constant, so gradients flow into the current parameters.
     """
     logits_hat = forward_batch(batch_x, old_params)[1]
-    return _through_model([batch_x], params, _distillation_term, logits_hat,
+    return _through_model(batch_x, params, _distillation_term, logits_hat,
                           t_distill, n_old)
 
 
@@ -277,11 +277,12 @@ def total_loss(batch, graph: NGGraph | None, params: ModelParams,
     if spec.reads_graph and graph is None:
         raise StateError(f"method {method!r} requires a neural-gas graph")
     batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
-    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else []
+    empty = batch_x[:0]
+    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else empty
+    z = graph.pseudo_inputs if spec.reads_graph else empty
     old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
     new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
-    extra = [*store, *_node_inputs(graph, old), *_node_inputs(graph, new)]
-    x = np.concatenate([batch_x, np.reshape(extra, (len(extra), batch_x.shape[1]))])
+    x = np.concatenate([batch_x, store, z[old], z[new]])
     ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
     terms = [(1.0, batch_rows, _cross_entropy_term, (batch_y,))]

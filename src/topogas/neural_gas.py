@@ -1,6 +1,6 @@
 """Supervised neural-gas graph over a feature space.
 
-Nodes carry a centroid, a diagonal variance, a stored raw input (the
+Every node carries a centroid, a diagonal variance, a stored raw input (the
 pseudo-exemplar) and a class label.  Topology is learned by competitive
 Hebbian rules: every presented feature ranks all nodes by Euclidean
 distance, centroids move with a rank-decayed step, and the winner pair
@@ -182,7 +182,7 @@ class NGGraph:
     """
 
     def __init__(self, centroids: np.ndarray, variances: np.ndarray,
-                 pseudo_inputs: list, labels: np.ndarray, origins: np.ndarray,
+                 pseudo_inputs: np.ndarray, labels: np.ndarray, origins: np.ndarray,
                  lifetime: int, eps_var: float, session: int = 1,
                  ages: np.ndarray | None = None):
         if not 1 <= lifetime <= MAX_LIFETIME:
@@ -190,7 +190,7 @@ class NGGraph:
         n = centroids.shape[0]
         self.centroids = np.asarray(centroids, dtype=float)
         self.variances = np.asarray(variances, dtype=float)
-        self.pseudo_inputs = list(pseudo_inputs)
+        self.pseudo_inputs = np.asarray(pseudo_inputs, dtype=float)
         self.labels = np.asarray(labels, dtype=int)
         self.origins = np.asarray(origins, dtype=int)
         self.lifetime = int(lifetime)
@@ -429,7 +429,7 @@ class NGGraph:
             raise InputError("cannot assign pseudo-exemplars from an empty dataset")
         x = np.asarray(inputs, dtype=float)
         best = nearest(self.centroids, encode(x))[0]
-        self.pseudo_inputs = [x[b].copy() for b in best]
+        self.pseudo_inputs = x[best]
         self.labels = np.asarray(labels, dtype=int)[best]
 
     def estimate_variances(self, features: np.ndarray,
@@ -451,30 +451,29 @@ class NGGraph:
         class_samples maps label -> (features (K, n), inputs (K, d)).
         Centroids come from a seeded k-means over the shots (for k = 1, the
         mean of the K shot features).  New nodes get the floor variance, the
-        nearest shot as pseudo input, and no edges.
+        nearest shot as pseudo input, and no edges.  Every class is checked
+        before anything changes.
         """
-        known = set(self.labels.tolist())
-        for label in class_samples:
+        known, shots = set(self.labels.tolist()), {}
+        n, d = self.feature_dim, self.pseudo_inputs.shape[1]
+        for label in sorted(class_samples):
+            feats, inputs = (np.asarray(a, dtype=float) for a in class_samples[label])
             if int(label) in known:
                 raise InputError(f"class {label} already has nodes in the graph")
-        rng = np.random.default_rng([seed, 0x960])
-        new_centroids, new_inputs, new_labels = [], [], []
-        for label in sorted(class_samples):
-            feats, inputs = class_samples[label]
-            feats = np.asarray(feats, dtype=float)
+            if feats.ndim != 2 or feats.shape[1] != n or inputs.shape != (len(feats), d):
+                raise InputError(f"class {label} shots have features {feats.shape} and inputs "
+                                 f"{inputs.shape}, expected (K, {n}) and (K, {d})")
             if not 1 <= k < feats.shape[0]:
-                raise InputError(
-                    f"growth count {k} must be below the {feats.shape[0]} shots")
-            centers = _kmeans(feats, k, rng)
-            new_centroids.extend(centers)
-            new_inputs.extend(np.array(inputs, dtype=float)[nearest(centers, feats)[0]])
-            new_labels.extend([int(label)] * len(centers))
-        added = len(new_centroids)
-        self.centroids = np.vstack([self.centroids, np.array(new_centroids)])
-        self.variances = np.vstack([self.variances,
-                                    np.full((added, self.feature_dim), self.eps_var)])
-        self.pseudo_inputs.extend(new_inputs)
-        self.labels = np.concatenate([self.labels, np.array(new_labels, dtype=int)])
+                raise InputError(f"growth count {k} must be below the {feats.shape[0]} shots")
+            shots[int(label)] = feats, inputs
+        rng = np.random.default_rng([seed, 0x960])
+        centers = [_kmeans(feats, k, rng) for feats, _ in shots.values()]
+        picks = [z[nearest(c, f)[0]] for c, (f, z) in zip(centers, shots.values())]
+        added = k * len(shots)
+        self.centroids = np.vstack([self.centroids, *centers])
+        self.variances = np.vstack([self.variances, np.full((added, n), self.eps_var)])
+        self.pseudo_inputs = np.vstack([self.pseudo_inputs, *picks])
+        self.labels = np.concatenate([self.labels, np.repeat(list(shots), k).astype(int)])
         self.origins = np.concatenate([self.origins, np.full(added, session, dtype=int)])
         self.ages = np.pad(self.ages, ((0, added), (0, added)))
         self.session = int(session)
@@ -482,11 +481,9 @@ class NGGraph:
     def refresh_anchors(self, encode) -> None:
         """Re-encode every pseudo input with the current extractor: m <- f(z).
 
-        encode maps the (N, d) stacked pseudo inputs to (N, n) features in one call.
+        encode maps the (N, d) pseudo inputs to (N, n) features in one call.
         """
-        if any(z is None for z in self.pseudo_inputs):
-            raise StateError("a node has no pseudo input to re-encode")
-        self.centroids[:] = encode(np.stack(self.pseudo_inputs))
+        self.centroids[:] = encode(self.pseudo_inputs)
 
     def quantization_error(self, features: np.ndarray) -> float:
         """Mean Euclidean distance from each feature to its winner centroid."""
@@ -525,8 +522,7 @@ class NGGraph:
             lines.append(f"node {j} label {int(self.labels[j])} origin {int(self.origins[j])}")
             lines.append("m " + " ".join(repr(float(v)) for v in self.centroids[j]))
             lines.append("var " + " ".join(repr(float(v)) for v in self.variances[j]))
-            z = self.pseudo_inputs[j]
-            lines.append("z -" if z is None else "z " + " ".join(repr(float(v)) for v in z))
+            lines.append("z " + " ".join(repr(float(v)) for v in self.pseudo_inputs[j]))
         pairs = np.argwhere(np.triu(self.ages, 1)).tolist()
         lines.append(f"edges {len(pairs)}")
         lines.extend(f"{i} {j} {self.ages[i, j]}" for i, j in pairs)
@@ -583,15 +579,12 @@ class NGGraph:
             heads.append(numbers(head[2::2]))
             centroids.append(numbers(take("m", len(centroids[0]) if centroids else None), float))
             variances.append(numbers(take("var", len(centroids[0])), float))
-            z = take("z", None)
-            pseudo.append(None if z == ["-"] else np.array(numbers(z, float)))
-        if len({z.size for z in pseudo if z is not None}) > 1:
-            raise InputError("malformed checkpoint: pseudo inputs differ in width")
+            pseudo.append(numbers(take("z", len(pseudo[0]) if pseudo else None), float))
         (edge_count,) = numbers(take("edges"))
         if edge_count < 0:
             raise bad("negative edge count")
         labels, origins = np.array(heads).T
-        graph = NGGraph(np.array(centroids), np.array(variances), pseudo,
+        graph = NGGraph(np.array(centroids), np.array(variances), np.array(pseudo),
                         labels, origins, lifetime, eps_var, session)
         for _ in range(edge_count):
             i, j, age = numbers(take(None, 3))
@@ -630,24 +623,22 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def init_graph(features: np.ndarray, labels, node_count: int, lifetime: int,
-               eps_var: float, seed: int) -> NGGraph:
+def init_graph(features: np.ndarray, inputs: np.ndarray, labels, node_count: int,
+               lifetime: int, eps_var: float, seed: int) -> NGGraph:
     """Start a graph from node_count distinct feature vectors, no edges.
 
-    Labels of the sampled features seed the node labels; they are replaced
-    once pseudo-exemplars are assigned after training.
+    The sampled rows' inputs and labels seed the pseudo inputs and node
+    labels; assign_pseudo_exemplars replaces both after training.
     """
-    features = np.asarray(features, dtype=float)
-    if node_count > features.shape[0]:
-        raise InputError(
-            f"cannot sample {node_count} centroids from {features.shape[0]} features")
+    features, inputs = np.asarray(features, dtype=float), np.asarray(inputs, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if not node_count <= len(features) == len(inputs) == len(labels):
+        raise InputError(f"cannot sample {node_count} nodes from {len(features)} features, "
+                         f"{len(inputs)} inputs and {len(labels)} labels")
     rng = np.random.default_rng([seed, 0x1419])
     idx = rng.choice(features.shape[0], size=node_count, replace=False)
-    labels = np.asarray(labels, dtype=int)
-    return NGGraph(features[idx].copy(),
-                   np.full((node_count, features.shape[1]), eps_var),
-                   [None] * node_count, labels[idx].copy(),
-                   np.ones(node_count, dtype=int), lifetime, eps_var)
+    return NGGraph(features[idx], np.full((node_count, features.shape[1]), eps_var),
+                   inputs[idx], labels[idx], np.ones(node_count, dtype=int), lifetime, eps_var)
 
 
 def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,

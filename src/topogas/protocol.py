@@ -184,7 +184,7 @@ def fit_base_graph(params: ModelParams, stream: SessionStream, hp: HyperParams,
     """
     base = stream.session(1)
     feats = extract_features(params, base.train_x)
-    graph = init_graph(feats, base.train_y, hp.node_budget, hp.t_life,
+    graph = init_graph(feats, base.train_x, base.train_y, hp.node_budget, hp.t_life,
                        hp.eps_var, seed)
     train_on_features(graph, feats, hp.eta, hp.alpha, hp.ng_passes, seed)
     encode = lambda x: extract_features(params, x)
@@ -204,7 +204,8 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     features (taken after the step) to move new-class nodes and refresh
     edges.  Old nodes keep their centroids during the session and are
     re-anchored at the end.  With graph None the session trains the model
-    alone; methods whose loss does not read the graph run that way.
+    alone; methods whose loss does not read the graph run that way.  A
+    non-finite loss, or non-finite features to present, raise DivergenceError.
     """
     n_old = params.class_count
     old_params = params.copy()
@@ -231,8 +232,11 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
                 f"non-finite loss at session {session.index}, iteration {iteration}")
         params = sgd_step(params, grads.clipped(GRAD_CLIP_NORM), hp.inc_lr)
         if graph is not None:
-            graph.present(extract_features(params, session.train_x), hp.eta, hp.alpha,
-                          updatable)
+            feats = extract_features(params, session.train_x)
+            if not np.isfinite(feats).all():
+                raise DivergenceError(
+                    f"non-finite features at session {session.index}, iteration {iteration}")
+            graph.present(feats, hp.eta, hp.alpha, updatable)
 
     if graph is not None:
         graph.refresh_anchors(lambda x: extract_features(params, x))
@@ -249,12 +253,14 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     old/new accuracies split the joint set against the latest session's
     label set; at the base session both equal the joint accuracy.  The
     confusion matrix covers all cumulative classes, rows normalized where
-    they have samples.
+    they have samples.  A non-finite logit raises DivergenceError.
     """
     if upto_session < 1:
         raise InputError("upto_session must be at least 1")
     x, y = stream.cumulative_test(upto_session)
     logits = forward_batch(x, params)[1]
+    if not np.isfinite(logits).all():
+        raise DivergenceError(f"non-finite logits evaluating session {upto_session}")
     pred = np.argmax(logits, axis=1)
     correct = pred == y
     joint = float(correct.mean())
@@ -302,12 +308,8 @@ def _exemplar_rng(seed: int, session: int) -> np.random.Generator:
 def _add_class_exemplars(store: ExemplarSet, session: Session, per_class: int,
                          rng: np.random.Generator) -> None:
     for label in session.labels:
-        mask = session.train_y == label
-        pool = session.train_x[mask]
-        take = rng.choice(pool.shape[0], size=min(per_class, pool.shape[0]),
-                          replace=False)
-        for i in take:
-            store.add(pool[i])
+        pool = session.train_x[session.train_y == label]
+        store.add(pool[rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)])
 
 
 @dataclass
@@ -388,12 +390,9 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
     rng = _exemplar_rng(seed, 1)
     _add_class_exemplars(distill_store, stream.session(1), hp.exemplars_per_class, rng)
     if exemplar_anchor:
-        base = stream.session(1)
-        take = rng.choice(base.train_x.shape[0],
-                          size=min(hp.node_budget, base.train_x.shape[0]),
-                          replace=False)
-        for i in take:
-            anchor_store.add(base.train_x[i])
+        pool = stream.session(1).train_x
+        anchor_store.add(pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
+                                         replace=False)])
         anchor_store.refresh_features(lambda x: extract_features(params, x))
     # total_loss reads the store only for the terms METHODS[method] names.
     exemplars = anchor_store if exemplar_anchor else distill_store

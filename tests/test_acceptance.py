@@ -47,7 +47,7 @@ def random_loss_world(seed: int):
     n = 4
     z = rng.normal(size=(n, 3))
     centroids = forward_batch(z, params)[0] + rng.normal(scale=0.3, size=(n, 3))
-    graph = NGGraph(centroids, rng.uniform(0.3, 2.0, size=(n, 3)), list(z),
+    graph = NGGraph(centroids, rng.uniform(0.3, 2.0, size=(n, 3)), z,
                     np.array([0, 1, 2, 3]), np.array([1, 1, 2, 2]), 50, 1e-6,
                     session=2)
     graph.ages[:] = ~np.eye(n, dtype=bool)
@@ -98,7 +98,7 @@ def random_small_graph(rng):
     n = int(rng.integers(2, 11))
     dim = int(rng.integers(2, 5))
     g = NGGraph(rng.normal(size=(n, dim)), np.full((n, dim), 1e-6),
-                [None] * n, np.array(rng.integers(0, 4, size=n)),
+                np.zeros((n, dim)), np.array(rng.integers(0, 4, size=n)),
                 np.ones(n, dtype=int), int(rng.integers(1, 8)), 1e-6)
     mask = np.triu(rng.random((n, n)) < 0.4, 1)
     ages = np.where(mask, rng.integers(1, g.lifetime + 1, size=(n, n)), 0)
@@ -197,12 +197,12 @@ def test_criterion_3_nodes_beat_random_exemplars():
         means = rng.uniform(-5.0, 5.0, size=(5, 2))
         feats = np.vstack([m + 0.5 * rng.normal(size=(200, 2)) for m in means])
         labels = np.repeat(np.arange(5), 200)
-        g = init_graph(feats, labels, 25, hp.t_life, hp.eps_var, seed)
+        g = init_graph(feats, feats, labels, 25, hp.t_life, hp.eps_var, seed)
         train_on_features(g, feats, hp.eta, hp.alpha, passes=10, seed=seed)
         qe_trained = g.quantization_error(feats)
         picks = np.random.default_rng([seed, 0x3C]).choice(1000, 25, replace=False)
         exemplars = NGGraph(feats[picks].copy(), np.full((25, 2), hp.eps_var),
-                            [None] * 25, labels[picks], np.ones(25, dtype=int),
+                            feats[picks], labels[picks], np.ones(25, dtype=int),
                             hp.t_life, hp.eps_var)
         qe_random = exemplars.quantization_error(feats)
         wins += qe_trained < qe_random
@@ -267,7 +267,7 @@ def test_criterion_6_invariants(tmp_path):
 
     # edge/age symmetry and lifetime bound under random update sequences
     rng = np.random.default_rng(99)
-    g = NGGraph(rng.normal(size=(6, 2)), np.full((6, 2), 1e-6), [None] * 6,
+    g = NGGraph(rng.normal(size=(6, 2)), np.full((6, 2), 1e-6), np.zeros((6, 2)),
                 np.zeros(6, dtype=int), np.ones(6, dtype=int), 5, 1e-6)
     for _ in range(200):
         g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.2, alpha=1.0))

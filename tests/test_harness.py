@@ -1,6 +1,7 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from topogas import (ConfigError, DivergenceError, HyperParams, InputError, StateError,
@@ -260,12 +261,33 @@ def test_divergence_exits_two_without_summary(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["ft", "topic_al"])
+@pytest.mark.parametrize("inc_epochs, new_classes", [(5, 8), (1, 2)])
+def test_an_incremental_step_that_diverges_exits_two(tmp_path, capsys, method, inc_epochs,
+                                                      new_classes):
+    """A huge step overflows the model.  Five iterations reach a non-finite loss
+    (ft) or non-finite features to present (topic_al); one iteration of ft
+    reaches no further loss, so evaluation must see its non-finite logits."""
+    config = parse_config(default_config_text())
+    for key, value in (("inc_lr", "1e300"), ("base_epochs", "2"), ("seeds", "0"),
+                       ("inc_epochs", str(inc_epochs)), ("new_classes", str(new_classes)),
+                       ("methods", method), ("out_dir", str(tmp_path))):
+        set_key(config, key, value)
+    with np.errstate(all="ignore"):
+        assert run_experiment(config, quiet=True) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"divergence: method={method} seed=0: ") and "session 2" in line
+    assert (tmp_path / "results.csv").read_text().splitlines() == [
+        "method,seed,session,joint_acc,old_acc,new_acc"]
+    assert not (tmp_path / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("error", [InputError, StateError])
 def test_run_error_exits_three_without_summary(tmp_path, monkeypatch, capsys, error):
     import topogas.harness as harness
 
     def fail(*args, **kwargs):
-        raise error("a node has no pseudo input to re-encode")
+        raise error("no node carries batch label 7")
 
     monkeypatch.setattr(harness, "run_method", fail)
     config = parse_config(TINY)
@@ -274,7 +296,7 @@ def test_run_error_exits_three_without_summary(tmp_path, monkeypatch, capsys, er
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert "method=ft" in lines[0] and "seed=0" in lines[0]
-    assert error.__name__ in lines[0] and "pseudo input" in lines[0]
+    assert error.__name__ in lines[0] and "batch label 7" in lines[0]
     assert not (tmp_path / "summary.csv").exists()
 
 

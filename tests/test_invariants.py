@@ -38,7 +38,7 @@ def test_cross_entropy_is_nonnegative(logits, y):
 def test_ranking_is_a_valid_sorted_permutation(n_nodes, seed):
     rng = np.random.default_rng(seed)
     g = NGGraph(rng.normal(size=(n_nodes, 3)), np.full((n_nodes, 3), 1e-6),
-                [None] * n_nodes, np.zeros(n_nodes, dtype=int),
+                np.zeros((n_nodes, 3)), np.zeros(n_nodes, dtype=int),
                 np.ones(n_nodes, dtype=int), 10, 1e-6)
     f = rng.normal(size=3)
     order = _exact_order(f, g.centroids)
@@ -52,7 +52,7 @@ def test_edge_and_age_symmetry_survives_random_update_sequences(n_nodes, seed,
                                                                 lifetime):
     rng = np.random.default_rng(seed)
     g = NGGraph(rng.normal(size=(n_nodes, 2)), np.full((n_nodes, 2), 1e-6),
-                [None] * n_nodes, np.zeros(n_nodes, dtype=int),
+                np.zeros((n_nodes, 2)), np.zeros(n_nodes, dtype=int),
                 np.ones(n_nodes, dtype=int), lifetime, 1e-6)
     for _ in range(30):
         g.edge_update(*g.hebbian_update(rng.normal(size=(1, 2)), eta=0.3, alpha=1.0))
@@ -64,7 +64,7 @@ def test_edge_and_age_symmetry_survives_random_update_sequences(n_nodes, seed,
 @FAST
 def test_hebbian_zero_rate_limit_is_identity_on_centroids(seed):
     rng = np.random.default_rng(seed)
-    g = NGGraph(rng.normal(size=(5, 2)), np.full((5, 2), 1e-6), [None] * 5,
+    g = NGGraph(rng.normal(size=(5, 2)), np.full((5, 2), 1e-6), np.zeros((5, 2)),
                 np.zeros(5, dtype=int), np.ones(5, dtype=int), 10, 1e-6)
     before = g.centroids.copy()
     g.hebbian_update(rng.normal(size=(1, 2)), eta=1e-300, alpha=1.0)
@@ -75,7 +75,7 @@ def test_hebbian_zero_rate_limit_is_identity_on_centroids(seed):
 @FAST
 def test_hebbian_contracts_the_winner(seed, eta, alpha):
     rng = np.random.default_rng(seed)
-    g = NGGraph(rng.normal(size=(4, 3)), np.full((4, 3), 1e-6), [None] * 4,
+    g = NGGraph(rng.normal(size=(4, 3)), np.full((4, 3), 1e-6), np.zeros((4, 3)),
                 np.zeros(4, dtype=int), np.ones(4, dtype=int), 10, 1e-6)
     f = rng.normal(size=3)
     before = g.centroids.copy()
@@ -89,7 +89,8 @@ def test_hebbian_contracts_the_winner(seed, eta, alpha):
 @FAST
 def test_grow_adds_exactly_k_nodes_per_class(seed, n_classes, k):
     rng = np.random.default_rng(seed)
-    g = NGGraph(rng.normal(size=(3, 2)), np.full((3, 2), 1e-6), [None] * 3,
+    # Features of width 2 from inputs of width 4.
+    g = NGGraph(rng.normal(size=(3, 2)), np.full((3, 2), 1e-6), np.zeros((3, 4)),
                 np.arange(3), np.ones(3, dtype=int), 10, 1e-6)
     samples = {100 + c: (rng.normal(size=(5, 2)), rng.normal(size=(5, 4)))
                for c in range(n_classes)}
@@ -153,7 +154,7 @@ def checkpoint_graphs(draw):
     return NGGraph(np.array(draw(st.lists(vectors(dim), min_size=n, max_size=n))),
                    np.array(draw(st.lists(vectors(dim, st.floats(eps_var, allow_infinity=False)),
                                           min_size=n, max_size=n))),
-                   draw(st.lists(st.none() | vectors(z_dim), min_size=n, max_size=n)),
+                   np.array(draw(st.lists(vectors(z_dim), min_size=n, max_size=n))),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
                    lifetime, eps_var, draw(INT64), ages=ages)
@@ -165,11 +166,9 @@ def test_random_checkpoints_round_trip_exactly(g):
     text = g.to_text()
     h = NGGraph.from_text(text)
     assert h.to_text() == text
-    for name in ("centroids", "variances", "labels", "origins", "ages"):
+    for name in ("centroids", "variances", "pseudo_inputs", "labels", "origins", "ages"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
     assert (h.lifetime, h.session, h.eps_var) == (g.lifetime, g.session, g.eps_var)
-    for a, b in zip(g.pseudo_inputs, h.pseudo_inputs):
-        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 # Hypothesis draws the first entry of a sampled_from most often, so the

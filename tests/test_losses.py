@@ -24,7 +24,7 @@ def make_graph(params, n_nodes, labels, origins, seed=0, lifetime=50):
     z = rng.normal(size=(n_nodes, params.input_dim))
     centroids = forward_batch(z, params)[0]
     variances = rng.uniform(0.2, 2.0, size=centroids.shape)
-    return NGGraph(centroids.copy(), variances, list(z),
+    return NGGraph(centroids.copy(), variances, z,
                    np.asarray(labels), np.asarray(origins), lifetime, EPS,
                    session=int(np.max(origins)))
 
@@ -261,10 +261,7 @@ def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGr
         if include_max:
             is_new = int(graph.origins[j]) == graph.session
             if is_new and j not in new_fwd:
-                zj = graph.pseudo_inputs[j]
-                if zj is None:
-                    raise StateError(f"new node {j} has no pseudo input")
-                fj, oj, cj = forward(zj, params)
+                fj, oj, cj = forward(graph.pseudo_inputs[j], params)
                 new_fwd[j] = (fj, oj, cj)
                 new_grad[j] = np.zeros_like(fj)
             mj = new_fwd[j][0] if is_new else graph.centroids[j]
@@ -308,7 +305,7 @@ def grid_world(seed):
     centroids[4:] += grid(n - 4, 3)
     centroids[1] = centroids[0]
     centroids[3] = centroids[2]
-    graph = NGGraph(centroids, np.ones((n, 3)), list(z), labels, origins, 50, EPS,
+    graph = NGGraph(centroids, np.ones((n, 3)), z, labels, origins, 50, EPS,
                     session=2)
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
     upper[2, 3] = True
@@ -466,7 +463,7 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     xi = 2.0
     store = ExemplarSet()
     for _ in range(2):
-        store.add(rng.normal(size=3))
+        store.add(rng.normal(size=(1, 3)))
     store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.3)
 
     feat, logits, cache = forward_batch(bx, params)
@@ -475,7 +472,7 @@ def test_total_loss_weighted_sum_matches_term_by_term():
         "al": (hp.lambda1, anchor_loss(g, np.flatnonzero(g.origins < g.session), params)),
         "exemplar_al": (hp.lambda1, _exemplar_anchor_loss(store, params)),
         "mml": (hp.lambda2, min_max_loss(bx, by, g, params, xi=xi)),
-        "dl": (hp.gamma, distillation_loss(np.vstack([bx, *store.inputs]), old, params,
+        "dl": (hp.gamma, distillation_loss(np.vstack([bx, store.inputs]), old, params,
                                            hp.t_distill, 4)),
     }
     for method, names in TAG_TERMS.items():
@@ -528,13 +525,13 @@ def test_total_loss_exemplar_anchor_identity_weighting():
     store = ExemplarSet()
     rng = np.random.default_rng(37)
     for _ in range(3):
-        store.add(rng.normal(size=3))
+        store.add(rng.normal(size=(1, 3)))
     store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.5)
     bx, by = random_batch(rng, n=2)
     hp = HyperParams()
     loss, _ = total_loss((bx, by), None, params, store, hp, "exemplar_anchor")
     loss_ft, _ = total_loss((bx, by), None, params, None, hp, "ft")
-    feats = forward_batch(np.stack(store.inputs), params)[0]
+    feats = forward_batch(store.inputs, params)[0]
     expected = sum(float(np.sum((feats[i] - store.features[i]) ** 2))
                    for i in range(3))
     assert loss - loss_ft == pytest.approx(hp.lambda1 * expected, rel=1e-9)
@@ -545,6 +542,29 @@ def test_total_loss_exemplar_anchor_requires_store():
     with pytest.raises(StateError):
         total_loss((np.zeros((1, 3)), np.array([0])), None, params, None,
                    HyperParams(), "exemplar_anchor")
+
+
+def test_total_loss_exemplar_anchor_requires_refreshed_features_after_add():
+    params = make_params(seed=41)
+    rng = np.random.default_rng(42)
+    store = ExemplarSet()
+    store.add(rng.normal(size=(2, 3)))
+    store.refresh_features(lambda x: forward_batch(x, params)[0])
+    batch = random_batch(rng, n=2)
+    total_loss(batch, None, params, store, HyperParams(), "exemplar_anchor")
+    store.add(rng.normal(size=(1, 3)))
+    assert len(store) == 3 and store.features is None
+    with pytest.raises(StateError, match="refresh"):
+        total_loss(batch, None, params, store, HyperParams(), "exemplar_anchor")
+
+
+@pytest.mark.parametrize("rows", [np.zeros(3), np.zeros((1, 4)), np.zeros((1, 1, 3))])
+def test_exemplar_add_rejects_rows_that_are_not_a_block_of_the_store_width(rows):
+    store = ExemplarSet()
+    store.add(np.ones((2, 3)))
+    with pytest.raises(InputError):
+        store.add(rows)
+    assert np.array_equal(store.inputs, np.ones((2, 3)))
 
 
 def test_total_loss_distill_requires_snapshot():
@@ -560,13 +580,13 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
     rng = np.random.default_rng(40)
     bx, by = random_batch(rng, n=2)
     store = ExemplarSet()
-    store.add(rng.normal(size=3))
+    store.add(rng.normal(size=(1, 3)))
     hp = HyperParams()
     with_p, _ = total_loss((bx, by), None, params, store, hp, "distill",
                            old_params=old, n_old=4)
     without_p, _ = total_loss((bx, by), None, params, None, hp, "distill",
                               old_params=old, n_old=4)
-    dl_extra, _ = distillation_loss(np.stack(store.inputs), old, params,
+    dl_extra, _ = distillation_loss(store.inputs, old, params,
                                     hp.t_distill, 4)
     assert with_p - without_p == pytest.approx(dl_extra, rel=1e-9)
 

@@ -22,8 +22,9 @@ def graph_from_centroids(centroids, labels=None, lifetime=200, session=1,
     n = centroids.shape[0]
     labels = np.zeros(n, dtype=int) if labels is None else np.asarray(labels)
     origins = np.ones(n, dtype=int) if origins is None else np.asarray(origins)
+    # Identity input space: each node's pseudo input is its centroid.
     return NGGraph(centroids.copy(), np.full(centroids.shape, eps_var),
-                   [None] * n, labels, origins, lifetime, eps_var, session)
+                   centroids.copy(), labels, origins, lifetime, eps_var, session)
 
 
 # -- ranking ------------------------------------------------------------------
@@ -550,7 +551,7 @@ def test_edge_update_rejects_bad_indices_before_anything_changes(r1, r2):
 def test_init_graph_with_full_budget_is_permutation():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(6, 2))
-    g = init_graph(feats, np.arange(6), 6, lifetime=200, eps_var=EPS, seed=0)
+    g = init_graph(feats, feats, np.arange(6), 6, lifetime=200, eps_var=EPS, seed=0)
     seen = {tuple(c) for c in g.centroids}
     assert seen == {tuple(f) for f in feats}
     assert not g.ages.any()
@@ -558,8 +559,8 @@ def test_init_graph_with_full_budget_is_permutation():
 
 def test_init_graph_deterministic_under_seed():
     feats = np.random.default_rng(2).normal(size=(20, 3))
-    a = init_graph(feats, np.zeros(20, dtype=int), 5, 200, EPS, seed=9)
-    b = init_graph(feats, np.zeros(20, dtype=int), 5, 200, EPS, seed=9)
+    a = init_graph(feats, feats, np.zeros(20, dtype=int), 5, 200, EPS, seed=9)
+    b = init_graph(feats, feats, np.zeros(20, dtype=int), 5, 200, EPS, seed=9)
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.labels, b.labels)
 
@@ -567,7 +568,28 @@ def test_init_graph_deterministic_under_seed():
 def test_init_graph_rejects_oversized_budget():
     feats = np.zeros((3, 2))
     with pytest.raises(InputError):
-        init_graph(feats, np.zeros(3, dtype=int), 4, 200, EPS, seed=0)
+        init_graph(feats, feats, np.zeros(3, dtype=int), 4, 200, EPS, seed=0)
+
+
+def test_init_graph_seeds_each_node_with_its_rows_input_and_label():
+    rng = np.random.default_rng(4)
+    feats, inputs = rng.normal(size=(20, 3)), rng.normal(size=(20, 5))
+    labels = rng.integers(0, 4, size=20)
+    g = init_graph(feats, inputs, labels, 6, 200, EPS, seed=3)
+    assert g.pseudo_inputs.shape == (6, 5)
+    for j in range(6):
+        (row,) = np.flatnonzero((feats == g.centroids[j]).all(axis=1))
+        assert np.array_equal(g.pseudo_inputs[j], inputs[row])
+        assert g.labels[j] == labels[row]
+
+
+@pytest.mark.parametrize("short", ["inputs", "labels"])
+def test_init_graph_rejects_rows_that_do_not_pair_up(short):
+    feats = np.zeros((5, 2))
+    args = {"inputs": np.zeros((5, 4)), "labels": np.zeros(5, dtype=int)}
+    args[short] = args[short][:-1]
+    with pytest.raises(InputError, match="cannot sample"):
+        init_graph(feats, args["inputs"], args["labels"], 2, 200, EPS, seed=0)
 
 
 def test_training_single_node_contracts_geometrically():
@@ -591,7 +613,7 @@ def test_training_with_tiny_eta_limit():
     # vanishing learning rate, which leaves centroids essentially unchanged
     # while edges and ages still evolve.
     feats = np.random.default_rng(3).normal(size=(30, 2))
-    g = init_graph(feats, np.zeros(30, dtype=int), 5, 200, EPS, seed=1)
+    g = init_graph(feats, feats, np.zeros(30, dtype=int), 5, 200, EPS, seed=1)
     before = g.centroids.copy()
     train_on_features(g, feats, eta=1e-12, alpha=1.0, passes=1, seed=2)
     assert np.allclose(g.centroids, before, atol=1e-9)
@@ -605,7 +627,7 @@ def test_training_two_blobs_two_nodes_land_in_their_blobs():
         blob_a = rng.normal(size=(50, 2)) * 0.3 + np.array([-4.0, 0.0])
         blob_b = rng.normal(size=(50, 2)) * 0.3 + np.array([4.0, 0.0])
         feats = np.vstack([blob_a, blob_b])
-        g = init_graph(feats, np.zeros(100, dtype=int), 2, 200, EPS, seed=seed)
+        g = init_graph(feats, feats, np.zeros(100, dtype=int), 2, 200, EPS, seed=seed)
         train_on_features(g, feats, eta=0.2, alpha=1.0, passes=10, seed=seed)
         means = np.array([[-4.0, 0.0], [4.0, 0.0]])
         owner = {int(np.argmin(np.linalg.norm(means - c, axis=1))) for c in g.centroids}
@@ -745,26 +767,35 @@ def test_grow_rejects_bad_k():
         g.grow({1: shots([[1.0, 1.0]] * 3)}, k=3, session=2)
 
 
+@pytest.mark.parametrize("feats, inputs", [
+    (np.ones((3, 3)), np.ones((3, 2))),   # features of the wrong width
+    (np.ones((3, 2)), np.ones((3, 3))),   # inputs of the wrong width
+    (np.ones((3, 2)), np.ones((2, 2))),   # fewer inputs than features
+    (np.ones(3), np.ones((3, 2))),        # features not 2-D
+    (np.ones((3, 2)), np.ones(2))])       # inputs not 2-D
+def test_grow_rejects_bad_shot_widths_before_anything_changes(feats, inputs):
+    g = graph_from_centroids([[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
+    g.ages[0, 1] = g.ages[1, 0] = 3
+    text = g.to_text()
+    with pytest.raises(InputError, match="class 3 shots"):
+        g.grow({2: shots(np.full((3, 2), 2.0)), 3: (feats, inputs)}, k=1, session=2)
+    assert g.to_text() == text
+
+
 # -- anchors, quantization --------------------------------------------------------
 
 def test_refresh_anchors_constant_extractor():
     g = graph_from_centroids([[1.0, 1.0], [2.0, 2.0]])
-    g.pseudo_inputs = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
+    g.pseudo_inputs = np.array([[0.0, 0.0], [1.0, 1.0]])
     g.refresh_anchors(lambda x: np.full((len(x), 2), 7.0))
     assert np.allclose(g.centroids, 7.0)
 
 
 def test_refresh_anchors_identity_fixed_point():
     g = graph_from_centroids([[1.0, 2.0]])
-    g.pseudo_inputs = [np.array([1.0, 2.0])]
+    g.pseudo_inputs = np.array([[1.0, 2.0]])
     g.refresh_anchors(identity_features)
     assert np.allclose(g.centroids[0], [1.0, 2.0])
-
-
-def test_refresh_anchors_requires_pseudo_inputs():
-    g = graph_from_centroids([[0.0, 0.0]])
-    with pytest.raises(StateError):
-        g.refresh_anchors(identity_features)
 
 
 def test_quantization_error_zero_when_features_on_centroids():
@@ -923,7 +954,7 @@ def test_graph_searches_do_not_depend_on_block_size(monkeypatch, block):
         g.estimate_variances(feats)
         qe = g.quantization_error(feats)
         g.assign_pseudo_exemplars(feats, labels, identity_features)
-        return g.variances, qe, np.stack(g.pseudo_inputs), g.labels
+        return g.variances, qe, g.pseudo_inputs, g.labels
 
     default = run()
     monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
@@ -946,7 +977,7 @@ def test_max_distance_matches_full_pairwise_array(monkeypatch, block):
 def random_trained_graph(seed):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(40, 3))
-    g = init_graph(feats, rng.integers(0, 5, size=40), 8, 50, EPS, seed)
+    g = init_graph(feats, feats, rng.integers(0, 5, size=40), 8, 50, EPS, seed)
     train_on_features(g, feats, 0.2, 1.0, passes=2, seed=seed)
     g.assign_pseudo_exemplars(list(feats), rng.integers(0, 5, size=40),
                               identity_features)
@@ -964,14 +995,7 @@ def test_serialization_round_trip_is_exact():
     assert np.array_equal(g.ages, h.ages)
     assert g.lifetime == h.lifetime and g.session == h.session
     assert g.eps_var == h.eps_var
-    for a, b in zip(g.pseudo_inputs, h.pseudo_inputs):
-        assert np.array_equal(a, b)
-
-
-def test_serialization_none_pseudo_inputs_round_trip():
-    g = graph_from_centroids([[0.5, -0.5]])
-    h = NGGraph.from_text(g.to_text())
-    assert h.pseudo_inputs[0] is None
+    assert np.array_equal(g.pseudo_inputs, h.pseudo_inputs)
 
 
 def test_serialization_has_version_header():
@@ -1014,7 +1038,9 @@ CHECKPOINT_MUTATIONS = {
     "edge_count_too_high": (set_line("edges ", "edges 99"), "expected 3 values"),
     "negative_edge_count": (set_line("edges ", "edges -1"), "negative edge count"),
     "ragged_centroid": (set_line("m ", "m 0.5 0.5", nth=1), "expected 3 values"),
-    "ragged_pseudo_input": (set_line("z ", "z 0.5 0.5", nth=2), "differ in width"),
+    "ragged_pseudo_input": (set_line("z ", "z 0.5 0.5", nth=2), "expected 3 values"),
+    "missing_first_pseudo_input": (set_line("z ", "z -"), "float values"),
+    "missing_pseudo_input": (set_line("z ", "z -", nth=1), "expected 3 values"),
     "non_integer_node_count": (set_line("nodes ", "nodes 8.5"), "int values"),
     "non_integer_label": (set_line("node 1 ", "node 1 label x origin 1"), "int values"),
     "wrong_node_index": (set_line("node 1 ", "node 7 label 0 origin 1"), "node 1 label"),

@@ -99,7 +99,7 @@ def test_base_graph_labels_are_base_classes():
     _, graph = train_base_session(stream, hp, 2)
     assert set(graph.labels.tolist()) <= set(stream.session(1).labels)
     assert len(graph) == hp.node_budget
-    assert all(z is not None for z in graph.pseudo_inputs)
+    assert graph.pseudo_inputs.shape == (hp.node_budget, stream.input_dim)
     graph.check_invariants()
 
 
@@ -136,9 +136,7 @@ def test_refreshed_anchors_are_exact():
                                               hp, "topic_al_mml", None, 5)
     assert anchor_loss(graph, np.arange(len(graph)), params)[0] == 0.0
     store = ExemplarSet()
-    base = stream.session(1)
-    for i in range(0, len(base.train_y), 25):
-        store.add(base.train_x[i])
+    store.add(stream.session(1).train_x[::25])
     store.refresh_features(lambda x: extract_features(params, x))
     assert _exemplar_anchor_loss(store, params)[0] == 0.0
 
@@ -324,9 +322,8 @@ def test_graph_free_methods_do_not_read_the_graph(method):
     graph.grow({label: (encode(session.train_x[session.train_y == label]),
                         session.train_x[session.train_y == label])
                 for label in session.labels}, 1, 2)
-    base, store = stream.session(1), ExemplarSet()
-    for i in range(0, len(base.train_y), 97):
-        store.add(base.train_x[i])
+    store = ExemplarSet()
+    store.add(stream.session(1).train_x[::97])
     store.refresh_features(lambda x: encode(x) + 0.1)
     batch = (session.train_x, session.train_y)
     with_graph, without = (total_loss(batch, g, params, store, hp, method,
