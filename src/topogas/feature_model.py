@@ -5,8 +5,15 @@ producing a feature vector f) followed by a bias-free linear head whose
 weight matrix phi has one column per class, so logits o = phi^T f.  All
 passes are written by hand against numpy; the tests check every gradient
 against central finite differences (`tests/oracles.py`).
+
+Each pass is written once, as a helper that writes into given buffers
+(`forward_into`, `cross_entropy_into`, `backward_into`).  The checked entry
+points `forward_batch`, `softmax_cross_entropy_batch` and `backward_batch`
+allocate fresh arrays and call them; a training loop allocates a `StepBuffers`
+once and calls them directly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +60,11 @@ class ModelParams:
                 "b2": self.b2, "phi": self.phi}
 
     def norm(self) -> float:
-        """Global L2 norm over all arrays."""
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays().values())))
+        """Global L2 norm: the squared sums of w1, b1, w2, b2 and phi, added in that order."""
+        w1, b1, w2, b2, phi = self.w1, self.b1, self.w2, self.b2, self.phi
+        return math.sqrt(sum((float((w1 * w1).sum()), float((b1 * b1).sum()),
+                              float((w2 * w2).sum()), float((b2 * b2).sum()),
+                              float((phi * phi).sum()))))
 
     def clipped(self, max_norm: float) -> "ModelParams":
         """These arrays rescaled so the global norm is at most max_norm."""
@@ -77,6 +87,38 @@ class ForwardCache:
     logits: np.ndarray       # (B, classes)
 
 
+@dataclass
+class StepBuffers:
+    """Every array one cross-entropy SGD step writes, for batches of len(labels) rows.
+
+    A training loop allocates one record before its first step and refills it
+    every step: the batch goes into cache.x and labels, the passes write the rest.
+    """
+
+    cache: ForwardCache
+    labels: np.ndarray           # (B,) class indices of the batch rows
+    shifted: np.ndarray          # (B, classes): logits minus each row's largest
+    log_norm: np.ndarray         # (B, 1)
+    grad_logits: np.ndarray      # (B, classes)
+    no_grad_feature: np.ndarray  # (B, feature) zeros: cross-entropy reads only the logits
+    d_feature: np.ndarray        # (B, feature)
+    d_hidden: np.ndarray         # (B, hidden)
+    active: np.ndarray           # (B, hidden) bool: the ReLU passed its input
+    grads: ModelParams
+
+    @staticmethod
+    def allocate(params: ModelParams, rows: int) -> "StepBuffers":
+        hidden, feature, classes = params.hidden_dim, params.feature_dim, params.class_count
+        return StepBuffers(
+            ForwardCache(np.empty((rows, params.input_dim)), np.empty((rows, hidden)),
+                         np.empty((rows, hidden)), np.empty((rows, feature)),
+                         np.empty((rows, classes))),
+            np.empty(rows, dtype=int), np.empty((rows, classes)), np.empty((rows, 1)),
+            np.empty((rows, classes)), np.zeros((rows, feature)), np.empty((rows, feature)),
+            np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
+            ModelParams(*(np.empty_like(a) for a in params.arrays().values())))
+
+
 def init_params(input_dim: int, hidden_dim: int, feature_dim: int,
                 class_count: int, seed: int) -> ModelParams:
     """He-init extractor weights, zero biases, small uniform head columns."""
@@ -89,6 +131,16 @@ def init_params(input_dim: int, hidden_dim: int, feature_dim: int,
     return ModelParams(w1, np.zeros(hidden_dim), w2, np.zeros(feature_dim), phi)
 
 
+def forward_into(params: ModelParams, cache: ForwardCache) -> None:
+    """Run the extractor and head over the rows of cache.x into the cache's other arrays."""
+    np.matmul(cache.x, params.w1.T, out=cache.hidden_pre)
+    cache.hidden_pre += params.b1
+    np.maximum(cache.hidden_pre, 0.0, out=cache.hidden)
+    np.matmul(cache.hidden, params.w2.T, out=cache.feature)
+    cache.feature += params.b2
+    np.matmul(cache.feature, params.phi, out=cache.logits)
+
+
 def forward_batch(x: np.ndarray, params: ModelParams):
     """Run the extractor and head over a batch; rows of x are samples.
 
@@ -98,11 +150,12 @@ def forward_batch(x: np.ndarray, params: ModelParams):
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise InputError(
             f"expected input of width {params.input_dim}, got shape {x.shape}")
-    hidden_pre = x @ params.w1.T + params.b1
-    hidden = np.maximum(hidden_pre, 0.0)
-    feature = hidden @ params.w2.T + params.b2
-    logits = feature @ params.phi
-    return feature, logits, ForwardCache(x, hidden_pre, hidden, feature, logits)
+    rows, hidden = x.shape[0], params.hidden_dim
+    cache = ForwardCache(x, np.empty((rows, hidden)), np.empty((rows, hidden)),
+                         np.empty((rows, params.feature_dim)),
+                         np.empty((rows, params.class_count)))
+    forward_into(params, cache)
+    return cache.feature, cache.logits, cache
 
 
 def forward(x: np.ndarray, params: ModelParams):
@@ -112,6 +165,26 @@ def forward(x: np.ndarray, params: ModelParams):
         raise InputError(f"expected a 1-D input vector, got shape {x.shape}")
     feature, logits, cache = forward_batch(x[None, :], params)
     return feature[0], logits[0], cache
+
+
+def backward_into(cache: ForwardCache, grad_logits: np.ndarray, grad_feature: np.ndarray,
+                  params: ModelParams, grads: ModelParams, d_feature: np.ndarray,
+                  d_hidden: np.ndarray, active: np.ndarray) -> None:
+    """Backpropagate upstream gradients on logits and features into the arrays of grads.
+
+    d_feature (B, feature), d_hidden (B, hidden) and the bool active (B, hidden)
+    are scratch; no shape is checked.
+    """
+    np.matmul(cache.feature.T, grad_logits, out=grads.phi)
+    np.matmul(grad_logits, params.phi.T, out=d_feature)
+    np.add(grad_feature, d_feature, out=d_feature)
+    np.add.reduce(d_feature, axis=0, out=grads.b2)
+    np.matmul(d_feature.T, cache.hidden, out=grads.w2)
+    np.matmul(d_feature, params.w2, out=d_hidden)
+    np.greater(cache.hidden_pre, 0.0, out=active)
+    np.multiply(d_hidden, active, out=d_hidden)
+    np.add.reduce(d_hidden, axis=0, out=grads.b1)
+    np.matmul(d_hidden.T, cache.x, out=grads.w1)
 
 
 def backward_batch(cache: ForwardCache, grad_logits: np.ndarray,
@@ -129,15 +202,11 @@ def backward_batch(cache: ForwardCache, grad_logits: np.ndarray,
     if grad_feature.shape != cache.feature.shape:
         raise InputError(
             f"grad_feature shape {grad_feature.shape} != feature shape {cache.feature.shape}")
-    d_phi = cache.feature.T @ grad_logits
-    d_f = grad_feature + grad_logits @ params.phi.T
-    d_b2 = d_f.sum(axis=0)
-    d_w2 = d_f.T @ cache.hidden
-    d_h = d_f @ params.w2
-    d_a1 = d_h * (cache.hidden_pre > 0.0)
-    d_b1 = d_a1.sum(axis=0)
-    d_w1 = d_a1.T @ cache.x
-    return ModelParams(d_w1, d_b1, d_w2, d_b2, d_phi)
+    grads = ModelParams(*(np.empty_like(a) for a in params.arrays().values()))
+    backward_into(cache, grad_logits, grad_feature, params, grads,
+                  np.empty_like(cache.feature), np.empty_like(cache.hidden),
+                  np.empty(cache.hidden.shape, dtype=bool))
+    return grads
 
 
 def softmax(o: np.ndarray) -> np.ndarray:
@@ -147,28 +216,50 @@ def softmax(o: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def cross_entropy_into(o: np.ndarray, y: np.ndarray, shifted: np.ndarray,
+                       log_norm: np.ndarray, grad: np.ndarray) -> float:
+    """Summed cross-entropy of logit rows o against labels y; the logit gradient goes into grad.
+
+    shifted is shaped like o and log_norm is (B, 1), both scratch; y is not checked.
+    """
+    np.maximum.reduce(o, axis=1, keepdims=True, out=log_norm)
+    np.subtract(o, log_norm, out=shifted)
+    np.exp(shifted, out=grad)
+    np.add.reduce(grad, axis=1, keepdims=True, out=log_norm)
+    np.log(log_norm, out=log_norm)
+    rows = np.arange(len(y))
+    loss = float(np.add.reduce(log_norm[:, 0] - shifted[rows, y]))
+    np.subtract(shifted, log_norm, out=grad)
+    np.exp(grad, out=grad)
+    grad[rows, y] -= 1.0
+    return loss
+
+
 def softmax_cross_entropy_batch(o: np.ndarray, y: np.ndarray):
     """Summed cross-entropy over a batch of logit rows; returns (loss, grad_o)."""
     o = np.asarray(o, dtype=float)
     y = np.asarray(y, dtype=int)
     if np.any(y < 0) or np.any(y >= o.shape[1]):
         raise InputError("class index out of range")
-    z = o - np.max(o, axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    rows = np.arange(o.shape[0])
-    loss = float(np.sum(log_norm[rows, 0] - z[rows, y]))
-    grad = np.exp(z - log_norm)
-    grad[rows, y] -= 1.0
+    grad = np.empty_like(o)
+    loss = cross_entropy_into(o, y, np.empty_like(o), np.empty((o.shape[0], 1)), grad)
     return loss, grad
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient step p <- p - lr*g; returns a new parameter record."""
+    stepped = params.copy()
+    sgd_step_in_place(stepped, grads.copy(), lr)
+    return stepped
+
+
+def sgd_step_in_place(params: ModelParams, grads: ModelParams, lr: float) -> None:
+    """The step p <- p - lr*g on params itself; grads is scaled by lr in place."""
     if lr <= 0:
         raise InputError(f"learning rate must be positive, got {lr}")
-    return ModelParams(params.w1 - lr * grads.w1, params.b1 - lr * grads.b1,
-                       params.w2 - lr * grads.w2, params.b2 - lr * grads.b2,
-                       params.phi - lr * grads.phi)
+    for p, g in zip(params.arrays().values(), grads.arrays().values()):
+        g *= lr
+        p -= g
 
 
 def expand_output_layer(params: ModelParams, added: int, seed: int) -> ModelParams:

@@ -143,16 +143,37 @@ def _distillation_term(feat, logits, logits_hat, t_distill, n_old):
     return float(-np.sum(tau_hat * log_tau)), np.zeros_like(feat), grad_logits
 
 
-def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_max):
-    """Min-max loss; rows are the batch (labels y), then f(z_j) of new_nodes."""
-    n = len(y)
-    grad_feat = np.zeros_like(feat)
-    match = np.empty(n, dtype=int)
+@dataclass(frozen=True)
+class _MinMaxIndex:
+    """The min-max term's index sets for one batch over a graph's labels and origins."""
+
+    batch: int            # batch rows; the rows of this session's nodes follow them
+    groups: tuple         # (batch rows, nodes) per batch label, labels ascending
+    cross: np.ndarray     # (N, N) bool: the two nodes carry different labels
+    node_row: np.ndarray  # (N,) the row of each node of this session
+    is_new: np.ndarray    # (N,) bool: the node was inserted this session
+
+
+def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
+    y = np.asarray(y, dtype=int)
+    groups = []
     for label in np.unique(y):
-        rows = np.flatnonzero(y == label)
         nodes = np.flatnonzero(graph.labels == label)
         if nodes.size == 0:
             raise StateError(f"no node carries batch label {label}")
+        groups.append((np.flatnonzero(y == label), nodes))
+    is_new = graph.origins == graph.session
+    node_row = len(y) + np.searchsorted(np.flatnonzero(is_new), np.arange(len(graph)))
+    return _MinMaxIndex(len(y), tuple(groups), graph.labels[:, None] != graph.labels,
+                        node_row, is_new)
+
+
+def _min_max_term(feat, logits, graph, index, xi, include_min, include_max):
+    """Min-max loss; rows are the batch, then f(z_j) of this session's nodes."""
+    n = index.batch
+    grad_feat = np.zeros_like(feat)
+    match = np.empty(n, dtype=int)
+    for rows, nodes in index.groups:
         match[rows] = nodes[nearest(feat[rows], graph.centroids[nodes])[0]]
     loss = 0.0
     if include_min:
@@ -163,12 +184,14 @@ def _min_max_term(feat, logits, y, graph, new_nodes, xi, include_min, include_ma
     if include_max:
         # A sample's hinge depends only on its matched node j (labels[j] == y),
         # so each distinct j is evaluated once, weighted by its match count.
-        nodes, counts = np.unique(match, return_counts=True)
-        row = n + np.searchsorted(new_nodes, nodes)
-        is_new = graph.origins[nodes] == graph.session
+        counts = np.bincount(match, minlength=len(graph))
+        nodes = np.flatnonzero(counts)
+        counts = counts[nodes]
+        row = index.node_row[nodes]
+        is_new = index.is_new[nodes]
         m = graph.centroids[nodes]
         m[is_new] = feat[row[is_new]]
-        pair, other = np.nonzero((graph.ages[nodes] > 0) & (graph.labels != graph.labels[nodes, None]))
+        pair, other = np.nonzero((graph.ages[nodes] > 0) & index.cross[nodes])
         gap = m[pair] - graph.centroids[other]
         d = np.linalg.norm(gap, axis=1)
         hit = d < xi
@@ -244,8 +267,8 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
         raise StateError("min-max loss needs a graph")
     new_nodes = np.flatnonzero(graph.origins == graph.session)
     x = np.concatenate([batch_x, graph.pseudo_inputs[new_nodes]])
-    return _through_model(x, params, _min_max_term,
-                          np.asarray(batch_y), graph, new_nodes, xi, include_min, include_max)
+    return _through_model(x, params, _min_max_term, graph, _min_max_index(batch_y, graph),
+                          xi, include_min, include_max)
 
 
 def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
@@ -260,18 +283,34 @@ def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
                           t_distill, n_old)
 
 
-def total_loss(batch, graph: NGGraph | None, params: ModelParams,
-               exemplars: ExemplarSet | None, hp: HyperParams, method: str, *,
-               old_params: ModelParams | None = None, n_old: int | None = None,
-               xi: float | None = None):
-    """Compose the terms METHODS[method] selects in one pass over stacked rows.
+@dataclass(frozen=True)
+class SessionPlan:
+    """What one incremental session's loss reads that stays fixed across its steps.
 
-    batch is (inputs, labels).  The rows are the batch, the stored exemplars,
-    then node pseudo inputs (old nodes to anchor, this session's nodes to
-    push).  One forward_batch feeds every term; their row gradients, weighted
-    1 (CE), lambda1 (anchor), lambda2 (min-max, margin xi) and gamma
-    (distillation against the frozen snapshot on batch + exemplar rows), go
-    through one backward_batch.  Cross-entropy covers the batch alone.
+    x stacks the rows one forward pass covers: the batch, the stored
+    exemplars, then the pseudo inputs of the old nodes to anchor and of this
+    session's nodes to push.  terms lists (weight, rows, term, context) in the
+    order their gradients are summed; the contexts hold the batch labels, the
+    anchor targets and inverse variances, the min-max index sets and the
+    frozen snapshot's logits.  The min-max context holds the graph itself,
+    whose centroids and edges the term reads at each step.
+    """
+
+    x: np.ndarray
+    terms: tuple
+
+
+def plan_session(batch, graph: NGGraph | None, exemplars: ExemplarSet | None,
+                 hp: HyperParams, method: str, *, old_params: ModelParams | None = None,
+                 n_old: int | None = None, xi: float | None = None) -> SessionPlan:
+    """The SessionPlan of METHODS[method] for batch (inputs, labels) over graph and exemplars.
+
+    The plan holds while the graph keeps its nodes' labels, origins and pseudo
+    inputs and its old nodes' centroids and variances, as it does through one
+    session's steps: they move only this session's centroids and the edges.
+    Terms are weighted 1 (CE on the batch), lambda1 (anchor), lambda2 (min-max,
+    margin xi) and gamma (distillation against the frozen snapshot old_params
+    on batch + exemplar rows).
     """
     spec = method_spec(method)
     if spec.reads_graph and graph is None:
@@ -295,18 +334,26 @@ def total_loss(batch, graph: NGGraph | None, params: ModelParams,
         if margin is None:
             raise InputError("min-max methods need the margin xi")
         terms.append((hp.lambda2, np.r_[batch_rows, new_rows], _min_max_term,
-                      (batch_y, graph, new, margin, True, True)))
+                      (graph, _min_max_index(batch_y, graph), margin, True, True)))
     if spec.distill:
         if old_params is None or n_old is None:
             raise StateError("distillation methods need the frozen snapshot and n_old")
         dl = slice(0, store_rows.stop)
         terms.append((hp.gamma, dl, _distillation_term,
                       (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
+    return SessionPlan(x, tuple(terms))
 
-    feat, logits, cache = forward_batch(x, params)
+
+def total_loss(plan: SessionPlan, params: ModelParams):
+    """The plan's composed loss at params and its graph's current state.
+
+    One forward_batch over plan.x feeds every term; their row gradients,
+    weighted, go through one backward_batch.  Returns (loss, gradients).
+    """
+    feat, logits, cache = forward_batch(plan.x, params)
     loss = 0.0
     grad_feat, grad_logits = np.zeros_like(feat), np.zeros_like(logits)
-    for scale, rows, term, context in terms:
+    for scale, rows, term, context in plan.terms:
         value, g_feat, g_logits = term(feat[rows], logits[rows], *context)
         loss += scale * value
         grad_feat[rows] += scale * g_feat

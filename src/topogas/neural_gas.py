@@ -41,7 +41,8 @@ NEAREST_BLOCK = 1 << 11
 # screened 20 us per row at 40 x 8, 29 vs 21 at 128 x 8, 57 vs 29 at 195 x 32,
 # 95 vs 37 at 400 x 32.
 SCREEN_MIN = 2048
-# Most row x node (or query x ref) products one block of a screen holds.
+# Most row x node (or query x ref) products one block of a screen holds; a
+# winner search's block may also hold as many products as its refs hold numbers.
 SCREEN_BLOCK = 1 << 14
 # Headroom of the screen's bound over the worst-case rounding error, and the
 # squared norm from which rows or centroids are too large to screen or certify.
@@ -102,7 +103,9 @@ def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
     """
     bound = 2.0 * _screen_bound(queries.shape[1], q_sq.max(), r_sq.max())
     index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
-    step = max(1, SCREEN_BLOCK // len(refs))
+    # A block's products may also fill as many numbers as the refs hold, so a
+    # block takes several query rows even when one row's products exceed SCREEN_BLOCK.
+    step = max(1, max(SCREEN_BLOCK, refs.size) // len(refs))
     for start in range(0, len(queries), step):
         block = slice(start, start + step)
         h = (-2.0 * queries[block]) @ refs.T
@@ -197,6 +200,10 @@ class NGGraph:
         self.eps_var = float(eps_var)
         self.session = int(session)
         self.ages = np.zeros((n, n), dtype=int) if ages is None else np.asarray(ages, dtype=int)
+        mismatched = self._mismatched_array()
+        if mismatched is not None:
+            raise InputError(f"{mismatched} of shape {getattr(self, mismatched).shape} "
+                             f"does not match the {n} centroids")
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
@@ -492,8 +499,24 @@ class NGGraph:
             raise InputError("quantization error needs at least one feature")
         return float(nearest(features, self.centroids)[1].mean())
 
+    def _mismatched_array(self) -> str | None:
+        """The first per-node array without one row per node, or None.
+
+        variances and pseudo_inputs are (N, ...), labels and origins (N,), ages (N, N).
+        """
+        n = len(self)
+        for name, ndim in (("variances", 2), ("pseudo_inputs", 2), ("labels", 1),
+                           ("origins", 1), ("ages", 2)):
+            shape = getattr(self, name).shape
+            if len(shape) != ndim or shape[0] != n or name == "ages" and shape[1] != n:
+                return name
+        return None
+
     def check_invariants(self) -> None:
-        """Raise StateError if symmetry, diagonal, lifetime or floor invariants fail."""
+        """Raise StateError if shape, symmetry, diagonal, lifetime or floor invariants fail."""
+        mismatched = self._mismatched_array()
+        if mismatched is not None:
+            raise StateError(f"{mismatched} does not have one row per node")
         if not np.array_equal(self.ages, self.ages.T):
             raise StateError("age matrix is not symmetric")
         if np.any(np.diag(self.ages)):

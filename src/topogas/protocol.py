@@ -11,12 +11,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InputError
-# `forward` stays bound here because the perfbench tracer patches protocol.forward.
-from .feature_model import (ModelParams, expand_output_layer, forward,  # noqa: F401
-                            forward_batch, init_params, sgd_step,
-                            softmax_cross_entropy_batch, backward_batch)
-from .losses import (METHODS, ExemplarSet, HyperParams, method_spec, total_loss,
-                     xi_heuristic)
+# `forward`, `backward_batch` and `softmax_cross_entropy_batch` stay bound here
+# because the perfbench tracer patches them in this namespace.
+from .feature_model import (ModelParams, StepBuffers, backward_batch,  # noqa: F401
+                            backward_into, cross_entropy_into, expand_output_layer,
+                            forward, forward_batch, forward_into, init_params,
+                            sgd_step, sgd_step_in_place, softmax_cross_entropy_batch)
+from .losses import (METHODS, ExemplarSet, HyperParams, method_spec, plan_session,
+                     total_loss, xi_heuristic)
 from .neural_gas import NGGraph, init_graph, train_on_features
 
 BASE_BATCH_SIZE = 128
@@ -138,21 +140,42 @@ def _lr_at(epoch: int, total_epochs: int, base_lr: float) -> float:
 def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
                          epochs: int, base_lr: float, seed: int,
                          context: str) -> ModelParams:
-    """Mini-batch SGD on mean cross-entropy with the step-drop schedule."""
-    rng = np.random.default_rng([seed, 0xCE])
+    """Mini-batch SGD on mean cross-entropy with the step-drop schedule.
+
+    Widths and labels are checked once, before the first step.  The steps then
+    reuse one StepBuffers and update a copy of params in place; params itself
+    is never changed.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=int)
     n = x.shape[0]
+    if x.ndim != 2 or x.shape[1] != params.input_dim or y.shape != (n,):
+        raise InputError(f"{context}: expected inputs of width {params.input_dim} and one "
+                         f"label per row, got shapes {x.shape} and {y.shape}")
+    if np.any(y < 0) or np.any(y >= params.class_count):
+        raise InputError(f"{context}: class index out of range")
+    rng = np.random.default_rng([seed, 0xCE])
+    params = params.copy()
+    # One record per batch size: full batches, and each epoch's shorter last batch.
+    buffers = {rows: StepBuffers.allocate(params, rows)
+               for rows in {min(n, BASE_BATCH_SIZE), n % BASE_BATCH_SIZE} - {0}}
     for epoch in range(epochs):
         lr = _lr_at(epoch, epochs, base_lr)
         order = rng.permutation(n)
         for start in range(0, n, BASE_BATCH_SIZE):
             take = order[start:start + BASE_BATCH_SIZE]
-            feat, logits, cache = forward_batch(x[take], params)
-            loss, grad_logits = softmax_cross_entropy_batch(logits, y[take])
+            buf = buffers[take.size]
+            # mode="clip" writes straight into the buffer; the indices are in range.
+            np.take(x, take, axis=0, out=buf.cache.x, mode="clip")
+            np.take(y, take, out=buf.labels, mode="clip")
+            forward_into(params, buf.cache)
+            loss = cross_entropy_into(buf.cache.logits, buf.labels, buf.shifted,
+                                      buf.log_norm, buf.grad_logits)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss during {context}, epoch {epoch}")
-            grads = backward_batch(cache, grad_logits / take.size,
-                                   np.zeros_like(feat), params)
-            params = sgd_step(params, grads, lr)
+            buf.grad_logits /= take.size
+            backward_into(buf.cache, buf.grad_logits, buf.no_grad_feature, params, buf.grads,
+                          buf.d_feature, buf.d_hidden, buf.active)
+            sgd_step_in_place(params, buf.grads, lr)
     return params
 
 
@@ -223,10 +246,10 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
             xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
         updatable = graph.origins == session.index
 
-    batch = (session.train_x, session.train_y)
+    plan = plan_session((session.train_x, session.train_y), graph, exemplars, hp, method,
+                        old_params=old_params, n_old=n_old, xi=xi)
     for iteration in range(hp.inc_epochs):
-        loss, grads = total_loss(batch, graph, params, exemplars, hp, method,
-                                 old_params=old_params, n_old=n_old, xi=xi)
+        loss, grads = total_loss(plan, params)
         if not np.isfinite(loss):
             raise DivergenceError(
                 f"non-finite loss at session {session.index}, iteration {iteration}")

@@ -4,7 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topogas import DivergenceError, InputError, ModelParams
+from topogas import (DivergenceError, InputError, ModelParams, StateError, backward_batch,
+                     forward_batch, sgd_step, softmax_cross_entropy_batch)
+from topogas.losses import (_anchor_term, _cross_entropy_term, _distillation_term,
+                            _exemplar_anchors, _graph_anchors, method_spec)
+from topogas.neural_gas import nearest as batch_nearest
+from topogas.protocol import BASE_BATCH_SIZE, _lr_at
 
 FD_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
@@ -65,6 +70,101 @@ def finite_difference_check(loss_evaluator, params: ModelParams,
         per_parameter[name] = worst
     max_error = max(per_parameter.values())
     return GradReport(per_parameter, max_error, tol, max_error < tol)
+
+
+def train_cross_entropy(params, x, y, epochs, base_lr, seed, context):
+    """Mini-batch SGD on mean cross-entropy composed from the checked per-batch passes:
+    forward_batch, softmax_cross_entropy_batch, backward_batch, then sgd_step."""
+    rng = np.random.default_rng([seed, 0xCE])
+    n = x.shape[0]
+    for epoch in range(epochs):
+        lr = _lr_at(epoch, epochs, base_lr)
+        order = rng.permutation(n)
+        for start in range(0, n, BASE_BATCH_SIZE):
+            take = order[start:start + BASE_BATCH_SIZE]
+            feat, logits, cache = forward_batch(x[take], params)
+            loss, grad_logits = softmax_cross_entropy_batch(logits, y[take])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss during {context}, epoch {epoch}")
+            grads = backward_batch(cache, grad_logits / take.size,
+                                   np.zeros_like(feat), params)
+            params = sgd_step(params, grads, lr)
+    return params
+
+
+def min_max_term(feat, logits, y, graph, new_nodes, xi):
+    """The min-max term with its index sets rebuilt from y and the graph on every call;
+    rows are the batch (labels y), then f(z_j) of new_nodes."""
+    n = len(y)
+    grad_feat = np.zeros_like(feat)
+    match = np.empty(n, dtype=int)
+    for label in np.unique(y):
+        rows = np.flatnonzero(y == label)
+        nodes = np.flatnonzero(graph.labels == label)
+        if nodes.size == 0:
+            raise StateError(f"no node carries batch label {label}")
+        match[rows] = nodes[batch_nearest(feat[rows], graph.centroids[nodes])[0]]
+    diff = feat[:n] - graph.centroids[match]
+    d = np.linalg.norm(diff, axis=1)
+    loss = float(d.sum())
+    np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
+    nodes, counts = np.unique(match, return_counts=True)
+    row = n + np.searchsorted(new_nodes, nodes)
+    is_new = graph.origins[nodes] == graph.session
+    m = graph.centroids[nodes]
+    m[is_new] = feat[row[is_new]]
+    pair, other = np.nonzero((graph.ages[nodes] > 0) & (graph.labels != graph.labels[nodes, None]))
+    gap = m[pair] - graph.centroids[other]
+    d = np.linalg.norm(gap, axis=1)
+    hit = d < xi
+    loss += float(counts[pair[hit]] @ (xi - d[hit]))
+    push = hit & is_new[pair] & (d > 0.0)
+    np.subtract.at(grad_feat, row[pair[push]],
+                   counts[pair[push], None] * gap[push] / d[push, None])
+    return loss, grad_feat, np.zeros_like(logits)
+
+
+def total_loss(batch, graph, params, exemplars, hp, method, *, old_params=None, n_old=None,
+               xi=None):
+    """The composed incremental loss with every row, target and index set rebuilt per call:
+    the batch, the stored exemplars, then the old and this session's node pseudo inputs."""
+    spec = method_spec(method)
+    if spec.reads_graph and graph is None:
+        raise StateError(f"method {method!r} requires a neural-gas graph")
+    batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
+    empty = batch_x[:0]
+    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else empty
+    z = graph.pseudo_inputs if spec.reads_graph else empty
+    old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
+    new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
+    x = np.concatenate([batch_x, store, z[old], z[new]])
+    ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
+    batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
+    terms = [(1.0, batch_rows, _cross_entropy_term, (batch_y,))]
+    if spec.anchor == "exemplar":
+        terms.append((hp.lambda1, store_rows, _anchor_term, _exemplar_anchors(exemplars)))
+    if spec.anchor == "graph":
+        terms.append((hp.lambda1, old_rows, _anchor_term, _graph_anchors(graph, old)))
+    if spec.min_max:
+        margin = xi if xi is not None else hp.xi
+        terms.append((hp.lambda2, np.r_[batch_rows, new_rows], min_max_term,
+                      (batch_y, graph, new, margin)))
+    if spec.distill:
+        if old_params is None or n_old is None:
+            raise StateError("distillation methods need the frozen snapshot and n_old")
+        dl = slice(0, store_rows.stop)
+        terms.append((hp.gamma, dl, _distillation_term,
+                      (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
+
+    feat, logits, cache = forward_batch(x, params)
+    loss = 0.0
+    grad_feat, grad_logits = np.zeros_like(feat), np.zeros_like(logits)
+    for scale, rows, term, context in terms:
+        value, g_feat, g_logits = term(feat[rows], logits[rows], *context)
+        loss += scale * value
+        grad_feat[rows] += scale * g_feat
+        grad_logits[rows] += scale * g_logits
+    return float(loss), backward_batch(cache, grad_logits, grad_feat, params)
 
 
 def softmax_cross_entropy(o: np.ndarray, y: int):

@@ -13,7 +13,7 @@ import pytest
 from oracles import finite_difference_check
 from topogas import (HyperParams, NGGraph, anchor_loss, distillation_loss,
                      expand_output_layer, forward_batch, init_graph, init_params,
-                     make_synthetic_stream, min_max_loss, parse_config,
+                     make_synthetic_stream, min_max_loss, parse_config, plan_session,
                      run_experiment, run_method, total_loss,
                      train_on_features, xi_heuristic)
 from topogas.feature_model import backward_batch, softmax_cross_entropy_batch
@@ -65,6 +65,7 @@ def test_criterion_1_gradient_suite():
     for seed in range(20):
         params, graph, bx, by, old = random_loss_world(seed)
         xi = xi_heuristic(graph) * 1.2
+        plan = plan_session((bx, by), graph, None, hp, "topic_al_mml", xi=xi)
 
         def ce(p):
             feat, logits, cache = forward_batch(bx, p)
@@ -79,8 +80,7 @@ def test_criterion_1_gradient_suite():
             "mml_max": lambda p: min_max_loss(bx, by, graph, p, xi,
                                               include_min=False),
             "dl": lambda p: distillation_loss(bx, old, p, hp.t_distill, 4),
-            "objective": lambda p: total_loss((bx, by), graph, p, None, hp,
-                                              "topic_al_mml", xi=xi),
+            "objective": lambda p: total_loss(plan, p),
         }
         for name, evaluator in evaluators.items():
             rep = finite_difference_check(evaluator, params, tol=GRAD_TOL)

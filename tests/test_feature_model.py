@@ -216,6 +216,24 @@ def test_backward_batch_sums_per_sample_grads():
         assert np.allclose(arr, summed.arrays()[name], atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0, 1e150])
+def test_norm_and_clipped_equal_the_summed_generator_bit_for_bit(scale):
+    rng = np.random.default_rng(12)
+    for seed in range(5):
+        params = small_params(seed=seed, input_dim=7, hidden_dim=5, classes=6)
+        params = ModelParams(*(scale * (a + rng.normal(size=a.shape))
+                               for a in params.arrays().values()))
+        old_norm = float(np.sqrt(sum(float(np.sum(a * a)) for a in params.arrays().values())))
+        assert params.norm() == old_norm
+        for max_norm in (0.5 * old_norm, old_norm, 2.0 * old_norm):
+            s = max_norm / old_norm
+            expected = params if old_norm <= max_norm else ModelParams(
+                *(a * s for a in params.arrays().values()))
+            clipped = params.clipped(max_norm)
+            for name, arr in clipped.arrays().items():
+                assert arr.tobytes() == expected.arrays()[name].tobytes(), (scale, name)
+
+
 # -- SGD and expansion --------------------------------------------------------
 
 def test_sgd_zero_grads_leave_params_unchanged():

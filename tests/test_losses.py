@@ -7,7 +7,7 @@ import pytest
 from oracles import add_scaled, finite_difference_check
 from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
                      StateError, anchor_loss, distillation_loss, forward,
-                     forward_batch, init_params, min_max_loss, softmax,
+                     forward_batch, init_params, min_max_loss, plan_session, softmax,
                      total_loss, xi_heuristic)
 from topogas.feature_model import ModelParams, backward_batch
 
@@ -436,8 +436,8 @@ def test_total_loss_zero_weights_reduce_to_cross_entropy():
     rng = np.random.default_rng(29)
     bx, by = random_batch(rng)
     hp = HyperParams(lambda1=0.0, lambda2=0.0)
-    loss_al, _ = total_loss((bx, by), g, params, None, hp, "topic_al")
-    loss_ft, _ = total_loss((bx, by), None, params, None, hp, "ft")
+    loss_al, _ = total_loss(plan_session((bx, by), g, None, hp, "topic_al"), params)
+    loss_ft, _ = total_loss(plan_session((bx, by), None, None, hp, "ft"), params)
     assert loss_al == pytest.approx(loss_ft, rel=1e-12)
 
 
@@ -476,8 +476,8 @@ def test_total_loss_weighted_sum_matches_term_by_term():
                                            hp.t_distill, 4)),
     }
     for method, names in TAG_TERMS.items():
-        loss, grads = total_loss((bx, by), g, params, store, hp, method,
-                                 old_params=old, n_old=4, xi=xi)
+        plan = plan_session((bx, by), g, store, hp, method, old_params=old, n_old=4, xi=xi)
+        loss, grads = total_loss(plan, params)
         expected = ce
         recomposed = backward_batch(cache, grad_o, np.zeros_like(feat), params)
         for name in names:
@@ -495,9 +495,9 @@ def test_total_loss_is_linear_in_lambda1():
     g.centroids += 0.3
     rng = np.random.default_rng(35)
     bx, by = random_batch(rng)
-    base, _ = total_loss((bx, by), g, params, None, HyperParams(lambda1=0.0), "topic_al")
-    one, _ = total_loss((bx, by), g, params, None, HyperParams(lambda1=1.0), "topic_al")
-    half, _ = total_loss((bx, by), g, params, None, HyperParams(lambda1=0.5), "topic_al")
+    base, one, half = (total_loss(plan_session((bx, by), g, None, HyperParams(lambda1=w),
+                                               "topic_al"), params)[0]
+                       for w in (0.0, 1.0, 0.5))
     assert one - base == pytest.approx(2.0 * (half - base), rel=1e-9)
 
 
@@ -509,15 +509,13 @@ def test_reads_graph_is_true_for_exactly_the_topic_methods():
 def test_total_loss_graph_method_requires_graph():
     params = make_params()
     with pytest.raises(StateError):
-        total_loss((np.zeros((1, 3)), np.array([0])), None, params, None,
-                   HyperParams(), "topic_al")
+        plan_session((np.zeros((1, 3)), np.array([0])), None, None, HyperParams(), "topic_al")
 
 
 def test_total_loss_rejects_unknown_method():
     params = make_params()
     with pytest.raises(InputError):
-        total_loss((np.zeros((1, 3)), np.array([0])), None, params, None,
-                   HyperParams(), "magic")
+        plan_session((np.zeros((1, 3)), np.array([0])), None, None, HyperParams(), "magic")
 
 
 def test_total_loss_exemplar_anchor_identity_weighting():
@@ -529,8 +527,8 @@ def test_total_loss_exemplar_anchor_identity_weighting():
     store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.5)
     bx, by = random_batch(rng, n=2)
     hp = HyperParams()
-    loss, _ = total_loss((bx, by), None, params, store, hp, "exemplar_anchor")
-    loss_ft, _ = total_loss((bx, by), None, params, None, hp, "ft")
+    loss, _ = total_loss(plan_session((bx, by), None, store, hp, "exemplar_anchor"), params)
+    loss_ft, _ = total_loss(plan_session((bx, by), None, None, hp, "ft"), params)
     feats = forward_batch(store.inputs, params)[0]
     expected = sum(float(np.sum((feats[i] - store.features[i]) ** 2))
                    for i in range(3))
@@ -540,8 +538,8 @@ def test_total_loss_exemplar_anchor_identity_weighting():
 def test_total_loss_exemplar_anchor_requires_store():
     params = make_params()
     with pytest.raises(StateError):
-        total_loss((np.zeros((1, 3)), np.array([0])), None, params, None,
-                   HyperParams(), "exemplar_anchor")
+        plan_session((np.zeros((1, 3)), np.array([0])), None, None, HyperParams(),
+                     "exemplar_anchor")
 
 
 def test_total_loss_exemplar_anchor_requires_refreshed_features_after_add():
@@ -551,11 +549,11 @@ def test_total_loss_exemplar_anchor_requires_refreshed_features_after_add():
     store.add(rng.normal(size=(2, 3)))
     store.refresh_features(lambda x: forward_batch(x, params)[0])
     batch = random_batch(rng, n=2)
-    total_loss(batch, None, params, store, HyperParams(), "exemplar_anchor")
+    total_loss(plan_session(batch, None, store, HyperParams(), "exemplar_anchor"), params)
     store.add(rng.normal(size=(1, 3)))
     assert len(store) == 3 and store.features is None
     with pytest.raises(StateError, match="refresh"):
-        total_loss(batch, None, params, store, HyperParams(), "exemplar_anchor")
+        plan_session(batch, None, store, HyperParams(), "exemplar_anchor")
 
 
 @pytest.mark.parametrize("rows", [np.zeros(3), np.zeros((1, 4)), np.zeros((1, 1, 3))])
@@ -570,8 +568,8 @@ def test_exemplar_add_rejects_rows_that_are_not_a_block_of_the_store_width(rows)
 def test_total_loss_distill_requires_snapshot():
     params = make_params()
     with pytest.raises(StateError):
-        total_loss((np.zeros((1, 3)), np.array([0])), None, params,
-                   ExemplarSet(), HyperParams(), "distill")
+        plan_session((np.zeros((1, 3)), np.array([0])), None, ExemplarSet(), HyperParams(),
+                     "distill")
 
 
 def test_total_loss_distill_includes_exemplars_in_dl_term():
@@ -582,10 +580,9 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
     store = ExemplarSet()
     store.add(rng.normal(size=(1, 3)))
     hp = HyperParams()
-    with_p, _ = total_loss((bx, by), None, params, store, hp, "distill",
-                           old_params=old, n_old=4)
-    without_p, _ = total_loss((bx, by), None, params, None, hp, "distill",
-                              old_params=old, n_old=4)
+    with_p, without_p = (total_loss(plan_session((bx, by), None, exemplars, hp, "distill",
+                                                 old_params=old, n_old=4), params)[0]
+                         for exemplars in (store, None))
     dl_extra, _ = distillation_loss(store.inputs, old, params,
                                     hp.t_distill, 4)
     assert with_p - without_p == pytest.approx(dl_extra, rel=1e-9)

@@ -592,6 +592,37 @@ def test_init_graph_rejects_rows_that_do_not_pair_up(short):
         init_graph(feats, args["inputs"], args["labels"], 2, 200, EPS, seed=0)
 
 
+def node_arrays(n=3):
+    """Arguments of a valid n-node graph: centroids, variances, pseudo inputs, labels,
+    origins, lifetime, eps_var."""
+    return [np.zeros((n, 2)), np.full((n, 2), EPS), np.zeros((n, 4)), np.zeros(n, dtype=int),
+            np.ones(n, dtype=int), 5, EPS]
+
+
+@pytest.mark.parametrize("name, position, short", [
+    ("variances", 1, np.full((2, 2), EPS)), ("pseudo_inputs", 2, np.zeros((2, 4))),
+    ("labels", 3, np.zeros(2, dtype=int)), ("origins", 4, np.ones(2, dtype=int)),
+    ("labels", 3, np.zeros((3, 1), dtype=int)), ("ages", None, np.zeros((3, 2), dtype=int)),
+    ("ages", None, np.zeros((2, 2), dtype=int))])
+def test_graph_rejects_per_node_arrays_of_another_node_count(name, position, short):
+    args, kwargs = node_arrays(), {}
+    if position is None:
+        kwargs[name] = short
+    else:
+        args[position] = short
+    with pytest.raises(InputError, match=name):
+        NGGraph(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["variances", "pseudo_inputs", "labels", "origins", "ages"])
+def test_invariants_flag_a_per_node_array_that_lost_a_row(name):
+    g = NGGraph(*node_arrays())
+    g.check_invariants()
+    setattr(g, name, getattr(g, name)[:2])
+    with pytest.raises(StateError, match=name):
+        g.check_invariants()
+
+
 def test_training_single_node_contracts_geometrically():
     # Closed form: the winner moves by eta*exp(-1/alpha) of the gap per
     # presentation, so the distance shrinks by that fixed factor.
@@ -887,7 +918,7 @@ def test_nearest_matches_per_row_oracle_on_both_sides(case, side, monkeypatch):
         return screened(*args)
 
     monkeypatch.setattr(neural_gas, "_nearest_screened", spy)
-    for block in (1, 40, 1 << 14):  # screened blocks of one query row, a few, all
+    for block in (1, 60, 1 << 14):  # screened blocks of 2 query rows (the refs' width), 3, all
         monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
         for seed in range(3):
             queries, refs = nearest_case(case, seed)
@@ -899,6 +930,23 @@ def test_nearest_matches_per_row_oracle_on_both_sides(case, side, monkeypatch):
                     dists = [math.dist(q, r) for r in refs]
                     assert i == min(range(len(refs)), key=lambda j: (dists[j], j))
     assert len(calls) == (9 if side == "screened" and case != "norms_2^1000" else 0)
+
+
+def test_screened_search_blocks_several_query_rows_whatever_the_ref_count(monkeypatch):
+    rng = np.random.default_rng(0x5B)
+    refs = np.round(rng.normal(size=(3000, 4)), 1)  # coarse values: near ties in every block
+    queries = refs[rng.choice(len(refs), size=10)] + np.round(rng.normal(size=(10, 4)), 1) / 8
+    expected = oracles.nearest(queries, refs)
+    exact, blocks = neural_gas._exact_distances, {}
+    for block in (1, 1 << 14, 3 * 10 ** 4):  # rows per block: the refs' width 4, then 5, all 10
+        calls = []  # the screen computes exact distances once per block
+        monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
+        monkeypatch.setattr(neural_gas, "_exact_distances",
+                            lambda f, r: calls.append(len(f)) or exact(f, r))
+        index, dist = nearest(queries, refs)
+        assert same_bits(index, expected[0]) and same_bits(dist, expected[1]), block
+        blocks[block] = len(calls)
+    assert blocks == {1: 3, 1 << 14: 2, 3 * 10 ** 4: 1}
 
 
 @settings(max_examples=150, deadline=None)

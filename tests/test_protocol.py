@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import confusion_matrix
-from topogas import (ExemplarSet, HyperParams, InputError, ModelParams, NGGraph,
+from topogas import (METHODS, ExemplarSet, HyperParams, InputError, ModelParams, NGGraph,
                      Session, SessionStream, evaluate_joint, expand_output_layer,
-                     forward, forward_batch, make_synthetic_stream, run_method,
-                     total_loss, train_base_session, train_incremental_session)
+                     forward, forward_batch, init_params, make_synthetic_stream, plan_session,
+                     run_method, sgd_step, total_loss, train_base_session,
+                     train_incremental_session, xi_heuristic)
+from topogas import protocol
 from topogas.losses import anchor_loss
-from topogas.protocol import _balanced_union
+from topogas.protocol import BASE_BATCH_SIZE, _balanced_union, _train_cross_entropy
 
 DESK = dict(base_classes=10, new_classes=8, way=2, shot=5, input_dim=16,
             cluster_spread=0.55, train_per_base=100, test_per_class=100)
@@ -312,6 +315,80 @@ def test_graph_runs_never_compute_the_quantization_error(monkeypatch):
     assert calls == []
 
 
+def same_params(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.arrays().values(),
+                                                          b.arrays().values()))
+
+
+@pytest.mark.parametrize("rows", [50, 2 * BASE_BATCH_SIZE, 2 * BASE_BATCH_SIZE + 44])
+def test_cross_entropy_training_equals_the_composed_per_batch_trainer(rows):
+    rng = np.random.default_rng(rows)
+    x, y = rng.normal(size=(rows, 16)), rng.integers(0, 10, size=rows)
+    params = init_params(16, 32, 8, 10, seed=3)
+    before = params.copy()
+    trained = _train_cross_entropy(params, x, y, 4, 0.1, 7, "test")
+    assert same_params(trained, oracles.train_cross_entropy(params, x, y, 4, 0.1, 7, "test"))
+    assert same_params(params, before)
+
+
+@pytest.mark.parametrize("labels, shape", [([0, 10], None), ([-1, 3], None),
+                                           ([0, 1], (2, 15)), ([0, 1, 2], None)])
+def test_cross_entropy_training_rejects_bad_data_before_the_first_step(labels, shape,
+                                                                       monkeypatch):
+    monkeypatch.setattr(protocol, "forward_into", None)  # a step would raise TypeError
+    params = init_params(16, 32, 8, 10, seed=3)
+    before = params.copy()
+    x = np.ones(shape or (2, 16))
+    with pytest.raises(InputError):
+        _train_cross_entropy(params, x, np.array(labels), 2, 0.1, 7, "test")
+    assert same_params(params, before)
+
+
+# 5e-324 is the smallest subnormal: the schedule's first drop rounds it to 0.
+@pytest.mark.parametrize("base_lr", [0.0, -0.1, 5e-324])
+def test_cross_entropy_training_rejects_a_learning_rate_that_is_not_positive(base_lr):
+    params = init_params(16, 32, 8, 10, seed=3)
+    before = params.copy()
+    x = np.random.default_rng(3).normal(size=(5, 16))
+    with pytest.raises(InputError, match="learning rate"):
+        _train_cross_entropy(params, x, np.arange(5), 5, base_lr, 7, "test")
+    assert same_params(params, before)
+
+
+def second_session(seed):
+    """(hp, base params, expanded params, graph grown for session 2, session 2, store)."""
+    stream, hp = desk_stream(seed), small_hp(base_epochs=3, ng_passes=1)
+    old_params, graph = train_base_session(stream, hp, seed)
+    session = stream.session(2)
+    params = expand_output_layer(old_params, len(session.labels), seed=seed)
+    encode = lambda x: forward_batch(x, params)[0]
+    graph.grow({label: (encode(session.train_x[session.train_y == label]),
+                        session.train_x[session.train_y == label])
+                for label in session.labels}, 1, 2)
+    store = ExemplarSet()
+    store.add(stream.session(1).train_x[::97])
+    store.refresh_features(lambda x: encode(x) + 0.1)
+    return hp, old_params, params, graph, session, store
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_session_plan_equals_the_per_step_builder_over_a_session(method):
+    hp, old_params, params, graph, session, store = second_session(14)
+    graph.ages[:] = 0  # edges come only from this session's presentations
+    batch, xi = (session.train_x, session.train_y), xi_heuristic(graph)
+    g = graph if METHODS[method].reads_graph else None
+    context = dict(old_params=old_params, n_old=10, xi=xi)
+    plan = plan_session(batch, g, store, hp, method, **context)
+    for step in range(4):
+        loss, grads = total_loss(plan, params)
+        ref_loss, ref_grads = oracles.total_loss(batch, g, params, store, hp, method, **context)
+        assert loss == ref_loss and same_params(grads, ref_grads), step
+        params = sgd_step(params, grads.clipped(10.0), hp.inc_lr)
+        graph.present(forward_batch(session.train_x, params)[0], hp.eta, hp.alpha,
+                      graph.origins == 2)
+    assert np.count_nonzero(graph.ages) > 0
+
+
 @pytest.mark.parametrize("method", ["ft", "distill", "exemplar_anchor"])
 def test_graph_free_methods_do_not_read_the_graph(method):
     stream, hp = desk_stream(12), small_hp(base_epochs=3, ng_passes=1)
@@ -326,8 +403,8 @@ def test_graph_free_methods_do_not_read_the_graph(method):
     store.add(stream.session(1).train_x[::97])
     store.refresh_features(lambda x: encode(x) + 0.1)
     batch = (session.train_x, session.train_y)
-    with_graph, without = (total_loss(batch, g, params, store, hp, method,
-                                      old_params=old_params, n_old=10)
+    with_graph, without = (total_loss(plan_session(batch, g, store, hp, method,
+                                                   old_params=old_params, n_old=10), params)
                            for g in (graph, None))
     assert with_graph[0] == without[0]
     for name, array in with_graph[1].arrays().items():
