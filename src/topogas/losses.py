@@ -1,8 +1,9 @@
 """Loss terms for incremental training and their composition.
 
-Each term maps the features and logits of its rows to (loss, dL/dfeature,
-dL/dlogits); one backward pass carries those into the parameters.  Losses are
-sums over batch samples, graph nodes or exemplars, not means.
+Each term reads the rows of one output, features or logits, and returns (loss,
+gradient on those rows); `total_loss` adds the weighted gradients into the
+outputs' buffers for one backward pass.  Losses are sums over batch samples,
+graph nodes or exemplars, not means.
 """
 
 import math
@@ -14,7 +15,7 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
                             softmax, softmax_cross_entropy_batch)
-from .neural_gas import MAX_LIFETIME, NGGraph, max_distance, nearest
+from .neural_gas import MAX_LIFETIME, NGGraph, _rows_per_block, max_distance
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,15 @@ class ExemplarSet:
         self.features = np.array(encode(self.inputs), dtype=float)
 
 
-# -- terms: (features, logits) of their rows -> (loss, dL/dfeature, dL/dlogits)
+# -- terms: the rows of one output -> (loss, gradient on those rows)
 
-def _cross_entropy_term(feat, logits, y):
-    loss, grad_logits = softmax_cross_entropy_batch(logits, y)
-    return loss, np.zeros_like(feat), grad_logits
-
-
-def _anchor_term(feat, logits, m, inv_var):
+def _anchor_term(feat, m, inv_var):
     """Weighted squared deviation of re-encoded features from their anchors m."""
     diff = feat - m
-    return float(np.sum(diff * diff * inv_var)), 2.0 * diff * inv_var, np.zeros_like(logits)
+    return float(np.sum(diff * diff * inv_var)), 2.0 * diff * inv_var
 
 
-def _distillation_term(feat, logits, logits_hat, t_distill, n_old):
+def _distillation_term(logits, logits_hat, t_distill, n_old):
     """Cross-entropy from softened snapshot logits over the first n_old classes."""
     if not 1 <= n_old <= min(logits.shape[1], logits_hat.shape[1]):
         raise InputError(f"n_old={n_old} must be between 1 and both classifier widths")
@@ -140,7 +136,7 @@ def _distillation_term(feat, logits, logits_hat, t_distill, n_old):
     log_tau = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     grad_logits = np.zeros_like(logits)
     grad_logits[:, :n_old] = (np.exp(log_tau) - tau_hat) / t_distill
-    return float(-np.sum(tau_hat * log_tau)), np.zeros_like(feat), grad_logits
+    return float(-np.sum(tau_hat * log_tau)), grad_logits
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,8 @@ class _MinMaxIndex:
     """The min-max term's index sets for one batch over a graph's labels and origins."""
 
     batch: int            # batch rows; the rows of this session's nodes follow them
-    groups: tuple         # (batch rows, nodes) per batch label, labels ascending
+    nodes: np.ndarray     # (K,) the nodes that carry a batch label, ascending
+    other: np.ndarray     # (batch, K) bool: the node carries another label than the row
     cross: np.ndarray     # (N, N) bool: the two nodes carry different labels
     node_row: np.ndarray  # (N,) the row of each node of this session
     is_new: np.ndarray    # (N,) bool: the node was inserted this session
@@ -156,25 +153,31 @@ class _MinMaxIndex:
 
 def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
     y = np.asarray(y, dtype=int)
-    groups = []
-    for label in np.unique(y):
-        nodes = np.flatnonzero(graph.labels == label)
-        if nodes.size == 0:
-            raise StateError(f"no node carries batch label {label}")
-        groups.append((np.flatnonzero(y == label), nodes))
+    missing = np.setdiff1d(y, graph.labels)
+    if missing.size:
+        raise StateError(f"no node carries batch label {missing[0]}")
+    nodes = np.flatnonzero(np.isin(graph.labels, y))
     is_new = graph.origins == graph.session
     node_row = len(y) + np.searchsorted(np.flatnonzero(is_new), np.arange(len(graph)))
-    return _MinMaxIndex(len(y), tuple(groups), graph.labels[:, None] != graph.labels,
-                        node_row, is_new)
+    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes],
+                        graph.labels[:, None] != graph.labels, node_row, is_new)
 
 
-def _min_max_term(feat, logits, graph, index, xi, include_min, include_max):
+def _min_max_term(feat, graph, index, xi, include_min, include_max):
     """Min-max loss; rows are the batch, then f(z_j) of this session's nodes."""
     n = index.batch
     grad_feat = np.zeros_like(feat)
-    match = np.empty(n, dtype=int)
-    for rows, nodes in index.groups:
-        match[rows] = nodes[nearest(feat[rows], graph.centroids[nodes])[0]]
+    # Per row, the first node of its label at the least distance, as `nearest` over
+    # that label's nodes finds it: other-label nodes sit at inf, and a row whose
+    # own-label distances all overflow to inf takes its first own-label node.
+    refs, match = graph.centroids[index.nodes], np.empty(n, dtype=int)
+    step = _rows_per_block(refs)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        masked = index.other[rows]
+        d = np.where(masked, np.inf, np.linalg.norm(feat[rows, None, :] - refs, axis=-1))
+        pick = np.where(d.min(axis=1) == np.inf, masked.argmin(axis=1), d.argmin(axis=1))
+        match[rows] = index.nodes[pick]
     loss = 0.0
     if include_min:
         diff = feat[:n] - graph.centroids[match]
@@ -199,7 +202,7 @@ def _min_max_term(feat, logits, graph, index, xi, include_min, include_max):
         push = hit & is_new[pair] & (d > 0.0)
         np.subtract.at(grad_feat, row[pair[push]],
                        counts[pair[push], None] * gap[push] / d[push, None])
-    return loss, grad_feat, np.zeros_like(logits)
+    return loss, grad_feat
 
 
 def _graph_anchors(graph: NGGraph, old_nodes) -> tuple:
@@ -219,12 +222,6 @@ def _exemplar_anchors(exemplars: ExemplarSet | None) -> tuple:
     return exemplars.features, 1.0
 
 
-def _through_model(x: np.ndarray, params: ModelParams, term, *context):
-    feat, logits, cache = forward_batch(x, params)
-    loss, grad_feat, grad_logits = term(feat, logits, *context)
-    return loss, backward_batch(cache, grad_logits, grad_feat, params)
-
-
 def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
     """Variance-weighted quadratic penalty pinning old nodes to their centroids.
 
@@ -233,14 +230,14 @@ def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
     inverse variance diagonal.  Gradients flow into the extractor only.
     """
     old_nodes = np.asarray(old_nodes, dtype=int)
-    return _through_model(graph.pseudo_inputs[old_nodes], params, _anchor_term,
-                          *_graph_anchors(graph, old_nodes))
+    term = (1.0, "feat", slice(None), _anchor_term, _graph_anchors(graph, old_nodes))
+    return total_loss(SessionPlan(graph.pseudo_inputs[old_nodes], (term,)), params)
 
 
 def _exemplar_anchor_loss(exemplars: ExemplarSet, params: ModelParams):
     """Identity-weighted anchor penalty over stored exemplar features."""
-    targets = _exemplar_anchors(exemplars)
-    return _through_model(exemplars.inputs, params, _anchor_term, *targets)
+    term = (1.0, "feat", slice(None), _anchor_term, _exemplar_anchors(exemplars))
+    return total_loss(SessionPlan(exemplars.inputs, (term,)), params)
 
 
 def xi_heuristic(graph: NGGraph) -> float:
@@ -265,10 +262,10 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
     """
     if graph is None:
         raise StateError("min-max loss needs a graph")
-    new_nodes = np.flatnonzero(graph.origins == graph.session)
-    x = np.concatenate([batch_x, graph.pseudo_inputs[new_nodes]])
-    return _through_model(x, params, _min_max_term, graph, _min_max_index(batch_y, graph),
-                          xi, include_min, include_max)
+    x = np.concatenate([batch_x, graph.pseudo_inputs[graph.origins == graph.session]])
+    term = (1.0, "feat", slice(None), _min_max_term,
+            (graph, _min_max_index(batch_y, graph), xi, include_min, include_max))
+    return total_loss(SessionPlan(x, (term,)), params)
 
 
 def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
@@ -278,9 +275,9 @@ def distillation_loss(batch_x: np.ndarray, old_params: ModelParams,
     Both logit vectors are restricted to the first n_old classes; the
     snapshot is a constant, so gradients flow into the current parameters.
     """
-    logits_hat = forward_batch(batch_x, old_params)[1]
-    return _through_model(batch_x, params, _distillation_term, logits_hat,
-                          t_distill, n_old)
+    term = (1.0, "logits", slice(None), _distillation_term,
+            (forward_batch(batch_x, old_params)[1], t_distill, n_old))
+    return total_loss(SessionPlan(batch_x, (term,)), params)
 
 
 @dataclass(frozen=True)
@@ -289,11 +286,11 @@ class SessionPlan:
 
     x stacks the rows one forward pass covers: the batch, the stored
     exemplars, then the pseudo inputs of the old nodes to anchor and of this
-    session's nodes to push.  terms lists (weight, rows, term, context) in the
-    order their gradients are summed; the contexts hold the batch labels, the
-    anchor targets and inverse variances, the min-max index sets and the
-    frozen snapshot's logits.  The min-max context holds the graph itself,
-    whose centroids and edges the term reads at each step.
+    session's nodes to push.  terms lists (weight, output, rows, term, context)
+    in the order their gradients are summed; term reads those rows of output,
+    "feat" or "logits", then its context: the batch labels, the anchor targets
+    and inverse variances, the min-max index sets or the snapshot's logits.
+    The min-max context holds the graph, whose centroids and edges it reads.
     """
 
     x: np.ndarray
@@ -324,22 +321,22 @@ def plan_session(batch, graph: NGGraph | None, exemplars: ExemplarSet | None,
     x = np.concatenate([batch_x, store, z[old], z[new]])
     ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
-    terms = [(1.0, batch_rows, _cross_entropy_term, (batch_y,))]
+    terms = [(1.0, "logits", batch_rows, softmax_cross_entropy_batch, (batch_y,))]
     if spec.anchor == "exemplar":
-        terms.append((hp.lambda1, store_rows, _anchor_term, _exemplar_anchors(exemplars)))
+        terms.append((hp.lambda1, "feat", store_rows, _anchor_term, _exemplar_anchors(exemplars)))
     if spec.anchor == "graph":
-        terms.append((hp.lambda1, old_rows, _anchor_term, _graph_anchors(graph, old)))
+        terms.append((hp.lambda1, "feat", old_rows, _anchor_term, _graph_anchors(graph, old)))
     if spec.min_max:
         margin = xi if xi is not None else hp.xi
         if margin is None:
             raise InputError("min-max methods need the margin xi")
-        terms.append((hp.lambda2, np.r_[batch_rows, new_rows], _min_max_term,
+        terms.append((hp.lambda2, "feat", np.r_[batch_rows, new_rows], _min_max_term,
                       (graph, _min_max_index(batch_y, graph), margin, True, True)))
     if spec.distill:
         if old_params is None or n_old is None:
             raise StateError("distillation methods need the frozen snapshot and n_old")
         dl = slice(0, store_rows.stop)
-        terms.append((hp.gamma, dl, _distillation_term,
+        terms.append((hp.gamma, "logits", dl, _distillation_term,
                       (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
     return SessionPlan(x, tuple(terms))
 
@@ -347,15 +344,16 @@ def plan_session(batch, graph: NGGraph | None, exemplars: ExemplarSet | None,
 def total_loss(plan: SessionPlan, params: ModelParams):
     """The plan's composed loss at params and its graph's current state.
 
-    One forward_batch over plan.x feeds every term; their row gradients,
-    weighted, go through one backward_batch.  Returns (loss, gradients).
+    One forward_batch over plan.x feeds every term; each weighted row gradient
+    goes into its output's buffer, and both go through one backward_batch.
+    Returns (loss, gradients).
     """
     feat, logits, cache = forward_batch(plan.x, params)
+    outputs = {"feat": feat, "logits": logits}
+    grads = {"feat": np.zeros_like(feat), "logits": np.zeros_like(logits)}
     loss = 0.0
-    grad_feat, grad_logits = np.zeros_like(feat), np.zeros_like(logits)
-    for scale, rows, term, context in plan.terms:
-        value, g_feat, g_logits = term(feat[rows], logits[rows], *context)
+    for scale, output, rows, term, context in plan.terms:
+        value, grad = term(outputs[output][rows], *context)
         loss += scale * value
-        grad_feat[rows] += scale * g_feat
-        grad_logits[rows] += scale * g_logits
-    return float(loss), backward_batch(cache, grad_logits, grad_feat, params)
+        grads[output][rows] += scale * grad
+    return float(loss), backward_batch(cache, grads["logits"], grads["feat"], params)

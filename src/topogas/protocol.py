@@ -52,7 +52,9 @@ class SessionStream:
         return len(self.sessions)
 
     def session(self, t: int) -> Session:
-        """1-based session accessor."""
+        """1-based session accessor; t outside 1..len raises InputError."""
+        if not 1 <= t <= len(self.sessions):
+            raise InputError(f"session {t} is outside 1..{len(self.sessions)}")
         return self.sessions[t - 1]
 
     def cumulative_labels(self, upto: int) -> list:
@@ -88,8 +90,9 @@ def make_synthetic_stream(base_classes: int, new_classes: int, way: int,
                           train_per_base: int, test_per_class: int,
                           seed: int) -> SessionStream:
     """Gaussian-blob stream: one blob per class, label ids in session order."""
-    if base_classes < 1 or way < 1 or shot < 1:
-        raise InputError("base_classes, way and shot must all be positive")
+    if min(base_classes, way, shot, input_dim, train_per_base, test_per_class) < 1:
+        raise InputError("base_classes, way, shot, input_dim, train_per_base and "
+                         "test_per_class must all be positive")
     if new_classes % way != 0:
         raise InputError(
             f"new_classes={new_classes} is not divisible by way={way}")
@@ -278,8 +281,8 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     confusion matrix covers all cumulative classes, rows normalized where
     they have samples.  A non-finite logit raises DivergenceError.
     """
-    if upto_session < 1:
-        raise InputError("upto_session must be at least 1")
+    if not 1 <= upto_session <= len(stream):
+        raise InputError(f"upto_session {upto_session} is outside 1..{len(stream)}")
     x, y = stream.cumulative_test(upto_session)
     logits = forward_batch(x, params)[1]
     if not np.isfinite(logits).all():
@@ -288,8 +291,7 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     correct = pred == y
     joint = float(correct.mean())
 
-    new_labels = set(stream.session(upto_session).labels)
-    new_mask = np.isin(y, list(new_labels))
+    new_mask = np.isin(y, stream.session(upto_session).labels)
     if upto_session == 1:
         old_acc = new_acc = joint
     else:

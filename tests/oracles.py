@@ -6,8 +6,8 @@ import numpy as np
 
 from topogas import (DivergenceError, InputError, ModelParams, StateError, backward_batch,
                      forward_batch, sgd_step, softmax_cross_entropy_batch)
-from topogas.losses import (_anchor_term, _cross_entropy_term, _distillation_term,
-                            _exemplar_anchors, _graph_anchors, method_spec)
+from topogas.losses import (_anchor_term, _distillation_term, _exemplar_anchors,
+                            _graph_anchors, method_spec)
 from topogas.neural_gas import nearest as batch_nearest
 from topogas.protocol import BASE_BATCH_SIZE, _lr_at
 
@@ -92,9 +92,25 @@ def train_cross_entropy(params, x, y, epochs, base_lr, seed, context):
     return params
 
 
-def min_max_term(feat, logits, y, graph, new_nodes, xi):
-    """The min-max term with its index sets rebuilt from y and the graph on every call;
-    rows are the batch (labels y), then f(z_j) of new_nodes."""
+def cross_entropy_term(feat, logits, y):
+    loss, grad_logits = softmax_cross_entropy_batch(logits, y)
+    return loss, np.zeros_like(feat), grad_logits
+
+
+def anchor_term(feat, logits, m, inv_var):
+    loss, grad_feat = _anchor_term(feat, m, inv_var)
+    return loss, grad_feat, np.zeros_like(logits)
+
+
+def distillation_term(feat, logits, logits_hat, t_distill, n_old):
+    loss, grad_logits = _distillation_term(logits, logits_hat, t_distill, n_old)
+    return loss, np.zeros_like(feat), grad_logits
+
+
+def min_max_term(feat, logits, y, graph, new_nodes, xi, include_min=True, include_max=True):
+    """The min-max term with its index sets rebuilt from y and the graph on every call,
+    each row matched by `nearest` over its label's nodes; rows are the batch (labels y),
+    then f(z_j) of new_nodes."""
     n = len(y)
     grad_feat = np.zeros_like(feat)
     match = np.empty(n, dtype=int)
@@ -104,10 +120,14 @@ def min_max_term(feat, logits, y, graph, new_nodes, xi):
         if nodes.size == 0:
             raise StateError(f"no node carries batch label {label}")
         match[rows] = nodes[batch_nearest(feat[rows], graph.centroids[nodes])[0]]
-    diff = feat[:n] - graph.centroids[match]
-    d = np.linalg.norm(diff, axis=1)
-    loss = float(d.sum())
-    np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
+    loss = 0.0
+    if include_min:
+        diff = feat[:n] - graph.centroids[match]
+        d = np.linalg.norm(diff, axis=1)
+        loss += float(d.sum())
+        np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
+    if not include_max:
+        return loss, grad_feat, np.zeros_like(logits)
     nodes, counts = np.unique(match, return_counts=True)
     row = n + np.searchsorted(new_nodes, nodes)
     is_new = graph.origins[nodes] == graph.session
@@ -140,11 +160,11 @@ def total_loss(batch, graph, params, exemplars, hp, method, *, old_params=None, 
     x = np.concatenate([batch_x, store, z[old], z[new]])
     ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
-    terms = [(1.0, batch_rows, _cross_entropy_term, (batch_y,))]
+    terms = [(1.0, batch_rows, cross_entropy_term, (batch_y,))]
     if spec.anchor == "exemplar":
-        terms.append((hp.lambda1, store_rows, _anchor_term, _exemplar_anchors(exemplars)))
+        terms.append((hp.lambda1, store_rows, anchor_term, _exemplar_anchors(exemplars)))
     if spec.anchor == "graph":
-        terms.append((hp.lambda1, old_rows, _anchor_term, _graph_anchors(graph, old)))
+        terms.append((hp.lambda1, old_rows, anchor_term, _graph_anchors(graph, old)))
     if spec.min_max:
         margin = xi if xi is not None else hp.xi
         terms.append((hp.lambda2, np.r_[batch_rows, new_rows], min_max_term,
@@ -153,7 +173,7 @@ def total_loss(batch, graph, params, exemplars, hp, method, *, old_params=None, 
         if old_params is None or n_old is None:
             raise StateError("distillation methods need the frozen snapshot and n_old")
         dl = slice(0, store_rows.stop)
-        terms.append((hp.gamma, dl, _distillation_term,
+        terms.append((hp.gamma, dl, distillation_term,
                       (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
 
     feat, logits, cache = forward_batch(x, params)

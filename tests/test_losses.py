@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import add_scaled, finite_difference_check
 from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
                      StateError, anchor_loss, distillation_loss, forward,
                      forward_batch, init_params, min_max_loss, plan_session, softmax,
                      total_loss, xi_heuristic)
 from topogas.feature_model import ModelParams, backward_batch
+from topogas.losses import _min_max_index, _min_max_term
 
 EPS = 1e-6
 
@@ -220,8 +222,8 @@ def test_min_max_loss_nonnegative_on_random_cases():
 def test_min_max_loss_missing_label_rejected():
     params = make_params(seed=16)
     g = make_graph(params, 2, [0, 1], [1, 1], seed=16)
-    with pytest.raises(StateError):
-        min_max_loss(np.zeros((1, 3)), np.array([9]), g, params, xi=1.0)
+    with pytest.raises(StateError, match="batch label 7"):
+        min_max_loss(np.zeros((3, 3)), np.array([0, 9, 7]), g, params, xi=1.0)
 
 
 def test_min_max_loss_subgradient_at_zero_distance():
@@ -348,6 +350,59 @@ def test_min_max_loss_matches_reference_on_random_graphs():
         assert loss == pytest.approx(ref_loss, rel=1e-9, abs=1e-9)
         for name, arr in grads.arrays().items():
             np.testing.assert_allclose(arr, ref_grads.arrays()[name], rtol=1e-9, atol=1e-9)
+
+
+PARTS = [(True, True), (False, True), (True, False)]
+
+
+def assert_min_max_term_matches_oracle(feat, y, graph, xi):
+    """The masked search's term equals the per-label `nearest` oracle's bit for bit."""
+    new_nodes = np.flatnonzero(graph.origins == graph.session)
+    for include_min, include_max in PARTS:
+        loss, grad = _min_max_term(feat, graph, _min_max_index(y, graph), xi,
+                                   include_min, include_max)
+        ref_loss, ref_grad, _ = oracles.min_max_term(feat, feat[:, :0], y, graph, new_nodes,
+                                                     xi, include_min, include_max)
+        assert loss == ref_loss, (include_min, include_max)
+        assert grad.tobytes() == ref_grad.tobytes(), (include_min, include_max)
+
+
+# k = 400 gives 1200 batch-label nodes, so the search takes one row per block and
+# the oracle's per-label `nearest` screens its refs.
+@pytest.mark.parametrize("k", [2, 3, 400])
+def test_min_max_search_matches_per_label_nearest_with_several_nodes_per_label(k):
+    for seed in range(10):
+        rng = np.random.default_rng([seed, k, 0x5EA])
+        labels = rng.permutation(np.r_[np.repeat([0, 1, 2], k), [3, 4, 5]])
+        n = len(labels)
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        graph = NGGraph(rng.normal(size=(n, 3)), np.ones((n, 3)), np.zeros((n, 2)), labels,
+                        rng.integers(1, 3, size=n), 50, EPS, session=2, ages=upper | upper.T)
+        y = rng.integers(0, 3, size=16)
+        feat = rng.normal(size=(16 + np.count_nonzero(graph.origins == 2), 3))
+        assert_min_max_term_matches_oracle(feat, y, graph, float(rng.uniform(0.5, 3.0)))
+
+
+def test_min_max_search_planted_ties_nearer_other_labels_and_overflow():
+    """Row 0 (label 0) sits on node 0 of label 2, and its own nodes 1 and 2 tie at
+    distance 1.  Row 1 (label 1) is so far out that every distance overflows to inf:
+    it must match node 3, its label's first node, not node 0.  Row 2 (label 2) is
+    nearer its label's second node.  The matched nodes' neighbors differ, so the
+    max part reads which node each row matched."""
+    centroids = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 2, 0], [0, -2, 0],
+                          [0, 0, 3]], dtype=float)
+    ages = np.zeros((6, 6), dtype=int)
+    for i, j in [(0, 3), (1, 5), (2, 3), (3, 1), (4, 2)]:
+        ages[i, j] = ages[j, i] = 1
+    graph = NGGraph(centroids, np.ones((6, 3)), np.zeros((6, 2)), [2, 0, 0, 1, 1, 2],
+                    [1, 2, 2, 2, 1, 2], 50, EPS, session=2, ages=ages)
+    batch = np.array([[0, 0, 0], [1e155, 0, 0], [0, 0, 2.5]])
+    feat = np.vstack([batch, centroids[[1, 2, 3, 5]] + 0.5])
+    with np.errstate(over="ignore"):
+        assert_min_max_term_matches_oracle(feat, np.array([0, 1, 2]), graph, 4.0)
+        loss, _ = _min_max_term(feat, graph, _min_max_index([0, 1, 2], graph), 4.0,
+                                False, True)
+    assert np.isfinite(loss)
 
 
 # -- distillation -----------------------------------------------------------

@@ -77,6 +77,29 @@ def test_stream_rejects_negative_seed():
         make_synthetic_stream(seed=-1, **DESK)
 
 
+@pytest.mark.parametrize("size", ["input_dim", "train_per_base", "test_per_class"])
+def test_stream_rejects_a_size_that_is_not_positive(size):
+    with pytest.raises(InputError, match=size):
+        make_synthetic_stream(seed=0, **{**DESK, size: 0})
+
+
+@pytest.mark.parametrize("t", [0, -1, 6])
+def test_session_accessor_rejects_an_index_outside_the_stream(t):
+    stream = desk_stream(0)
+    assert [stream.session(i).index for i in (1, 5)] == [1, 5]
+    with pytest.raises(InputError, match=r"outside 1\.\.5"):
+        stream.session(t)
+
+
+@pytest.mark.parametrize("upto", [0, -1, 6])
+def test_evaluation_rejects_a_session_outside_the_stream_before_its_forward_pass(
+        upto, monkeypatch):
+    stream, params = desk_stream(0), init_params(16, 32, 8, 18, seed=0)
+    monkeypatch.setattr(protocol, "forward_batch", lambda *args: pytest.fail("forward pass"))
+    with pytest.raises(InputError, match=r"outside 1\.\.5"):
+        evaluate_joint(params, stream, upto)
+
+
 # -- base session ------------------------------------------------------------------
 
 def test_base_session_reaches_high_accuracy_over_seeds():
