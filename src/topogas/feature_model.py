@@ -7,10 +7,11 @@ passes are written by hand against numpy; the tests check every gradient
 against central finite differences (`tests/oracles.py`).
 
 Each pass is written once, as a helper that writes into given buffers
-(`forward_into`, `cross_entropy_into`, `backward_into`).  The checked entry
-points `forward_batch`, `softmax_cross_entropy_batch` and `backward_batch`
-allocate fresh arrays and call them; a training loop allocates a `StepBuffers`
-once and calls them directly.
+(`features_into`, `cross_entropy_into`, `backward_into`); `forward_into` is
+the extractor pass plus the head.  The checked entry points
+`extract_features`, `forward_batch`, `softmax_cross_entropy_batch` and
+`backward_batch` allocate fresh arrays and call them; a training loop
+allocates a `StepBuffers` once and calls them directly.
 """
 
 import math
@@ -81,8 +82,7 @@ class ForwardCache:
     """Intermediate activations kept for the backward pass (row-per-sample)."""
 
     x: np.ndarray            # (B, input)
-    hidden_pre: np.ndarray   # (B, hidden), before the ReLU
-    hidden: np.ndarray       # (B, hidden)
+    hidden: np.ndarray       # (B, hidden), after the ReLU
     feature: np.ndarray      # (B, feature)
     logits: np.ndarray       # (B, classes)
 
@@ -111,8 +111,7 @@ class StepBuffers:
         hidden, feature, classes = params.hidden_dim, params.feature_dim, params.class_count
         return StepBuffers(
             ForwardCache(np.empty((rows, params.input_dim)), np.empty((rows, hidden)),
-                         np.empty((rows, hidden)), np.empty((rows, feature)),
-                         np.empty((rows, classes))),
+                         np.empty((rows, feature)), np.empty((rows, classes))),
             np.empty(rows, dtype=int), np.empty((rows, classes)), np.empty((rows, 1)),
             np.empty((rows, classes)), np.zeros((rows, feature)), np.empty((rows, feature)),
             np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
@@ -131,14 +130,36 @@ def init_params(input_dim: int, hidden_dim: int, feature_dim: int,
     return ModelParams(w1, np.zeros(hidden_dim), w2, np.zeros(feature_dim), phi)
 
 
+def features_into(params: ModelParams, x: np.ndarray, hidden: np.ndarray,
+                  feature: np.ndarray) -> None:
+    """Run the extractor over the rows of x; the ReLU is applied in place in hidden."""
+    np.matmul(x, params.w1.T, out=hidden)
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    np.matmul(hidden, params.w2.T, out=feature)
+    feature += params.b2
+
+
 def forward_into(params: ModelParams, cache: ForwardCache) -> None:
     """Run the extractor and head over the rows of cache.x into the cache's other arrays."""
-    np.matmul(cache.x, params.w1.T, out=cache.hidden_pre)
-    cache.hidden_pre += params.b1
-    np.maximum(cache.hidden_pre, 0.0, out=cache.hidden)
-    np.matmul(cache.hidden, params.w2.T, out=cache.feature)
-    cache.feature += params.b2
+    features_into(params, cache.x, cache.hidden, cache.feature)
     np.matmul(cache.feature, params.phi, out=cache.logits)
+
+
+def _checked_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise InputError(
+            f"expected input of width {params.input_dim}, got shape {x.shape}")
+    return x
+
+
+def extract_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The (B, n) features of a batch alone: no head, and nothing kept for a backward pass."""
+    x = _checked_batch(x, params)
+    feature = np.empty((x.shape[0], params.feature_dim))
+    features_into(params, x, np.empty((x.shape[0], params.hidden_dim)), feature)
+    return feature
 
 
 def forward_batch(x: np.ndarray, params: ModelParams):
@@ -146,12 +167,9 @@ def forward_batch(x: np.ndarray, params: ModelParams):
 
     Returns (features (B, n), logits (B, C), cache).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise InputError(
-            f"expected input of width {params.input_dim}, got shape {x.shape}")
-    rows, hidden = x.shape[0], params.hidden_dim
-    cache = ForwardCache(x, np.empty((rows, hidden)), np.empty((rows, hidden)),
+    x = _checked_batch(x, params)
+    rows = x.shape[0]
+    cache = ForwardCache(x, np.empty((rows, params.hidden_dim)),
                          np.empty((rows, params.feature_dim)),
                          np.empty((rows, params.class_count)))
     forward_into(params, cache)
@@ -181,7 +199,8 @@ def backward_into(cache: ForwardCache, grad_logits: np.ndarray, grad_feature: np
     np.add.reduce(d_feature, axis=0, out=grads.b2)
     np.matmul(d_feature.T, cache.hidden, out=grads.w2)
     np.matmul(d_feature, params.w2, out=d_hidden)
-    np.greater(cache.hidden_pre, 0.0, out=active)
+    # max(pre, 0) > 0 exactly when pre > 0; both are false for NaN and for +-0.
+    np.greater(cache.hidden, 0.0, out=active)
     np.multiply(d_hidden, active, out=d_hidden)
     np.add.reduce(d_hidden, axis=0, out=grads.b1)
     np.matmul(d_hidden.T, cache.x, out=grads.w1)

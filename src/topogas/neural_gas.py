@@ -426,16 +426,19 @@ class NGGraph:
 
     # -- node bookkeeping ---------------------------------------------------
 
-    def assign_pseudo_exemplars(self, inputs, labels, encode) -> None:
+    def assign_pseudo_exemplars(self, inputs, labels, features) -> None:
         """Store, per node, the raw training input whose feature is nearest m.
 
-        The chosen sample's label becomes the node label.  encode maps the
-        (B, d) stacked inputs to their (B, n) features in one call.
+        The chosen sample's label becomes the node label.  features holds
+        the (B, n) features of the (B, d) inputs, one row per input.
         """
         if len(inputs) == 0:
             raise InputError("cannot assign pseudo-exemplars from an empty dataset")
         x = np.asarray(inputs, dtype=float)
-        best = nearest(self.centroids, encode(x))[0]
+        features = np.asarray(features, dtype=float)
+        if len(features) != len(x):
+            raise InputError(f"{len(features)} feature rows for {len(x)} inputs")
+        best = nearest(self.centroids, features)[0]
         self.pseudo_inputs = x[best]
         self.labels = np.asarray(labels, dtype=int)[best]
 

@@ -11,12 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InputError
-# `forward`, `backward_batch` and `softmax_cross_entropy_batch` stay bound here
-# because the perfbench tracer patches them in this namespace.
+# `forward`, `forward_batch`, `backward_batch` and `softmax_cross_entropy_batch`
+# stay bound here because the perfbench tracer patches them in this namespace.
 from .feature_model import (ModelParams, StepBuffers, backward_batch,  # noqa: F401
                             backward_into, cross_entropy_into, expand_output_layer,
-                            forward, forward_batch, forward_into, init_params,
-                            sgd_step, sgd_step_in_place, softmax_cross_entropy_batch)
+                            extract_features, forward, forward_batch, forward_into,
+                            init_params, sgd_step, sgd_step_in_place,
+                            softmax_cross_entropy_batch)
 from .losses import (METHODS, ExemplarSet, HyperParams, method_spec, plan_session,
                      total_loss, xi_heuristic)
 from .neural_gas import NGGraph, init_graph, train_on_features
@@ -45,8 +46,45 @@ class Session:
 
 @dataclass
 class SessionStream:
+    """Sessions cut from one (x, y) array pair per split.
+
+    train and test hold every session's rows, grouped by session in session
+    order; each Session holds read-only views into them.  Build one with
+    from_splits.
+    """
+
     sessions: list
-    input_dim: int
+    train: tuple
+    test: tuple
+
+    @staticmethod
+    def from_splits(labels: list, train: tuple, test: tuple) -> "SessionStream":
+        """Session t owns the next rows of each split whose labels are in labels[t - 1].
+
+        The split arrays are made read-only.  Rows out of session order, or
+        rows that no session owns, raise InputError.
+        """
+        cuts = []
+        for name, (x, y) in (("train", train), ("test", test)):
+            start, bounds = 0, []
+            for session_labels in labels:
+                end = start + int(np.isin(y, session_labels).sum())
+                if not np.isin(y[start:end], session_labels).all():
+                    raise InputError(f"{name} rows are not grouped by session")
+                bounds.append((start, end))
+                start = end
+            if start != len(y) or len(x) != len(y):
+                raise InputError(f"{name} has {len(x)} inputs and {len(y)} labels, "
+                                 f"{start} of them in a session")
+            x.flags.writeable = y.flags.writeable = False
+            cuts.append([(x[a:b], y[a:b]) for a, b in bounds])
+        sessions = [Session(t, list(ls), *tr, *te)
+                    for t, (ls, tr, te) in enumerate(zip(labels, *cuts), start=1)]
+        return SessionStream(sessions, train, test)
+
+    @property
+    def input_dim(self) -> int:
+        return self.train[0].shape[1]
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -64,14 +102,14 @@ class SessionStream:
         return labels
 
     def cumulative_test(self, upto: int):
-        xs = np.vstack([s.test_x for s in self.sessions[:upto]])
-        ys = np.concatenate([s.test_y for s in self.sessions[:upto]])
-        return xs, ys
+        """Views of the test rows of sessions 1..upto."""
+        end = sum(len(s.test_y) for s in self.sessions[:upto])
+        return self.test[0][:end], self.test[1][:end]
 
     def cumulative_train(self, upto: int):
-        xs = np.vstack([s.train_x for s in self.sessions[:upto]])
-        ys = np.concatenate([s.train_y for s in self.sessions[:upto]])
-        return xs, ys
+        """Views of the training rows of sessions 1..upto."""
+        end = sum(len(s.train_y) for s in self.sessions[:upto])
+        return self.train[0][:end], self.train[1][:end]
 
 
 @dataclass
@@ -104,32 +142,21 @@ def make_synthetic_stream(base_classes: int, new_classes: int, way: int,
     total = base_classes + new_classes
     means = rng.normal(size=(total, input_dim))
 
-    def draw(label: int, count: int) -> np.ndarray:
-        return means[label] + cluster_spread * rng.normal(size=(count, input_dim))
+    def draw(counts: np.ndarray) -> tuple:
+        """Every class's rows, in class order, into one array."""
+        x = np.empty((int(counts.sum()), input_dim))
+        start = 0
+        for label, count in enumerate(counts):
+            x[start:start + count] = means[label] + cluster_spread * rng.normal(
+                size=(count, input_dim))
+            start += count
+        return x, np.repeat(np.arange(total), counts)
 
-    train_pool = [draw(c, train_per_base if c < base_classes else shot)
-                  for c in range(total)]
-    test_pool = [draw(c, test_per_class) for c in range(total)]
-
-    def pack(labels):
-        tx = np.vstack([train_pool[c] for c in labels])
-        ty = np.concatenate([np.full(len(train_pool[c]), c, dtype=int) for c in labels])
-        vx = np.vstack([test_pool[c] for c in labels])
-        vy = np.concatenate([np.full(len(test_pool[c]), c, dtype=int) for c in labels])
-        return tx, ty, vx, vy
-
-    sessions = []
-    base_labels = list(range(base_classes))
-    sessions.append(Session(1, base_labels, *pack(base_labels)))
-    for t in range(2, 2 + new_classes // way):
-        start = base_classes + (t - 2) * way
-        labels = list(range(start, start + way))
-        sessions.append(Session(t, labels, *pack(labels)))
-    return SessionStream(sessions, input_dim)
-
-
-def extract_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return forward_batch(x, params)[0]
+    train = draw(np.where(np.arange(total) < base_classes, train_per_base, shot))
+    test = draw(np.full(total, test_per_class))
+    labels = [list(range(base_classes))]
+    labels += [list(range(start, start + way)) for start in range(base_classes, total, way)]
+    return SessionStream.from_splits(labels, train, test)
 
 
 def _lr_at(epoch: int, total_epochs: int, base_lr: float) -> float:
@@ -206,17 +233,20 @@ def fit_base_graph(params: ModelParams, stream: SessionStream, hp: HyperParams,
     Pseudo-exemplars are assigned, variances estimated, and anchors
     refreshed so the next session starts from a zero-deviation anchor
     state.  Only the graph's own seeded generators are drawn from, so the
-    graph depends on params, stream, hp and seed alone.
+    graph depends on params, stream, hp and seed alone.  The base rows are
+    encoded once; a non-finite feature raises DivergenceError before the
+    graph is started.
     """
     base = stream.session(1)
     feats = extract_features(params, base.train_x)
+    if not np.isfinite(feats).all():
+        raise DivergenceError("non-finite features of the base session")
     graph = init_graph(feats, base.train_x, base.train_y, hp.node_budget, hp.t_life,
                        hp.eps_var, seed)
     train_on_features(graph, feats, hp.eta, hp.alpha, hp.ng_passes, seed)
-    encode = lambda x: extract_features(params, x)
-    graph.assign_pseudo_exemplars(base.train_x, base.train_y, encode)
+    graph.assign_pseudo_exemplars(base.train_x, base.train_y, feats)
     graph.estimate_variances(feats)
-    graph.refresh_anchors(encode)
+    graph.refresh_anchors(lambda x: extract_features(params, x))
     return graph
 
 
@@ -284,7 +314,7 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     if not 1 <= upto_session <= len(stream):
         raise InputError(f"upto_session {upto_session} is outside 1..{len(stream)}")
     x, y = stream.cumulative_test(upto_session)
-    logits = forward_batch(x, params)[1]
+    logits = extract_features(params, x) @ params.phi
     if not np.isfinite(logits).all():
         raise DivergenceError(f"non-finite logits evaluating session {upto_session}")
     pred = np.argmax(logits, axis=1)

@@ -92,6 +92,41 @@ def train_cross_entropy(params, x, y, epochs, base_lr, seed, context):
     return params
 
 
+def backward_from_pre_activations(x, hidden_pre, hidden, feature, grad_logits, grad_feature,
+                                  params):
+    """Backpropagation with the ReLU mask read from the kept pre-activations (hidden_pre > 0)."""
+    d_feature = grad_feature + grad_logits @ params.phi.T
+    d_hidden = (d_feature @ params.w2) * (hidden_pre > 0.0)
+    return ModelParams(d_hidden.T @ x, np.add.reduce(d_hidden, axis=0), d_feature.T @ hidden,
+                       np.add.reduce(d_feature, axis=0), feature.T @ grad_logits)
+
+
+def synthetic_stream_sessions(base_classes, new_classes, way, shot, input_dim, cluster_spread,
+                              train_per_base, test_per_class, seed):
+    """(labels, train_x, train_y, test_x, test_y) per session, from per-class pools stacked
+    session by session; the same generator draws, in the same order, as make_synthetic_stream."""
+    rng = np.random.default_rng([seed, 0x57E4])
+    total = base_classes + new_classes
+    means = rng.normal(size=(total, input_dim))
+
+    def draw(label, count):
+        return means[label] + cluster_spread * rng.normal(size=(count, input_dim))
+
+    train_pool = [draw(c, train_per_base if c < base_classes else shot) for c in range(total)]
+    test_pool = [draw(c, test_per_class) for c in range(total)]
+
+    def pack(labels):
+        tx = np.vstack([train_pool[c] for c in labels])
+        ty = np.concatenate([np.full(len(train_pool[c]), c, dtype=int) for c in labels])
+        vx = np.vstack([test_pool[c] for c in labels])
+        vy = np.concatenate([np.full(len(test_pool[c]), c, dtype=int) for c in labels])
+        return tx, ty, vx, vy
+
+    label_sets = [list(range(base_classes))]
+    label_sets += [list(range(start, start + way)) for start in range(base_classes, total, way)]
+    return [(labels, *pack(labels)) for labels in label_sets]
+
+
 def cross_entropy_term(feat, logits, y):
     loss, grad_logits = softmax_cross_entropy_batch(logits, y)
     return loss, np.zeros_like(feat), grad_logits

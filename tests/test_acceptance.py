@@ -143,7 +143,7 @@ def test_criterion_2_neural_gas_oracles():
         # pseudo-exemplar assignment vs brute force
         inputs = [rng.normal(size=dim) for _ in range(8)]
         labels = rng.integers(0, 5, size=8)
-        g.assign_pseudo_exemplars(inputs, labels, lambda v: v)
+        g.assign_pseudo_exemplars(inputs, labels, inputs)
         for j in range(n):
             d = [math.dist(x, g.centroids[j]) for x in inputs]
             best = d.index(min(d))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import add_scaled, finite_difference_check, softmax_cross_entropy, zero_grads
-from topogas import (DivergenceError, InputError, ModelParams,
+from oracles import (add_scaled, backward_from_pre_activations, finite_difference_check,
+                     softmax_cross_entropy, zero_grads)
+from topogas import (DivergenceError, ForwardCache, InputError, ModelParams,
                      backward_batch, expand_output_layer, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
+from topogas.feature_model import extract_features
 
 
 def small_params(seed=0, input_dim=3, hidden_dim=4, feature_dim=3, classes=4):
@@ -98,6 +100,26 @@ def test_forward_is_deterministic():
     f1, o1, _ = forward(x, params)
     f2, o2, _ = forward(x, params)
     assert np.array_equal(f1, f2) and np.array_equal(o1, o2)
+
+
+# Desk and paper model shapes: (input, hidden, feature, classes, rows).
+SHAPES = [(16, 32, 8, 10, 1000), (64, 128, 32, 60, 12000)]
+
+
+@pytest.mark.parametrize("input_dim,hidden_dim,feature_dim,classes,rows", SHAPES,
+                         ids=["desk", "paper"])
+def test_extract_features_equals_the_forward_pass_features_bit_for_bit(
+        input_dim, hidden_dim, feature_dim, classes, rows):
+    params = init_params(input_dim, hidden_dim, feature_dim, classes, seed=3)
+    x = np.random.default_rng(5).normal(size=(rows, input_dim))
+    got = extract_features(params, x)
+    assert got.shape == (rows, feature_dim)
+    assert got.tobytes() == forward_batch(x, params)[0].tobytes()
+
+
+def test_extract_features_rejects_bad_dimension():
+    with pytest.raises(InputError, match="width 3"):
+        extract_features(small_params(), np.zeros((2, 4)))
 
 
 # -- softmax cross-entropy ----------------------------------------------------
@@ -214,6 +236,25 @@ def test_backward_batch_sums_per_sample_grads():
         add_scaled(summed, backward_batch(c1, go[b:b + 1], gf[b:b + 1], params))
     for name, arr in batched.arrays().items():
         assert np.allclose(arr, summed.arrays()[name], atol=1e-10)
+
+
+def test_backward_equals_the_pre_activation_mask_oracle_bit_for_bit():
+    params = small_params(seed=10, input_dim=5, hidden_dim=6, feature_dim=3, classes=4)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(8, 5))
+    hidden_pre = x @ params.w1.T + params.b1
+    # Rows 0-2 plant +0.0, -0.0 and NaN in every hidden unit: none passes the ReLU.
+    hidden_pre[0], hidden_pre[1], hidden_pre[2] = 0.0, -0.0, np.nan
+    hidden = np.maximum(hidden_pre, 0.0)
+    feature = hidden @ params.w2.T + params.b2
+    cache = ForwardCache(x, hidden, feature, feature @ params.phi)
+    grad_logits, grad_feature = rng.normal(size=(8, 4)), rng.normal(size=(8, 3))
+    got = backward_batch(cache, grad_logits, grad_feature, params)
+    want = backward_from_pre_activations(x, hidden_pre, hidden, feature, grad_logits,
+                                         grad_feature, params)
+    assert np.isnan(got.w2).any() and np.isnan(got.phi).any()
+    for name, arr in got.arrays().items():
+        assert arr.tobytes() == want.arrays()[name].tobytes(), name
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 40.0, 1e150])

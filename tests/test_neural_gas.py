@@ -680,7 +680,8 @@ def identity_features(x):
 
 def test_assign_pseudo_exemplars_singleton_dataset():
     g = graph_from_centroids([[0.0, 0.0], [5.0, 5.0]])
-    g.assign_pseudo_exemplars([np.array([1.0, 1.0])], [7], identity_features)
+    inputs = [np.array([1.0, 1.0])]
+    g.assign_pseudo_exemplars(inputs, [7], inputs)
     for j in range(2):
         assert np.array_equal(g.pseudo_inputs[j], [1.0, 1.0])
         assert g.labels[j] == 7
@@ -689,7 +690,7 @@ def test_assign_pseudo_exemplars_singleton_dataset():
 def test_assign_pseudo_exemplars_exact_hit():
     g = graph_from_centroids([[2.0, 2.0]])
     inputs = [np.array([0.0, 0.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])]
-    g.assign_pseudo_exemplars(inputs, [0, 1, 2], identity_features)
+    g.assign_pseudo_exemplars(inputs, [0, 1, 2], inputs)
     assert np.array_equal(g.pseudo_inputs[0], [2.0, 2.0])
     assert g.labels[0] == 1
 
@@ -699,7 +700,7 @@ def test_assign_pseudo_exemplars_matches_brute_force():
     g = graph_from_centroids(rng.normal(size=(5, 3)))
     inputs = [rng.normal(size=3) for _ in range(12)]
     labels = rng.integers(0, 4, size=12)
-    g.assign_pseudo_exemplars(inputs, labels, identity_features)
+    g.assign_pseudo_exemplars(inputs, labels, inputs)
     for j in range(5):
         dists = [math.dist(x, g.centroids[j]) for x in inputs]
         best = dists.index(min(dists))
@@ -710,7 +711,15 @@ def test_assign_pseudo_exemplars_matches_brute_force():
 def test_assign_pseudo_exemplars_rejects_empty_dataset():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
-        g.assign_pseudo_exemplars([], [], identity_features)
+        g.assign_pseudo_exemplars([], [], [])
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_assign_pseudo_exemplars_rejects_a_feature_row_count_unlike_the_inputs(rows):
+    g = graph_from_centroids([[0.0, 0.0]])
+    inputs = np.zeros((3, 2))
+    with pytest.raises(InputError, match=f"{rows} feature rows for 3 inputs"):
+        g.assign_pseudo_exemplars(inputs, [0, 1, 2], np.zeros((rows, 2)))
 
 
 def test_estimate_variances_identical_features_floor_only():
@@ -1001,7 +1010,7 @@ def test_graph_searches_do_not_depend_on_block_size(monkeypatch, block):
         g = graph_from_centroids(centroids)
         g.estimate_variances(feats)
         qe = g.quantization_error(feats)
-        g.assign_pseudo_exemplars(feats, labels, identity_features)
+        g.assign_pseudo_exemplars(feats, labels, feats)
         return g.variances, qe, g.pseudo_inputs, g.labels
 
     default = run()
@@ -1027,8 +1036,7 @@ def random_trained_graph(seed):
     feats = rng.normal(size=(40, 3))
     g = init_graph(feats, feats, rng.integers(0, 5, size=40), 8, 50, EPS, seed)
     train_on_features(g, feats, 0.2, 1.0, passes=2, seed=seed)
-    g.assign_pseudo_exemplars(list(feats), rng.integers(0, 5, size=40),
-                              identity_features)
+    g.assign_pseudo_exemplars(list(feats), rng.integers(0, 5, size=40), feats)
     g.estimate_variances(feats)
     return g
 

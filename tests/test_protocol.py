@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from oracles import confusion_matrix
-from topogas import (METHODS, ExemplarSet, HyperParams, InputError, ModelParams, NGGraph,
-                     Session, SessionStream, evaluate_joint, expand_output_layer,
+from topogas import (METHODS, DivergenceError, ExemplarSet, HyperParams, InputError,
+                     ModelParams, NGGraph, SessionStream, evaluate_joint, expand_output_layer,
                      forward, forward_batch, init_params, make_synthetic_stream, plan_session,
                      run_method, sgd_step, total_loss, train_base_session,
                      train_incremental_session, xi_heuristic)
@@ -95,9 +95,56 @@ def test_session_accessor_rejects_an_index_outside_the_stream(t):
 def test_evaluation_rejects_a_session_outside_the_stream_before_its_forward_pass(
         upto, monkeypatch):
     stream, params = desk_stream(0), init_params(16, 32, 8, 18, seed=0)
-    monkeypatch.setattr(protocol, "forward_batch", lambda *args: pytest.fail("forward pass"))
+    monkeypatch.setattr(protocol, "extract_features", lambda *args: pytest.fail("forward pass"))
     with pytest.raises(InputError, match=r"outside 1\.\.5"):
         evaluate_joint(params, stream, upto)
+
+
+STREAM_SHAPES = [dict(DESK), dict(DESK, base_classes=3, new_classes=0, way=1),
+                 dict(base_classes=6, new_classes=6, way=3, shot=2, input_dim=5,
+                      cluster_spread=2.0, train_per_base=7, test_per_class=1),
+                 dict(base_classes=60, new_classes=40, way=5, shot=5, input_dim=64,
+                      cluster_spread=0.5, train_per_base=200, test_per_class=100)]
+
+
+@pytest.mark.parametrize("shape", STREAM_SHAPES, ids=["desk", "base_only", "odd", "paper"])
+def test_stream_equals_the_stacked_pool_oracle_byte_for_byte(shape):
+    stream = make_synthetic_stream(seed=4, **shape)
+    want = oracles.synthetic_stream_sessions(seed=4, **shape)
+    assert len(stream) == len(want)
+    for s, (labels, *arrays) in zip(stream.sessions, want):
+        assert s.labels == labels
+        got = (s.train_x, s.train_y, s.test_x, s.test_y)
+        for a, b in zip(got, arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for upto in range(1, len(stream) + 1):
+        for split, pick in ((stream.cumulative_train(upto), (1, 2)),
+                            (stream.cumulative_test(upto), (3, 4))):
+            for got, i in zip(split, pick):
+                b = np.concatenate([w[i] for w in want[:upto]])
+                assert got.shape == b.shape and got.tobytes() == b.tobytes()
+
+
+def test_session_arrays_are_read_only_views_of_one_array_per_split():
+    stream = desk_stream(2)
+    for (x, y), name in ((stream.train, "train"), (stream.test, "test")):
+        prefix = getattr(stream, f"cumulative_{name}")(3)
+        for s in stream.sessions:
+            views = (getattr(s, f"{name}_x"), getattr(s, f"{name}_y")) + prefix
+            for view, whole in zip(views, (x, y, x, y)):
+                assert np.shares_memory(view, whole)
+                assert not view.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0] = 0
+
+
+def test_stream_from_splits_rejects_rows_out_of_session_order_or_in_no_session():
+    x, y = np.zeros((4, 2)), np.array([0, 2, 1, 3])
+    with pytest.raises(InputError, match="train rows are not grouped by session"):
+        SessionStream.from_splits([[0, 1], [2, 3]], (x, y), (x.copy(), np.sort(y)))
+    with pytest.raises(InputError, match="test has 4 inputs and 4 labels, 3 of them"):
+        SessionStream.from_splits([[0, 1], [2]], (x, np.array([0, 1, 2, 2])),
+                                  (x.copy(), np.arange(4)))
 
 
 # -- base session ------------------------------------------------------------------
@@ -146,6 +193,43 @@ def test_incremental_expands_classifier_and_grows_graph():
     assert params.class_count == 14
     assert len(graph) == hp.node_budget + 4
     graph.check_invariants()
+
+
+def test_base_graph_encodes_the_base_rows_once(monkeypatch):
+    stream = desk_stream(4)
+    hp = small_hp(base_epochs=2)
+    params, _ = train_base_session(stream, hp, 4, fit_graph=False)
+    want = protocol.fit_base_graph(params, stream, hp, 4).to_text()
+    encoded, encode = [], protocol.extract_features
+
+    def counting(p, x):
+        encoded.append(len(x))
+        return encode(p, x)
+
+    monkeypatch.setattr(protocol, "extract_features", counting)
+    got = protocol.fit_base_graph(params, stream, hp, 4).to_text()
+    assert encoded == [len(stream.session(1).train_x), hp.node_budget]
+    assert got == want
+
+
+def test_base_features_that_are_not_finite_diverge_before_the_graph_starts(monkeypatch):
+    stream = desk_stream(0)
+    params = init_params(16, 32, 8, 10, seed=0)
+    params.b2[3] = np.nan
+    monkeypatch.setattr(protocol, "init_graph", lambda *a: pytest.fail("graph started"))
+    with pytest.raises(DivergenceError, match="base session"):
+        protocol.fit_base_graph(params, stream, small_hp(), 0)
+
+
+def test_a_base_session_that_diverges_on_its_last_step_raises_divergence():
+    stream = make_synthetic_stream(seed=0, **dict(DESK, train_per_base=10))
+    hp = HyperParams(base_epochs=1, base_lr=1e300, node_budget=10)
+    # The graph's fit sees the base features first; a run without a graph, the evaluation.
+    for method, message in (("topic_al", "features of the base session"),
+                            ("ft", "logits evaluating session 1")):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=message):
+            run_method(stream, method, hp, 0)
 
 
 def test_refreshed_anchors_are_exact():
@@ -206,14 +290,9 @@ def test_huge_lambda1_freezes_old_knowledge_and_starves_new_classes():
 
 def onehot_stream():
     """Two sessions of one-hot test points in a 4-d input space."""
-    eye = np.eye(4)
-    sessions = []
-    for t, labels in ((1, [0, 1]), (2, [2, 3])):
-        test_x = np.vstack([np.tile(eye[c], (3, 1)) for c in labels])
-        test_y = np.repeat(labels, 3)
-        sessions.append(Session(t, list(labels), test_x.copy(), test_y.copy(),
-                                test_x, test_y))
-    return SessionStream(sessions, 4)
+    test_x, test_y = np.repeat(np.eye(4), 3, axis=0), np.repeat(np.arange(4), 3)
+    return SessionStream.from_splits([[0, 1], [2, 3]], (test_x.copy(), test_y.copy()),
+                                     (test_x, test_y))
 
 
 def identity_params(classes=4):
@@ -274,6 +353,25 @@ def test_confusion_matches_per_row_oracle(upto, extra):
     assert np.any(pred >= n_classes) == bool(extra)
     got = evaluate_joint(params, stream, upto).confusion
     assert got.tobytes() == confusion_matrix(y, pred, n_classes).tobytes()
+
+
+@pytest.mark.parametrize("shape,dims,upto", [(DESK, (32, 8), 5), (STREAM_SHAPES[3], (128, 32), 9)],
+                         ids=["desk", "paper"])
+def test_evaluation_logits_equal_the_forward_pass_logits_bit_for_bit(shape, dims, upto,
+                                                                     monkeypatch):
+    stream = make_synthetic_stream(seed=1, **shape)
+    params = init_params(shape["input_dim"], *dims, len(stream.cumulative_labels(upto)), seed=1)
+    seen, argmax = [], np.argmax
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return argmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.np, "argmax", spy)
+    evaluate_joint(params, stream, upto)
+    monkeypatch.undo()
+    x = stream.cumulative_test(upto)[0]
+    assert len(seen) == 1 and seen[0].tobytes() == forward_batch(x, params)[1].tobytes()
 
 
 # -- full pipeline -----------------------------------------------------------------
