@@ -10,9 +10,8 @@ from .errors import ConfigError, DivergenceError, InputError, StateError
 from .feature_model import (ForwardCache, ModelParams, backward_batch,
                             expand_output_layer, forward, forward_batch, init_params,
                             sgd_step, softmax, softmax_cross_entropy_batch)
-from .losses import (METHODS, ExemplarSet, HyperParams, SessionPlan, anchor_loss,
-                     distillation_loss, min_max_loss, plan_session, total_loss,
-                     xi_heuristic)
+from .losses import (METHODS, HyperParams, SessionPlan, anchor_loss, distillation_loss,
+                     min_max_loss, plan_session, total_loss, xi_heuristic)
 from .neural_gas import NGGraph, init_graph, train_on_features
 from .protocol import (RUNNABLE_METHODS, Session, SessionMetrics,
                        SessionStream, evaluate_joint, make_synthetic_stream,
@@ -27,7 +26,7 @@ __all__ = [
     "ForwardCache", "ModelParams",
     "backward_batch", "expand_output_layer", "forward",
     "forward_batch", "init_params", "sgd_step", "softmax", "softmax_cross_entropy_batch",
-    "METHODS", "ExemplarSet", "HyperParams", "SessionPlan", "anchor_loss",
+    "METHODS", "HyperParams", "SessionPlan", "anchor_loss",
     "distillation_loss", "min_max_loss", "plan_session", "total_loss", "xi_heuristic",
     "NGGraph", "init_graph", "train_on_features",
     "RUNNABLE_METHODS", "Session", "SessionMetrics", "SessionStream",

@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import typing
+import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
@@ -168,7 +169,9 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
 
     Returns the process exit status: 0 on success, 2 on divergence and 3
     when a run raises InputError or StateError; on 2 and 3 a diagnostic line
-    names the failed run and summary.csv is not written.  An output
+    names the failed run and summary.csv is not written.  Warnings raised
+    during a run are held until it ends: a failed run drops them, a run
+    that succeeds re-emits them.  An output
     directory that cannot be created raises ConfigError before any run.
     Runs of one seed share its base session, which is trained once; the
     neural gas is fitted only for runs that read it or write checkpoints.
@@ -191,7 +194,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
         config.input_dim, config.cluster_spread, config.train_per_base,
         config.test_per_class, seed) for seed in config.seeds}
 
-    rows, bases = [], {}
+    rows, bases, seen = [], {}, {}
     results_path = os.path.join(out, "results.csv")
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
@@ -202,9 +205,11 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
                 sink = lambda t, g, m=method, s=seed: g.save(
                     os.path.join(out, "graphs", f"{m}_{s}_{t}.ngtxt"))
             try:
-                metrics = run_method(streams[seed], method, config.hp, seed,
-                                     config.hidden_dim, config.feature_dim,
-                                     graph_sink=sink, bases=bases)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    metrics = run_method(streams[seed], method, config.hp, seed,
+                                         config.hidden_dim, config.feature_dim,
+                                         graph_sink=sink, bases=bases)
             except DivergenceError as exc:
                 print(f"divergence: method={method} seed={seed}: {exc}")
                 return 2
@@ -212,6 +217,8 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
                 print(f"run error: method={method} seed={seed}: "
                       f"{type(exc).__name__}: {exc}")
                 return 3
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=seen)
             run_rows = [_format_row(method, seed, m) for m in metrics]
             rows.extend(run_rows)
             with open(results_path, "a", encoding="utf-8") as fh:

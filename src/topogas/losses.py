@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
-from .feature_model import (ModelParams, backward_batch, forward, forward_batch,  # noqa: F401
-                            softmax, softmax_cross_entropy_batch)
+from .feature_model import (ModelParams, backward_batch, extract_features, forward,  # noqa: F401
+                            forward_batch, softmax, softmax_cross_entropy_batch)
 from .neural_gas import MAX_LIFETIME, NGGraph, _rows_per_block, max_distance
 
 
@@ -91,31 +91,6 @@ class HyperParams:
             raise InputError(f"eta must be at most 1, got {self.eta}")
         if not math.isfinite(1.0 / self.eps_var):
             raise InputError(f"eps_var must have a finite reciprocal, got {self.eps_var}")
-
-
-@dataclass
-class ExemplarSet:
-    """Stored old-class raw inputs as one (rows, d) array, None while empty, and their
-    anchor features, None after any `add` until `refresh_features` runs."""
-
-    inputs: np.ndarray | None = None
-    features: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return 0 if self.inputs is None else len(self.inputs)
-
-    def add(self, rows: np.ndarray) -> None:
-        """Append a copy of the (k, d) rows; anchor features are unset until `refresh_features`."""
-        rows = np.array(rows, dtype=float)
-        if rows.ndim != 2 or len(self) and rows.shape[1] != self.inputs.shape[1]:
-            raise InputError(f"exemplar rows of shape {rows.shape} are not a (k, d) block "
-                             "as wide as the stored rows")
-        self.inputs = rows if self.inputs is None else np.concatenate([self.inputs, rows])
-        self.features = None
-
-    def refresh_features(self, encode) -> None:
-        """Re-encode the (B, d) inputs as anchor targets with one (B, n) encode call."""
-        self.features = np.array(encode(self.inputs), dtype=float)
 
 
 # -- terms: the rows of one output -> (loss, gradient on those rows)
@@ -214,12 +189,10 @@ def _graph_anchors(graph: NGGraph, old_nodes) -> tuple:
     return graph.centroids[old_nodes], inv_var
 
 
-def _exemplar_anchors(exemplars: ExemplarSet | None) -> tuple:
-    if exemplars is None or len(exemplars) == 0:
-        raise StateError("exemplar anchor method needs a non-empty exemplar set")
-    if exemplars.features is None:
-        raise StateError("exemplar set has no anchor features; refresh them first")
-    return exemplars.features, 1.0
+def _exemplar_anchors(store: np.ndarray | None, old_params: ModelParams | None) -> tuple:
+    if store is None or len(store) == 0 or old_params is None:
+        raise StateError("exemplar anchors need a non-empty store and the frozen snapshot")
+    return extract_features(old_params, store), 1.0
 
 
 def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
@@ -234,10 +207,10 @@ def anchor_loss(graph: NGGraph, old_nodes, params: ModelParams):
     return total_loss(SessionPlan(graph.pseudo_inputs[old_nodes], (term,)), params)
 
 
-def _exemplar_anchor_loss(exemplars: ExemplarSet, params: ModelParams):
-    """Identity-weighted anchor penalty over stored exemplar features."""
-    term = (1.0, "feat", slice(None), _anchor_term, _exemplar_anchors(exemplars))
-    return total_loss(SessionPlan(exemplars.inputs, (term,)), params)
+def _exemplar_anchor_loss(store: np.ndarray, old_params: ModelParams, params: ModelParams):
+    """Identity-weighted anchor penalty pinning stored rows to the snapshot's features."""
+    term = (1.0, "feat", slice(None), _anchor_term, _exemplar_anchors(store, old_params))
+    return total_loss(SessionPlan(store, (term,)), params)
 
 
 def xi_heuristic(graph: NGGraph) -> float:
@@ -285,11 +258,12 @@ class SessionPlan:
     """What one incremental session's loss reads that stays fixed across its steps.
 
     x stacks the rows one forward pass covers: the batch, the stored
-    exemplars, then the pseudo inputs of the old nodes to anchor and of this
+    exemplar rows, then the pseudo inputs of the old nodes to anchor and of this
     session's nodes to push.  terms lists (weight, output, rows, term, context)
     in the order their gradients are summed; term reads those rows of output,
     "feat" or "logits", then its context: the batch labels, the anchor targets
-    and inverse variances, the min-max index sets or the snapshot's logits.
+    and inverse variances (the snapshot's features of the stored rows, for
+    exemplar anchors), the min-max index sets or the snapshot's logits.
     The min-max context holds the graph, whose centroids and edges it reads.
     """
 
@@ -297,33 +271,39 @@ class SessionPlan:
     terms: tuple
 
 
-def plan_session(batch, graph: NGGraph | None, exemplars: ExemplarSet | None,
+def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
                  hp: HyperParams, method: str, *, old_params: ModelParams | None = None,
                  n_old: int | None = None, xi: float | None = None) -> SessionPlan:
-    """The SessionPlan of METHODS[method] for batch (inputs, labels) over graph and exemplars.
+    """The SessionPlan of METHODS[method] for batch (inputs, labels) over graph and the
+    stored exemplar rows, one (rows, d) array as wide as the batch, or None.
 
     The plan holds while the graph keeps its nodes' labels, origins and pseudo
     inputs and its old nodes' centroids and variances, as it does through one
     session's steps: they move only this session's centroids and the edges.
     Terms are weighted 1 (CE on the batch), lambda1 (anchor), lambda2 (min-max,
-    margin xi) and gamma (distillation against the frozen snapshot old_params
-    on batch + exemplar rows).
+    margin xi) and gamma (distillation on batch + stored rows).  Both the
+    exemplar anchors' targets and the distillation's logits are the frozen
+    snapshot old_params's outputs on the stored rows.
     """
     spec = method_spec(method)
     if spec.reads_graph and graph is None:
         raise StateError(f"method {method!r} requires a neural-gas graph")
     batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
+    if store is not None and (np.ndim(store) != 2 or np.shape(store)[1:] != batch_x.shape[1:]):
+        raise InputError(f"an exemplar store of shape {np.shape(store)} is not a (rows, d) "
+                         "block as wide as the batch")
     empty = batch_x[:0]
-    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else empty
+    stored = store if store is not None and (spec.distill or spec.anchor == "exemplar") else empty
     z = graph.pseudo_inputs if spec.reads_graph else empty
     old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
     new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
-    x = np.concatenate([batch_x, store, z[old], z[new]])
-    ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
+    x = np.concatenate([batch_x, stored, z[old], z[new]])
+    ends = np.cumsum([len(batch_y), len(stored), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
     terms = [(1.0, "logits", batch_rows, softmax_cross_entropy_batch, (batch_y,))]
     if spec.anchor == "exemplar":
-        terms.append((hp.lambda1, "feat", store_rows, _anchor_term, _exemplar_anchors(exemplars)))
+        terms.append((hp.lambda1, "feat", store_rows, _anchor_term,
+                      _exemplar_anchors(store, old_params)))
     if spec.anchor == "graph":
         terms.append((hp.lambda1, "feat", old_rows, _anchor_term, _graph_anchors(graph, old)))
     if spec.min_max:

@@ -18,8 +18,8 @@ from .feature_model import (ModelParams, StepBuffers, backward_batch,  # noqa: F
                             extract_features, forward, forward_batch, forward_into,
                             init_params, sgd_step, sgd_step_in_place,
                             softmax_cross_entropy_batch)
-from .losses import (METHODS, ExemplarSet, HyperParams, method_spec, plan_session,
-                     total_loss, xi_heuristic)
+from .losses import (METHODS, HyperParams, method_spec, plan_session, total_loss,
+                     xi_heuristic)
 from .neural_gas import NGGraph, init_graph, train_on_features
 
 BASE_BATCH_SIZE = 128
@@ -252,16 +252,18 @@ def fit_base_graph(params: ModelParams, stream: SessionStream, hp: HyperParams,
 
 def train_incremental_session(params: ModelParams, graph: NGGraph | None,
                               session: Session, hp: HyperParams, method: str,
-                              exemplars: ExemplarSet | None, seed: int):
+                              store: np.ndarray | None, seed: int):
     """Finetune on one few-shot session with per-iteration neural-gas updates.
 
     The whole few-shot set forms a single batch; every iteration applies one
     clipped SGD step on the method's composed loss, then re-ranks the batch
     features (taken after the step) to move new-class nodes and refresh
     edges.  Old nodes keep their centroids during the session and are
-    re-anchored at the end.  With graph None the session trains the model
-    alone; methods whose loss does not read the graph run that way.  A
-    non-finite loss, or non-finite features to present, raise DivergenceError.
+    re-anchored at the end, and the exemplar rows in store are pinned to
+    their features under params as given.  With graph None the session
+    trains the model alone; methods whose loss does not read the graph run
+    that way.  A non-finite loss, or non-finite features to present, raise
+    DivergenceError.
     """
     n_old = params.class_count
     old_params = params.copy()
@@ -279,7 +281,7 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
             xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
         updatable = graph.origins == session.index
 
-    plan = plan_session((session.train_x, session.train_y), graph, exemplars, hp, method,
+    plan = plan_session((session.train_x, session.train_y), graph, store, hp, method,
                         old_params=old_params, n_old=n_old, xi=xi)
     for iteration in range(hp.inc_epochs):
         loss, grads = total_loss(plan, params)
@@ -360,11 +362,11 @@ def _exemplar_rng(seed: int, session: int) -> np.random.Generator:
     return np.random.default_rng([seed, 0xE8, session])
 
 
-def _add_class_exemplars(store: ExemplarSet, session: Session, per_class: int,
-                         rng: np.random.Generator) -> None:
-    for label in session.labels:
-        pool = session.train_x[session.train_y == label]
-        store.add(pool[rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)])
+def _class_exemplars(session: Session, per_class: int, rng: np.random.Generator) -> np.ndarray:
+    """Up to per_class random training rows of each session label, in label order."""
+    pools = [session.train_x[session.train_y == label] for label in session.labels]
+    return np.concatenate([pool[rng.choice(len(pool), size=min(per_class, len(pool)),
+                                           replace=False)] for pool in pools])
 
 
 @dataclass
@@ -441,28 +443,27 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
 
     # Every method draws the distill store: exemplar-anchor picks continue its generator.
     exemplar_anchor = METHODS[method].anchor == "exemplar"
-    distill_store, anchor_store = ExemplarSet(), ExemplarSet()
     rng = _exemplar_rng(seed, 1)
-    _add_class_exemplars(distill_store, stream.session(1), hp.exemplars_per_class, rng)
+    distill_store = _class_exemplars(stream.session(1), hp.exemplars_per_class, rng)
     if exemplar_anchor:
         pool = stream.session(1).train_x
-        anchor_store.add(pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
-                                         replace=False)])
-        anchor_store.refresh_features(lambda x: extract_features(params, x))
-    # total_loss reads the store only for the terms METHODS[method] names.
-    exemplars = anchor_store if exemplar_anchor else distill_store
+        anchor_store = pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
+                                       replace=False)]
 
     for t in range(2, len(stream) + 1):
         session = stream.session(t)
+        # plan_session reads the store only for the terms METHODS[method] names.
+        store = anchor_store if exemplar_anchor else distill_store
         params, graph = train_incremental_session(params, graph, session, hp,
-                                                  method, exemplars, seed)
+                                                  method, store, seed)
         metrics.append(evaluate_joint(params, stream, t))
         if graph_sink is not None and graph is not None:
             graph_sink(t, graph)
 
         rng = _exemplar_rng(seed, t)
-        _add_class_exemplars(distill_store, session, hp.exemplars_per_class, rng)
+        distill_store = np.concatenate(
+            [distill_store, _class_exemplars(session, hp.exemplars_per_class, rng)])
         if exemplar_anchor:
-            _add_class_exemplars(anchor_store, session, hp.growth_k, rng)
-            anchor_store.refresh_features(lambda x: extract_features(params, x))
+            anchor_store = np.concatenate(
+                [anchor_store, _class_exemplars(session, hp.growth_k, rng)])
     return metrics

@@ -6,8 +6,7 @@ import numpy as np
 
 from topogas import (DivergenceError, InputError, ModelParams, StateError, backward_batch,
                      forward_batch, sgd_step, softmax_cross_entropy_batch)
-from topogas.losses import (_anchor_term, _distillation_term, _exemplar_anchors,
-                            _graph_anchors, method_spec)
+from topogas.losses import _anchor_term, _distillation_term, _graph_anchors, method_spec
 from topogas.neural_gas import nearest as batch_nearest
 from topogas.protocol import BASE_BATCH_SIZE, _lr_at
 
@@ -179,25 +178,27 @@ def min_max_term(feat, logits, y, graph, new_nodes, xi, include_min=True, includ
     return loss, grad_feat, np.zeros_like(logits)
 
 
-def total_loss(batch, graph, params, exemplars, hp, method, *, old_params=None, n_old=None,
+def total_loss(batch, graph, params, store, hp, method, *, old_params=None, n_old=None,
                xi=None):
     """The composed incremental loss with every row, target and index set rebuilt per call:
-    the batch, the stored exemplars, then the old and this session's node pseudo inputs."""
+    the batch, the stored exemplar rows, then the old and this session's node pseudo inputs.
+    The stored rows' anchor targets are the snapshot old_params's features of them."""
     spec = method_spec(method)
     if spec.reads_graph and graph is None:
         raise StateError(f"method {method!r} requires a neural-gas graph")
     batch_x, batch_y = np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=int)
     empty = batch_x[:0]
-    store = exemplars.inputs if exemplars and (spec.distill or spec.anchor == "exemplar") else empty
+    stored = store if store is not None and (spec.distill or spec.anchor == "exemplar") else empty
     z = graph.pseudo_inputs if spec.reads_graph else empty
     old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
     new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
-    x = np.concatenate([batch_x, store, z[old], z[new]])
-    ends = np.cumsum([len(batch_y), len(store), len(old), len(new)])
+    x = np.concatenate([batch_x, stored, z[old], z[new]])
+    ends = np.cumsum([len(batch_y), len(stored), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
     terms = [(1.0, batch_rows, cross_entropy_term, (batch_y,))]
     if spec.anchor == "exemplar":
-        terms.append((hp.lambda1, store_rows, anchor_term, _exemplar_anchors(exemplars)))
+        terms.append((hp.lambda1, store_rows, anchor_term,
+                      (forward_batch(store, old_params)[0], 1.0)))
     if spec.anchor == "graph":
         terms.append((hp.lambda1, old_rows, anchor_term, _graph_anchors(graph, old)))
     if spec.min_max:

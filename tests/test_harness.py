@@ -245,6 +245,15 @@ def test_rerun_is_byte_identical(tiny_run, tmp_path):
         assert (out / rel).read_bytes() == (tmp_path / "again" / rel).read_bytes()
 
 
+# The console step's divergence repros: a huge incremental step, one iteration
+# and one new session; and a base session that overflows on its only epoch.
+DIVERGE_REPROS = {
+    "step": (("inc_lr", "1e300"), ("inc_epochs", "1"), ("new_classes", "2")),
+    "base": (("base_epochs", "1"), ("base_lr", "1e300"), ("train_per_base", "10"),
+             ("node_budget", "10")),
+}
+
+
 def test_divergence_exits_two_without_summary(tmp_path, monkeypatch, capsys):
     import topogas.harness as harness
 
@@ -280,6 +289,41 @@ def test_an_incremental_step_that_diverges_exits_two(tmp_path, capsys, method, i
     assert (tmp_path / "results.csv").read_text().splitlines() == [
         "method,seed,session,joint_acc,old_acc,new_acc"]
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["topic_al", "ft", "exemplar_anchor"])
+@pytest.mark.parametrize("repro", sorted(DIVERGE_REPROS))
+def test_a_diverging_run_prints_its_one_line_and_no_warning(tmp_path, capsys, method, repro):
+    """numpy's overflow warnings of a run that diverges are dropped: the run's
+    divergence line names the cause.  No np.errstate is set around the run, and
+    the suite's error::RuntimeWarning filter would raise any warning that escaped."""
+    config = parse_config(default_config_text())
+    for key, value in (*DIVERGE_REPROS[repro], ("seeds", "0"), ("methods", method),
+                       ("out_dir", str(tmp_path))):
+        set_key(config, key, value)
+    assert run_experiment(config, quiet=True) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert line.startswith(f"divergence: method={method} seed=0: ")
+    assert captured.err == ""
+
+
+def test_a_run_that_succeeds_re_emits_its_warnings(tmp_path, monkeypatch):
+    import topogas.harness as harness
+    run_method = harness.run_method
+
+    def overflowing(*args, **kwargs):
+        np.exp(np.array([1e3]))
+        return run_method(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_method", overflowing)
+    config = parse_config(TINY + "methods = ft\nseeds = 0\n")
+    config.out_dir = str(tmp_path)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        run_experiment(config, quiet=True)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_experiment(config, quiet=True) == 0
+    assert (tmp_path / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("error", [InputError, StateError])

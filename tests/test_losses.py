@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import add_scaled, finite_difference_check
-from topogas import (METHODS, ExemplarSet, HyperParams, InputError, NGGraph,
+from topogas import (METHODS, HyperParams, InputError, NGGraph,
                      StateError, anchor_loss, distillation_loss, forward,
                      forward_batch, init_params, min_max_loss, plan_session, softmax,
                      total_loss, xi_heuristic)
@@ -516,18 +516,15 @@ def test_total_loss_weighted_sum_matches_term_by_term():
     old = make_params(seed=33)
     hp = HyperParams()
     xi = 2.0
-    store = ExemplarSet()
-    for _ in range(2):
-        store.add(rng.normal(size=(1, 3)))
-    store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.3)
+    store = rng.normal(size=(2, 3))
 
     feat, logits, cache = forward_batch(bx, params)
     ce, grad_o = softmax_cross_entropy_batch(logits, by)
     terms = {
         "al": (hp.lambda1, anchor_loss(g, np.flatnonzero(g.origins < g.session), params)),
-        "exemplar_al": (hp.lambda1, _exemplar_anchor_loss(store, params)),
+        "exemplar_al": (hp.lambda1, _exemplar_anchor_loss(store, old, params)),
         "mml": (hp.lambda2, min_max_loss(bx, by, g, params, xi=xi)),
-        "dl": (hp.gamma, distillation_loss(np.vstack([bx, store.inputs]), old, params,
+        "dl": (hp.gamma, distillation_loss(np.vstack([bx, store]), old, params,
                                            hp.t_distill, 4)),
     }
     for method, names in TAG_TERMS.items():
@@ -574,19 +571,18 @@ def test_total_loss_rejects_unknown_method():
 
 
 def test_total_loss_exemplar_anchor_identity_weighting():
-    params = make_params(seed=36)
-    store = ExemplarSet()
+    # The targets are the snapshot's features of the stored rows.
+    params, old = make_params(seed=36), make_params(seed=43)
     rng = np.random.default_rng(37)
-    for _ in range(3):
-        store.add(rng.normal(size=(1, 3)))
-    store.refresh_features(lambda x: forward_batch(x, params)[0] + 0.5)
+    store = rng.normal(size=(3, 3))
     bx, by = random_batch(rng, n=2)
     hp = HyperParams()
-    loss, _ = total_loss(plan_session((bx, by), None, store, hp, "exemplar_anchor"), params)
+    loss, _ = total_loss(plan_session((bx, by), None, store, hp, "exemplar_anchor",
+                                      old_params=old), params)
     loss_ft, _ = total_loss(plan_session((bx, by), None, None, hp, "ft"), params)
-    feats = forward_batch(store.inputs, params)[0]
-    expected = sum(float(np.sum((feats[i] - store.features[i]) ** 2))
-                   for i in range(3))
+    feats, targets = forward_batch(store, params)[0], forward_batch(store, old)[0]
+    expected = sum(float(np.sum((feats[i] - targets[i]) ** 2)) for i in range(3))
+    assert expected > 0.0
     assert loss - loss_ft == pytest.approx(hp.lambda1 * expected, rel=1e-9)
 
 
@@ -597,33 +593,26 @@ def test_total_loss_exemplar_anchor_requires_store():
                      "exemplar_anchor")
 
 
-def test_total_loss_exemplar_anchor_requires_refreshed_features_after_add():
-    params = make_params(seed=41)
-    rng = np.random.default_rng(42)
-    store = ExemplarSet()
-    store.add(rng.normal(size=(2, 3)))
-    store.refresh_features(lambda x: forward_batch(x, params)[0])
-    batch = random_batch(rng, n=2)
-    total_loss(plan_session(batch, None, store, HyperParams(), "exemplar_anchor"), params)
-    store.add(rng.normal(size=(1, 3)))
-    assert len(store) == 3 and store.features is None
-    with pytest.raises(StateError, match="refresh"):
-        plan_session(batch, None, store, HyperParams(), "exemplar_anchor")
+@pytest.mark.parametrize("store, snapshot", [(np.zeros((0, 3)), True), (np.ones((2, 3)), False)],
+                         ids=["empty_store", "no_snapshot"])
+def test_total_loss_exemplar_anchor_requires_stored_rows_and_the_snapshot(store, snapshot):
+    old = make_params(seed=41) if snapshot else None
+    with pytest.raises(StateError):
+        plan_session((np.zeros((1, 3)), np.array([0])), None, store, HyperParams(),
+                     "exemplar_anchor", old_params=old)
 
 
-@pytest.mark.parametrize("rows", [np.zeros(3), np.zeros((1, 4)), np.zeros((1, 1, 3))])
-def test_exemplar_add_rejects_rows_that_are_not_a_block_of_the_store_width(rows):
-    store = ExemplarSet()
-    store.add(np.ones((2, 3)))
-    with pytest.raises(InputError):
-        store.add(rows)
-    assert np.array_equal(store.inputs, np.ones((2, 3)))
+@pytest.mark.parametrize("store", [np.zeros(3), np.zeros((1, 4)), np.zeros((1, 1, 3))])
+def test_plan_session_rejects_a_store_that_is_not_a_block_of_the_batch_width(store):
+    with pytest.raises(InputError, match="exemplar store"):
+        plan_session((np.zeros((1, 3)), np.array([0])), None, store, HyperParams(),
+                     "exemplar_anchor", old_params=make_params(seed=42))
 
 
 def test_total_loss_distill_requires_snapshot():
     params = make_params()
     with pytest.raises(StateError):
-        plan_session((np.zeros((1, 3)), np.array([0])), None, ExemplarSet(), HyperParams(),
+        plan_session((np.zeros((1, 3)), np.array([0])), None, np.zeros((0, 3)), HyperParams(),
                      "distill")
 
 
@@ -632,13 +621,12 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
     old = make_params(seed=39)
     rng = np.random.default_rng(40)
     bx, by = random_batch(rng, n=2)
-    store = ExemplarSet()
-    store.add(rng.normal(size=(1, 3)))
+    store = rng.normal(size=(1, 3))
     hp = HyperParams()
-    with_p, without_p = (total_loss(plan_session((bx, by), None, exemplars, hp, "distill",
+    with_p, without_p = (total_loss(plan_session((bx, by), None, rows, hp, "distill",
                                                  old_params=old, n_old=4), params)[0]
-                         for exemplars in (store, None))
-    dl_extra, _ = distillation_loss(store.inputs, old, params,
+                         for rows in (store, None))
+    dl_extra, _ = distillation_loss(store, old, params,
                                     hp.t_distill, 4)
     assert with_p - without_p == pytest.approx(dl_extra, rel=1e-9)
 

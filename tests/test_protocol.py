@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from oracles import confusion_matrix
-from topogas import (METHODS, DivergenceError, ExemplarSet, HyperParams, InputError,
+from topogas import (METHODS, DivergenceError, HyperParams, InputError,
                      ModelParams, NGGraph, SessionStream, evaluate_joint, expand_output_layer,
                      forward, forward_batch, init_params, make_synthetic_stream, plan_session,
                      run_method, sgd_step, total_loss, train_base_session,
@@ -235,9 +235,7 @@ def test_a_base_session_that_diverges_on_its_last_step_raises_divergence():
 def test_refreshed_anchors_are_exact():
     # Anchors are re-encoded by the same batch pass the losses use, so the
     # anchor loss right after a refresh is exactly zero, not merely tiny.
-    from topogas import ExemplarSet
     from topogas.losses import _exemplar_anchor_loss
-    from topogas.protocol import extract_features
     stream = desk_stream(5)
     hp = small_hp(inc_epochs=5)
     params, graph = train_base_session(stream, hp, 5)
@@ -245,10 +243,8 @@ def test_refreshed_anchors_are_exact():
     params, graph = train_incremental_session(params, graph, stream.session(2),
                                               hp, "topic_al_mml", None, 5)
     assert anchor_loss(graph, np.arange(len(graph)), params)[0] == 0.0
-    store = ExemplarSet()
-    store.add(stream.session(1).train_x[::25])
-    store.refresh_features(lambda x: extract_features(params, x))
-    assert _exemplar_anchor_loss(store, params)[0] == 0.0
+    # With params as the snapshot, the stored rows sit on their targets.
+    assert _exemplar_anchor_loss(stream.session(1).train_x[::25], params, params)[0] == 0.0
 
 
 def test_finetuning_forgets_old_classes():
@@ -477,28 +473,27 @@ def test_cross_entropy_training_rejects_a_learning_rate_that_is_not_positive(bas
 
 
 def second_session(seed):
-    """(hp, base params, expanded params, graph grown for session 2, session 2, store)."""
+    """(hp, a snapshot unlike the base, expanded base params, graph grown for session 2,
+    session 2, stored rows)."""
     stream, hp = desk_stream(seed), small_hp(base_epochs=3, ng_passes=1)
-    old_params, graph = train_base_session(stream, hp, seed)
+    base, graph = train_base_session(stream, hp, seed)
     session = stream.session(2)
-    params = expand_output_layer(old_params, len(session.labels), seed=seed)
+    params = expand_output_layer(base, len(session.labels), seed=seed)
     encode = lambda x: forward_batch(x, params)[0]
     graph.grow({label: (encode(session.train_x[session.train_y == label]),
                         session.train_x[session.train_y == label])
                 for label in session.labels}, 1, 2)
-    store = ExemplarSet()
-    store.add(stream.session(1).train_x[::97])
-    store.refresh_features(lambda x: encode(x) + 0.1)
-    return hp, old_params, params, graph, session, store
+    snapshot = init_params(16, 32, 8, 10, seed=seed + 1)
+    return hp, snapshot, params, graph, session, stream.session(1).train_x[::97]
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_session_plan_equals_the_per_step_builder_over_a_session(method):
-    hp, old_params, params, graph, session, store = second_session(14)
+    hp, snapshot, params, graph, session, store = second_session(14)
     graph.ages[:] = 0  # edges come only from this session's presentations
     batch, xi = (session.train_x, session.train_y), xi_heuristic(graph)
     g = graph if METHODS[method].reads_graph else None
-    context = dict(old_params=old_params, n_old=10, xi=xi)
+    context = dict(old_params=snapshot, n_old=10, xi=xi)
     plan = plan_session(batch, g, store, hp, method, **context)
     for step in range(4):
         loss, grads = total_loss(plan, params)
@@ -520,12 +515,10 @@ def test_graph_free_methods_do_not_read_the_graph(method):
     graph.grow({label: (encode(session.train_x[session.train_y == label]),
                         session.train_x[session.train_y == label])
                 for label in session.labels}, 1, 2)
-    store = ExemplarSet()
-    store.add(stream.session(1).train_x[::97])
-    store.refresh_features(lambda x: encode(x) + 0.1)
+    store, snapshot = stream.session(1).train_x[::97], init_params(16, 32, 8, 10, seed=13)
     batch = (session.train_x, session.train_y)
     with_graph, without = (total_loss(plan_session(batch, g, store, hp, method,
-                                                   old_params=old_params, n_old=10), params)
+                                                   old_params=snapshot, n_old=10), params)
                            for g in (graph, None))
     assert with_graph[0] == without[0]
     for name, array in with_graph[1].arrays().items():
