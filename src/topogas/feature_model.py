@@ -11,7 +11,8 @@ Each pass is written once, as a helper that writes into given buffers
 the extractor pass plus the head.  The checked entry points
 `extract_features`, `forward_batch`, `softmax_cross_entropy_batch` and
 `backward_batch` allocate fresh arrays and call them; a training loop
-allocates a `StepBuffers` once and calls them directly.
+allocates a `StepBuffers` once and calls them directly.  `extract_features`
+encodes in `row_blocks`, so its memory beyond the output is one block.
 """
 
 import math
@@ -20,6 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+
+# Rows per block of an encode.  No block gets fewer: OpenBLAS may take another
+# path for a short product and change bits (blocks and tails of 16-32 rows did,
+# blocks of 512 rows or more never did), so a call with fewer than twice this
+# many rows stays one product and the last block takes the remainder.
+ENCODE_BLOCK = 1 << 10
 
 
 @dataclass
@@ -154,11 +161,24 @@ def _checked_batch(x: np.ndarray, params: ModelParams) -> np.ndarray:
     return x
 
 
+def row_blocks(rows: int) -> list:
+    """Slices over range(rows) in order, each of ENCODE_BLOCK up to 2 * ENCODE_BLOCK - 1
+    rows; fewer than 2 * ENCODE_BLOCK rows make one slice."""
+    stops = [*range(ENCODE_BLOCK, rows - ENCODE_BLOCK + 1, ENCODE_BLOCK), rows]
+    return [slice(a, b) for a, b in zip([0, *stops], stops)]
+
+
 def extract_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The (B, n) features of a batch alone: no head, and nothing kept for a backward pass."""
+    """The (B, n) features of a batch alone: no head, and nothing kept for a backward pass.
+
+    The rows are encoded in `row_blocks` through one reused hidden buffer.
+    """
     x = _checked_batch(x, params)
+    blocks = row_blocks(x.shape[0])
     feature = np.empty((x.shape[0], params.feature_dim))
-    features_into(params, x, np.empty((x.shape[0], params.hidden_dim)), feature)
+    hidden = np.empty((max(b.stop - b.start for b in blocks), params.hidden_dim))
+    for b in blocks:
+        features_into(params, x[b], hidden[:b.stop - b.start], feature[b])
     return feature
 
 

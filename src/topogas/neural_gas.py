@@ -18,8 +18,11 @@ node-major copy of the centroids and ranks each row by fast squared sums
 wherever a rounding margin certifies the exact order.  Every result is bit
 for bit that of the row-by-row rules.  `nearest` is the one winner search:
 small searches compute every distance, larger ones screen the refs with one
-product per block of query rows.  Both it and `max_distance` work through
-bounded blocks.  Encoders passed to the graph map an input batch to features.
+product per block of query rows.  Every pass over rows works in blocks of
+bounded size, whatever the row, ref or node count: a search block holds at
+most NEAREST_BLOCK distances or SCREEN_BLOCK products (`max_distance` searches
+like `nearest`), and a training sweep presents SWEEP_BLOCK rows per call.
+Encoders passed to the graph map an input batch to features.
 """
 
 import functools
@@ -41,9 +44,12 @@ NEAREST_BLOCK = 1 << 11
 # screened 20 us per row at 40 x 8, 29 vs 21 at 128 x 8, 57 vs 29 at 195 x 32,
 # 95 vs 37 at 400 x 32.
 SCREEN_MIN = 2048
-# Most row x node (or query x ref) products one block of a screen holds; a
-# winner search's block may also hold as many products as its refs hold numbers.
-SCREEN_BLOCK = 1 << 14
+# Most row x node (or query x ref) products one block of a screen holds (1 MB of
+# them), whatever the node or ref count; a block still takes at least one row.
+SCREEN_BLOCK = 1 << 17
+# Rows per presentation call of a training sweep, so a sweep's temporaries stay
+# bounded however many features it presents.
+SWEEP_BLOCK = 1 << 10
 # Headroom of the screen's bound over the worst-case rounding error, and the
 # squared norm from which rows or centroids are too large to screen or certify.
 SCREEN_MARGIN = 2.0 ** 10
@@ -103,9 +109,7 @@ def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
     """
     bound = 2.0 * _screen_bound(queries.shape[1], q_sq.max(), r_sq.max())
     index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
-    # A block's products may also fill as many numbers as the refs hold, so a
-    # block takes several query rows even when one row's products exceed SCREEN_BLOCK.
-    step = max(1, max(SCREEN_BLOCK, refs.size) // len(refs))
+    step = max(1, SCREEN_BLOCK // len(refs))
     for start in range(0, len(queries), step):
         block = slice(start, start + step)
         h = (-2.0 * queries[block]) @ refs.T
@@ -672,11 +676,15 @@ def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,
     """Run shuffled competitive-Hebbian sweeps over the feature set.
 
     Each presented feature ranks the nodes, moves centroids, and refreshes
-    the winner-pair edge.
+    the winner-pair edge.  A sweep presents its permutation in chunks of
+    SWEEP_BLOCK rows, so it never copies the whole feature set; a presentation
+    gives the same bits for any split of its rows into calls.
     """
     if passes < 1:
         raise InputError(f"need at least one pass, got {passes}")
     features = np.asarray(features, dtype=float)
     rng = np.random.default_rng([seed, 0x7A41])
     for _ in range(passes):
-        graph.present(features[rng.permutation(features.shape[0])], eta, alpha)
+        order = rng.permutation(features.shape[0])
+        for start in range(0, max(len(order), 1), SWEEP_BLOCK):  # an empty set is still checked
+            graph.present(features[order[start:start + SWEEP_BLOCK]], eta, alpha)

@@ -16,7 +16,7 @@ from .errors import DivergenceError, InputError
 from .feature_model import (ModelParams, StepBuffers, backward_batch,  # noqa: F401
                             backward_into, cross_entropy_into, expand_output_layer,
                             extract_features, forward, forward_batch, forward_into,
-                            init_params, sgd_step, sgd_step_in_place,
+                            init_params, row_blocks, sgd_step, sgd_step_in_place,
                             softmax_cross_entropy_batch)
 from .losses import (METHODS, HyperParams, method_spec, plan_session, total_loss,
                      xi_heuristic)
@@ -169,30 +169,33 @@ def _lr_at(epoch: int, total_epochs: int, base_lr: float) -> float:
 
 def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
                          epochs: int, base_lr: float, seed: int,
-                         context: str) -> ModelParams:
+                         context: str, rows: np.ndarray | None = None) -> ModelParams:
     """Mini-batch SGD on mean cross-entropy with the step-drop schedule.
 
-    Widths and labels are checked once, before the first step.  The steps then
-    reuse one StepBuffers and update a copy of params in place; params itself
-    is never changed.
+    The steps draw from rows, indices into x and y that may repeat (every row
+    once by default); each batch is gathered from x through them.  Widths and
+    labels are checked once, before the first step.  The steps then reuse one
+    StepBuffers and update a copy of params in place; params itself is never
+    changed.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=int)
-    n = x.shape[0]
-    if x.ndim != 2 or x.shape[1] != params.input_dim or y.shape != (n,):
+    if x.ndim != 2 or x.shape[1] != params.input_dim or y.shape != x.shape[:1]:
         raise InputError(f"{context}: expected inputs of width {params.input_dim} and one "
                          f"label per row, got shapes {x.shape} and {y.shape}")
     if np.any(y < 0) or np.any(y >= params.class_count):
         raise InputError(f"{context}: class index out of range")
+    rows = np.arange(len(y)) if rows is None else rows
+    n = len(rows)
     rng = np.random.default_rng([seed, 0xCE])
     params = params.copy()
     # One record per batch size: full batches, and each epoch's shorter last batch.
-    buffers = {rows: StepBuffers.allocate(params, rows)
-               for rows in {min(n, BASE_BATCH_SIZE), n % BASE_BATCH_SIZE} - {0}}
+    buffers = {size: StepBuffers.allocate(params, size)
+               for size in {min(n, BASE_BATCH_SIZE), n % BASE_BATCH_SIZE} - {0}}
     for epoch in range(epochs):
         lr = _lr_at(epoch, epochs, base_lr)
         order = rng.permutation(n)
         for start in range(0, n, BASE_BATCH_SIZE):
-            take = order[start:start + BASE_BATCH_SIZE]
+            take = rows[order[start:start + BASE_BATCH_SIZE]]
             buf = buffers[take.size]
             # mode="clip" writes straight into the buffer; the indices are in range.
             np.take(x, take, axis=0, out=buf.cache.x, mode="clip")
@@ -311,15 +314,19 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     old/new accuracies split the joint set against the latest session's
     label set; at the base session both equal the joint accuracy.  The
     confusion matrix covers all cumulative classes, rows normalized where
-    they have samples.  A non-finite logit raises DivergenceError.
+    they have samples.  The rows are encoded and classified one `row_blocks`
+    block at a time, so no more than one block's logits are held.  A
+    non-finite logit raises DivergenceError.
     """
     if not 1 <= upto_session <= len(stream):
         raise InputError(f"upto_session {upto_session} is outside 1..{len(stream)}")
     x, y = stream.cumulative_test(upto_session)
-    logits = extract_features(params, x) @ params.phi
-    if not np.isfinite(logits).all():
-        raise DivergenceError(f"non-finite logits evaluating session {upto_session}")
-    pred = np.argmax(logits, axis=1)
+    pred = np.empty(len(y), dtype=int)
+    for block in row_blocks(len(y)):
+        logits = extract_features(params, x[block]) @ params.phi
+        if not np.isfinite(logits).all():
+            raise DivergenceError(f"non-finite logits evaluating session {upto_session}")
+        pred[block] = np.argmax(logits, axis=1)
     correct = pred == y
     joint = float(correct.mean())
 
@@ -340,22 +347,18 @@ def evaluate_joint(params: ModelParams, stream: SessionStream,
     return SessionMetrics(upto_session, joint, old_acc, new_acc, confusion)
 
 
-def _balanced_union(stream: SessionStream, upto: int):
-    """Union of all training data seen so far, oversampled to class balance.
+def _balanced_union(stream: SessionStream, upto: int) -> np.ndarray:
+    """Row indices into cumulative_train(upto) of its union oversampled to class balance.
 
-    Few-shot classes are deterministically tiled up to the largest class
-    count so the joint reference is not starved by imbalance.
+    Each class's rows are tiled, in order, up to the largest class count, so
+    the joint reference is not starved by few-shot classes; the indices are
+    grouped by class in label order.
     """
-    x, y = stream.cumulative_train(upto)
+    y = stream.cumulative_train(upto)[1]
     counts = {c: int(np.sum(y == c)) for c in stream.cumulative_labels(upto)}
     target = max(counts.values())
-    xs, ys = [], []
-    for c, n in counts.items():
-        idx = np.flatnonzero(y == c)
-        reps = np.tile(idx, -(-target // n))[:target]
-        xs.append(x[reps])
-        ys.append(np.full(target, c, dtype=int))
-    return np.vstack(xs), np.concatenate(ys)
+    return np.concatenate([np.tile(np.flatnonzero(y == c), -(-target // n))[:target]
+                           for c, n in counts.items()])
 
 
 def _exemplar_rng(seed: int, session: int) -> np.random.Generator:
@@ -433,37 +436,38 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
 
     if method == "joint":
         for t in range(2, len(stream) + 1):
-            x, y = _balanced_union(stream, t)
             fresh = init_params(stream.input_dim, hidden_dim, feature_dim,
                                 len(stream.cumulative_labels(t)), seed * 31 + t)
-            fresh = _train_cross_entropy(fresh, x, y, hp.base_epochs, hp.base_lr,
-                                         seed * 31 + t, context=f"joint session {t}")
+            fresh = _train_cross_entropy(fresh, *stream.cumulative_train(t), hp.base_epochs,
+                                         hp.base_lr, seed * 31 + t, context=f"joint session {t}",
+                                         rows=_balanced_union(stream, t))
             metrics.append(evaluate_joint(fresh, stream, t))
         return metrics
 
-    # Every method draws the distill store: exemplar-anchor picks continue its generator.
-    exemplar_anchor = METHODS[method].anchor == "exemplar"
-    rng = _exemplar_rng(seed, 1)
-    distill_store = _class_exemplars(stream.session(1), hp.exemplars_per_class, rng)
-    if exemplar_anchor:
-        pool = stream.session(1).train_x
-        anchor_store = pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
-                                       replace=False)]
+    # Only the store the method's terms read is built and grown.  Exemplar-anchor
+    # picks continue the generator past the distillation draws, made and dropped.
+    spec = METHODS[method]
+    exemplar_anchor = spec.anchor == "exemplar"
+    store = None
+    if spec.distill or exemplar_anchor:
+        rng = _exemplar_rng(seed, 1)
+        store = _class_exemplars(stream.session(1), hp.exemplars_per_class, rng)
+        if exemplar_anchor:
+            pool = stream.session(1).train_x
+            store = pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
+                                    replace=False)]
 
     for t in range(2, len(stream) + 1):
         session = stream.session(t)
-        # plan_session reads the store only for the terms METHODS[method] names.
-        store = anchor_store if exemplar_anchor else distill_store
         params, graph = train_incremental_session(params, graph, session, hp,
                                                   method, store, seed)
         metrics.append(evaluate_joint(params, stream, t))
         if graph_sink is not None and graph is not None:
             graph_sink(t, graph)
-
-        rng = _exemplar_rng(seed, t)
-        distill_store = np.concatenate(
-            [distill_store, _class_exemplars(session, hp.exemplars_per_class, rng)])
-        if exemplar_anchor:
-            anchor_store = np.concatenate(
-                [anchor_store, _class_exemplars(session, hp.growth_k, rng)])
+        if store is not None:
+            rng = _exemplar_rng(seed, t)
+            picks = _class_exemplars(session, hp.exemplars_per_class, rng)
+            if exemplar_anchor:
+                picks = _class_exemplars(session, hp.growth_k, rng)
+            store = np.concatenate([store, picks])
     return metrics

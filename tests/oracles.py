@@ -4,11 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topogas import (DivergenceError, InputError, ModelParams, StateError, backward_batch,
-                     forward_batch, sgd_step, softmax_cross_entropy_batch)
+from topogas import (DivergenceError, InputError, ModelParams, SessionMetrics, StateError,
+                     backward_batch, forward_batch, sgd_step, softmax_cross_entropy_batch)
+from topogas.feature_model import features_into
 from topogas.losses import _anchor_term, _distillation_term, _graph_anchors, method_spec
 from topogas.neural_gas import nearest as batch_nearest
-from topogas.protocol import BASE_BATCH_SIZE, _lr_at
+from topogas.protocol import BASE_BATCH_SIZE, _class_exemplars, _exemplar_rng, _lr_at
 
 FD_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
@@ -306,3 +307,61 @@ def confusion_matrix(y, pred, n_classes):
         if hat < n_classes:  # a wider head may predict outside the eval set
             confusion[true, hat] += 1
     return np.divide(confusion, totals, out=np.zeros_like(confusion), where=totals > 0)
+
+
+def evaluate_joint(params, stream, upto_session):
+    """The joint evaluation in one shot: every test row's features from one extractor
+    pass, then every logit, then one argmax."""
+    x, y = stream.cumulative_test(upto_session)
+    feature = np.empty((len(x), params.feature_dim))
+    features_into(params, x, np.empty((len(x), params.hidden_dim)), feature)
+    logits = feature @ params.phi
+    if not np.isfinite(logits).all():
+        raise DivergenceError(f"non-finite logits evaluating session {upto_session}")
+    pred = np.argmax(logits, axis=1)
+    correct = pred == y
+    joint = float(correct.mean())
+    new_mask = np.isin(y, stream.session(upto_session).labels)
+    if upto_session == 1:
+        old_acc = new_acc = joint
+    else:
+        old_acc, new_acc = float(correct[~new_mask].mean()), float(correct[new_mask].mean())
+    n_classes = len(stream.cumulative_labels(upto_session))
+    return SessionMetrics(upto_session, joint, old_acc, new_acc,
+                          confusion_matrix(y, pred, n_classes))
+
+
+def balanced_union(stream, upto):
+    """The training union oversampled to class balance, copied out class by class:
+    (x, y) with every class's rows tiled up to the largest class count."""
+    x, y = stream.cumulative_train(upto)
+    counts = {c: int(np.sum(y == c)) for c in stream.cumulative_labels(upto)}
+    target = max(counts.values())
+    xs, ys = [], []
+    for c, n in counts.items():
+        reps = np.tile(np.flatnonzero(y == c), -(-target // n))[:target]
+        xs.append(x[reps])
+        ys.append(np.full(target, c, dtype=int))
+    return np.vstack(xs), np.concatenate(ys)
+
+
+def exemplar_stores(stream, hp, seed, exemplar_anchor):
+    """Per incremental session 2..T, the distillation store and the exemplar-anchor store
+    (None unless exemplar_anchor) as they stand before it, both always drawn: the
+    distillation draws come first, and the anchor picks continue their generator."""
+    rng = _exemplar_rng(seed, 1)
+    distill = _class_exemplars(stream.session(1), hp.exemplars_per_class, rng)
+    anchor = None
+    if exemplar_anchor:
+        pool = stream.session(1).train_x
+        anchor = pool[rng.choice(len(pool), size=min(hp.node_budget, len(pool)),
+                                 replace=False)]
+    stores = []
+    for t in range(2, len(stream) + 1):
+        stores.append((distill, anchor))
+        session, rng = stream.session(t), _exemplar_rng(seed, t)
+        distill = np.concatenate([distill, _class_exemplars(session, hp.exemplars_per_class,
+                                                            rng)])
+        if exemplar_anchor:
+            anchor = np.concatenate([anchor, _class_exemplars(session, hp.growth_k, rng)])
+    return stores

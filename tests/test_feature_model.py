@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oracles import (add_scaled, backward_from_pre_activations, finite_differenc
 from topogas import (DivergenceError, ForwardCache, InputError, ModelParams,
                      backward_batch, expand_output_layer, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
-from topogas.feature_model import extract_features
+from topogas.feature_model import ENCODE_BLOCK, extract_features, features_into, row_blocks
 
 
 def small_params(seed=0, input_dim=3, hidden_dim=4, feature_dim=3, classes=4):
@@ -115,6 +116,39 @@ def test_extract_features_equals_the_forward_pass_features_bit_for_bit(
     got = extract_features(params, x)
     assert got.shape == (rows, feature_dim)
     assert got.tobytes() == forward_batch(x, params)[0].tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 2047, 2048, 2049, 3071, 3072, 12000])
+def test_row_blocks_cover_the_rows_with_no_block_below_encode_block(rows):
+    blocks = row_blocks(rows)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == rows
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) < 2 * ENCODE_BLOCK
+    assert len(blocks) == 1 if rows < 2 * ENCODE_BLOCK else min(sizes) >= ENCODE_BLOCK
+
+
+@pytest.mark.parametrize("rows", [2047, 2048, 2049, 3071, 10000, 12000])
+def test_blocked_encode_equals_one_extractor_pass_bit_for_bit(rows):
+    params = init_params(64, 128, 32, 60, seed=4)
+    x = np.random.default_rng(rows).normal(size=(rows, 64))
+    single = np.empty((rows, 32))
+    features_into(params, x, np.empty((rows, 128)), single)
+    assert extract_features(params, x).tobytes() == single.tobytes()
+
+
+def test_extract_features_memory_stays_within_the_output_plus_two_blocks():
+    params = init_params(64, 128, 32, 60, seed=4)
+    x = np.random.default_rng(6).normal(size=(12000, 64))
+    tracemalloc.start()
+    try:
+        feature = extract_features(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One block's hidden rows: ENCODE_BLOCK x 128 values.  The one-pass encode held
+    # all 12 000 x 128 of them.
+    assert peak < feature.nbytes + 2 * ENCODE_BLOCK * 128 * 8
 
 
 def test_extract_features_rejects_bad_dimension():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -666,6 +667,27 @@ def test_training_two_blobs_two_nodes_land_in_their_blobs():
     assert hits == 20
 
 
+@pytest.mark.parametrize("rows,block", [(300, 1), (300, 7), (300, 300), (2500, None)])
+def test_chunked_sweeps_equal_one_presentation_per_pass(rows, block, monkeypatch):
+    rng = np.random.default_rng([rows, 0x5EE])
+    feats = np.vstack([rng.normal(size=(rows - 40, 6)), rng.integers(-1, 2, size=(40, 6)) / 2.0])
+    labels = rng.integers(0, 5, size=rows)
+    whole = init_graph(feats, feats, labels, 30, 20, EPS, seed=3)
+    chunked = init_graph(feats, feats, labels, 30, 20, EPS, seed=3)
+    permutations = np.random.default_rng([9, 0x7A41])
+    for _ in range(3):
+        whole.present(feats[permutations.permutation(rows)], 0.2, 1.0)
+    if block is not None:
+        monkeypatch.setattr(neural_gas, "SWEEP_BLOCK", block)
+    calls, present = [], NGGraph.present
+    monkeypatch.setattr(NGGraph, "present",
+                        lambda g, f, *args: calls.append(len(f)) or present(g, f, *args))
+    train_on_features(chunked, feats, 0.2, 1.0, passes=3, seed=9)
+    step = neural_gas.SWEEP_BLOCK
+    assert calls == 3 * ([step] * (rows // step) + ([rows % step] if rows % step else []))
+    assert same_bits(chunked.centroids, whole.centroids) and same_bits(chunked.ages, whole.ages)
+
+
 def test_training_requires_at_least_one_pass():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
@@ -927,7 +949,7 @@ def test_nearest_matches_per_row_oracle_on_both_sides(case, side, monkeypatch):
         return screened(*args)
 
     monkeypatch.setattr(neural_gas, "_nearest_screened", spy)
-    for block in (1, 60, 1 << 14):  # screened blocks of 2 query rows (the refs' width), 3, all
+    for block in (1, 60, 1 << 14):  # screened blocks of 1 query row, a few, all
         monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
         for seed in range(3):
             queries, refs = nearest_case(case, seed)
@@ -941,13 +963,14 @@ def test_nearest_matches_per_row_oracle_on_both_sides(case, side, monkeypatch):
     assert len(calls) == (9 if side == "screened" and case != "norms_2^1000" else 0)
 
 
-def test_screened_search_blocks_several_query_rows_whatever_the_ref_count(monkeypatch):
+def test_screened_search_blocks_hold_at_most_screen_block_products(monkeypatch):
     rng = np.random.default_rng(0x5B)
     refs = np.round(rng.normal(size=(3000, 4)), 1)  # coarse values: near ties in every block
     queries = refs[rng.choice(len(refs), size=10)] + np.round(rng.normal(size=(10, 4)), 1) / 8
     expected = oracles.nearest(queries, refs)
     exact, blocks = neural_gas._exact_distances, {}
-    for block in (1, 1 << 14, 3 * 10 ** 4):  # rows per block: the refs' width 4, then 5, all 10
+    # Rows per block: one (a row's 3000 products exceed the bound), then 5, all 10.
+    for block in (1, 1 << 14, 3 * 10 ** 4):
         calls = []  # the screen computes exact distances once per block
         monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
         monkeypatch.setattr(neural_gas, "_exact_distances",
@@ -955,7 +978,25 @@ def test_screened_search_blocks_several_query_rows_whatever_the_ref_count(monkey
         index, dist = nearest(queries, refs)
         assert same_bits(index, expected[0]) and same_bits(dist, expected[1]), block
         blocks[block] = len(calls)
-    assert blocks == {1: 3, 1 << 14: 2, 3 * 10 ** 4: 1}
+    assert blocks == {1: 10, 1 << 14: 2, 3 * 10 ** 4: 1}
+
+
+def test_screened_search_memory_stays_within_the_product_bound():
+    rng = np.random.default_rng(0x5C)
+    refs, queries = rng.normal(size=(30000, 32)), rng.normal(size=(400, 32))
+    tracemalloc.start()
+    try:
+        index, dist = nearest(queries, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Beyond the squared norms and the results: a block's products (8 bytes each) and
+    # candidate mask (1 byte each), twice, since the last block's are freed only once
+    # the next block's products exist, with room to spare.  A block as wide as 32
+    # query rows would hold 7.7 MB of products alone.
+    assert peak < 8 * (len(refs) + 3 * len(queries)) + 24 * neural_gas.SCREEN_BLOCK
+    expected = oracles.nearest(queries, refs)
+    assert same_bits(index, expected[0]) and same_bits(dist, expected[1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from topogas import (METHODS, DivergenceError, HyperParams, InputError,
                      run_method, sgd_step, total_loss, train_base_session,
                      train_incremental_session, xi_heuristic)
 from topogas import protocol
+from topogas.feature_model import row_blocks
 from topogas.losses import anchor_loss
 from topogas.protocol import BASE_BATCH_SIZE, _balanced_union, _train_cross_entropy
 
@@ -367,7 +370,54 @@ def test_evaluation_logits_equal_the_forward_pass_logits_bit_for_bit(shape, dims
     evaluate_joint(params, stream, upto)
     monkeypatch.undo()
     x = stream.cumulative_test(upto)[0]
-    assert len(seen) == 1 and seen[0].tobytes() == forward_batch(x, params)[1].tobytes()
+    # One argmax per block of rows: 1 at desk scale, 9 over the paper's 10 000 rows.
+    assert len(seen) == len(row_blocks(len(x))) == (1 if shape is DESK else 9)
+    assert np.concatenate(seen).tobytes() == forward_batch(x, params)[1].tobytes()
+
+
+def paper_params(stream, upto, seed=1):
+    return init_params(stream.input_dim, 128, 32, len(stream.cumulative_labels(upto)), seed)
+
+
+@pytest.mark.parametrize("upto", [1, 2, 5, 9])
+def test_blocked_evaluation_equals_the_one_shot_oracle(upto):
+    desk, paper = desk_stream(2), make_synthetic_stream(seed=2, **STREAM_SHAPES[3])
+    base, _ = train_base_session(desk, small_hp(base_epochs=3), 2, fit_graph=False)
+    cases = [(paper, paper_params(paper, upto))]
+    if upto <= len(desk):
+        cases.append((desk, expand_output_layer(base, 8, seed=2)))
+    for stream, params in cases:
+        got, expected = evaluate_joint(params, stream, upto), oracles.evaluate_joint(
+            params, stream, upto)
+        assert (got.session, got.joint_acc, got.old_acc, got.new_acc) == (
+            expected.session, expected.joint_acc, expected.old_acc, expected.new_acc)
+        assert got.confusion.tobytes() == expected.confusion.tobytes()
+
+
+def test_evaluation_raises_on_a_non_finite_row_in_a_later_block():
+    paper = make_synthetic_stream(seed=3, **STREAM_SHAPES[3])
+    x, y = (a.copy() for a in paper.test)
+    x[-1, 0] = np.nan
+    stream = SessionStream.from_splits([s.labels for s in paper.sessions], paper.train, (x, y))
+    assert len(row_blocks(len(x))) > 1
+    with pytest.raises(DivergenceError, match="^non-finite logits evaluating session 9$"):
+        evaluate_joint(paper_params(stream, 9), stream, 9)
+    with pytest.raises(DivergenceError, match="^non-finite logits evaluating session 9$"):
+        oracles.evaluate_joint(paper_params(stream, 9), stream, 9)
+
+
+def test_evaluation_memory_stays_bounded_at_paper_scale():
+    stream = make_synthetic_stream(seed=1, **STREAM_SHAPES[3])
+    params = paper_params(stream, 9)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        evaluate_joint(params, stream, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The one-shot evaluation holds 10 000 x 128 hidden values, then 10 000 x 100 logits.
+    assert peak - entry < 4 * 2 ** 20
 
 
 # -- full pipeline -----------------------------------------------------------------
@@ -579,7 +629,44 @@ def test_base_lr_schedule_drops_at_60_and_80_percent():
 
 def test_balanced_union_equalizes_class_counts():
     stream = desk_stream(3)
-    x, y = _balanced_union(stream, 2)
-    counts = {c: int(np.sum(y == c)) for c in stream.cumulative_labels(2)}
+    rows = _balanced_union(stream, 2)
+    x, y = stream.cumulative_train(2)
+    counts = {c: int(np.sum(y[rows] == c)) for c in stream.cumulative_labels(2)}
     assert set(counts.values()) == {100}
-    assert x.shape == (1200, 16)
+    assert rows.shape == (1200,) and set(rows.tolist()) == set(range(len(y)))
+    union_x, union_y = oracles.balanced_union(stream, 2)
+    assert x[rows].tobytes() == union_x.tobytes() and y[rows].tobytes() == union_y.tobytes()
+
+
+@pytest.mark.parametrize("upto", [2, 5])
+def test_joint_session_batches_equal_the_materialized_union(upto):
+    stream = desk_stream(5)
+    params = init_params(16, 32, 8, len(stream.cumulative_labels(upto)), seed=5)
+    indexed = _train_cross_entropy(params, *stream.cumulative_train(upto), 3, 0.1, 8, "test",
+                                   rows=_balanced_union(stream, upto))
+    copied = oracles.train_cross_entropy(params, *oracles.balanced_union(stream, upto), 3, 0.1,
+                                         8, "test")
+    assert same_params(indexed, copied)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_run_method_builds_only_the_store_its_terms_read(method, monkeypatch):
+    stream, hp, seen = desk_stream(6), small_hp(base_epochs=2, inc_epochs=1, ng_passes=1), []
+    trained = protocol.train_incremental_session
+
+    def spy(params, graph, session, hp, method, store, seed):
+        seen.append(store)
+        return trained(params, graph, session, hp, method, store, seed)
+
+    monkeypatch.setattr(protocol, "train_incremental_session", spy)
+    run_method(stream, method, hp, 6)
+    spec = METHODS[method]
+    expected = oracles.exemplar_stores(stream, hp, 6, spec.anchor == "exemplar")
+    assert len(seen) == len(expected) == len(stream) - 1
+    for got, (distill, anchor) in zip(seen, expected):
+        if spec.anchor == "exemplar":
+            assert got.tobytes() == anchor.tobytes()
+        elif spec.distill:
+            assert got.tobytes() == distill.tobytes()
+        else:
+            assert got is None
