@@ -116,12 +116,11 @@ def _distillation_term(logits, logits_hat, t_distill, n_old):
 
 @dataclass(frozen=True)
 class _MinMaxIndex:
-    """The min-max term's index sets for one batch over a graph's labels and origins."""
+    """The min-max term's index sets for one batch; it reads edges and labels from the graph."""
 
     batch: int            # batch rows; the rows of this session's nodes follow them
     nodes: np.ndarray     # (K,) the nodes that carry a batch label, ascending
     other: np.ndarray     # (batch, K) bool: the node carries another label than the row
-    cross: np.ndarray     # (N, N) bool: the two nodes carry different labels
     node_row: np.ndarray  # (N,) the row of each node of this session
     is_new: np.ndarray    # (N,) bool: the node was inserted this session
 
@@ -134,8 +133,7 @@ def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
     nodes = np.flatnonzero(np.isin(graph.labels, y))
     is_new = graph.origins == graph.session
     node_row = len(y) + np.searchsorted(np.flatnonzero(is_new), np.arange(len(graph)))
-    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes],
-                        graph.labels[:, None] != graph.labels, node_row, is_new)
+    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes], node_row, is_new)
 
 
 def _min_max_term(feat, graph, index, xi, include_min, include_max):
@@ -169,7 +167,8 @@ def _min_max_term(feat, graph, index, xi, include_min, include_max):
         is_new = index.is_new[nodes]
         m = graph.centroids[nodes]
         m[is_new] = feat[row[is_new]]
-        pair, other = np.nonzero((graph.ages[nodes] > 0) & index.cross[nodes])
+        pair, other = np.nonzero((graph.ages[nodes] > 0)
+                                 & (graph.labels[nodes, None] != graph.labels))
         gap = m[pair] - graph.centroids[other]
         d = np.linalg.norm(gap, axis=1)
         hit = d < xi

@@ -11,7 +11,7 @@ labels, ...) so the update rules stay vectorized.  A presentation call takes
 a batch of rows: the Hebbian update steps through them in order with
 buffers allocated once, computing f - m once per row for both the ranking
 and the step, and the edge update applies the rows' winner pairs in closed
-form to one age matrix, where 0 means no edge.  When only a few nodes move,
+form to the winners' edges of one age matrix.  When only a few nodes move,
 the frozen side is screened once per block of rows, so each row computes
 exact distances only where the screen cannot decide.  Every other call steps a
 node-major copy of the centroids and ranks each row by fast squared sums
@@ -208,6 +208,9 @@ class NGGraph:
         if mismatched is not None:
             raise InputError(f"{mismatched} of shape {getattr(self, mismatched).shape} "
                              f"does not match the {n} centroids")
+        bad_ages = self._bad_ages()
+        if bad_ages is not None:
+            raise InputError(bad_ages)
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
@@ -376,11 +379,11 @@ class NGGraph:
         them with one pair per presentation.  Each pair's (r1, r2) edge is
         set with age 1, every other live edge of r1 ages by one, and an edge
         whose age now exceeds the lifetime is removed (its age becomes 0).
-        The sequence is applied in closed form: a refreshed pair's final age
-        is 1 plus the wins (r1 entries) of either end after its last refresh,
-        and any other live edge's is its old age plus all those wins; an edge
-        survives only if that age is within the lifetime.  All indices are
-        checked before anything changes.
+        The sequence is applied in closed form to the winners' edges alone: a
+        refreshed pair's final age is 1 plus the wins (r1 entries) of either
+        end after its last refresh, any other live edge (i, j) of a winner ages
+        by wins[i] + wins[j], and an edge survives only if that age is within
+        the lifetime.  All indices are checked before anything changes.
         """
         n = len(self)
         r1, r2 = np.atleast_1d(r1), np.atleast_1d(r2)
@@ -396,14 +399,13 @@ class NGGraph:
         count = len(r1)
         wins = np.bincount(r1, minlength=n)
         winners = np.flatnonzero(wins)
-        # Pairs that touch a winner age by the wins of both ends (a self-pair by none).
-        aged = wins[winners, None] + wins
-        aged[np.arange(len(winners)), winners] = 0
-        ages = self.ages[winners]
-        # A live edge whose age a + aged passes the lifetime expired on the way;
-        # a <= lifetime - aged tests that without overflow, and drops any sum that wraps.
-        ages = np.where((ages > 0) & (ages <= self.lifetime - aged), ages + aged, 0)
-        self.ages[winners], self.ages[:, winners] = ages, ages.T
+        # Each live edge (i, j) of a winner, listed from both ends when both won, ages
+        # by the wins of both; one whose age a + aged passes the lifetime expired on
+        # the way, which a > lifetime - aged tests without overflow.
+        k, j = np.nonzero(self.ages[winners])
+        i = winners[k]
+        ages, aged = self.ages[i, j], wins[i] + wins[j]
+        self.ages[i, j] = self.ages[j, i] = np.where(ages <= self.lifetime - aged, ages + aged, 0)
         # Refreshed pairs count from age 1 at their last refresh.  Win times are
         # grouped by node in `keys`, so node j's wins after step t are the keys
         # in (j * count + t, (j + 1) * count).
@@ -519,19 +521,25 @@ class NGGraph:
                 return name
         return None
 
+    def _bad_ages(self) -> str | None:
+        """Why the age matrix is no edge state, or None: `edge_update` reads only the
+        winners' rows, so it must be symmetric, zero on the diagonal, within 0..lifetime."""
+        if not np.array_equal(self.ages, self.ages.T):
+            return "ages is not symmetric"
+        if np.any(np.diagonal(self.ages)):
+            return "ages has a non-zero diagonal: self-edges are not allowed"
+        if np.any(self.ages < 0) or np.any(self.ages > self.lifetime):
+            return f"ages holds an age below 0 or above the lifetime {self.lifetime}"
+        return None
+
     def check_invariants(self) -> None:
         """Raise StateError if shape, symmetry, diagonal, lifetime or floor invariants fail."""
         mismatched = self._mismatched_array()
         if mismatched is not None:
             raise StateError(f"{mismatched} does not have one row per node")
-        if not np.array_equal(self.ages, self.ages.T):
-            raise StateError("age matrix is not symmetric")
-        if np.any(np.diag(self.ages)):
-            raise StateError("self-edges are not allowed")
-        if np.any(self.ages < 0):
-            raise StateError("negative edge age")
-        if np.any(self.ages > self.lifetime):
-            raise StateError("a surviving edge exceeds the lifetime")
+        bad_ages = self._bad_ages()
+        if bad_ages is not None:
+            raise StateError(bad_ages)
         if np.any(self.variances < self.eps_var * (1 - 1e-12)):
             raise StateError("variance fell below the floor")
 

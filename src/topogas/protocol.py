@@ -262,12 +262,17 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     clipped SGD step on the method's composed loss, then re-ranks the batch
     features (taken after the step) to move new-class nodes and refresh
     edges.  Old nodes keep their centroids during the session and are
-    re-anchored at the end, and the exemplar rows in store are pinned to
-    their features under params as given.  With graph None the session
+    re-anchored at the end, the new nodes' variances come from the features
+    presented after the last step, and the exemplar rows in store are pinned
+    to their features under params as given.  With graph None the session
     trains the model alone; methods whose loss does not read the graph run
-    that way.  A non-finite loss, or non-finite features to present, raise
+    that way.  inc_epochs below 1 raises InputError before anything changes.
+    A non-finite loss, or non-finite features to present, raise
     DivergenceError.
     """
+    if hp.inc_epochs < 1:
+        raise InputError(f"an incremental session needs at least one step, got "
+                         f"inc_epochs = {hp.inc_epochs}")
     n_old = params.class_count
     old_params = params.copy()
     params = expand_output_layer(params, len(session.labels), seed=seed * 1009 + session.index)
@@ -302,8 +307,7 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     if graph is not None:
         graph.refresh_anchors(lambda x: extract_features(params, x))
         new_nodes = np.flatnonzero(graph.origins == session.index)
-        graph.estimate_variances(extract_features(params, session.train_x),
-                                 node_indices=new_nodes)
+        graph.estimate_variances(feats, node_indices=new_nodes)
     return params, graph
 
 

@@ -547,6 +547,56 @@ def test_edge_update_rejects_bad_indices_before_anything_changes(r1, r2):
     assert g.to_text() == text and g.ages.tobytes() == ages
 
 
+@pytest.mark.parametrize("lifetime", [1, 2])
+@pytest.mark.parametrize("pairs, shared_age", [
+    # Both ends of (0, 1) win, so it ages by 2 and expires at either lifetime.
+    ([(0, 2), (1, 3)], {1: 0, 2: 0}),
+    ([(1, 3), (0, 2), (1, 2)], {1: 0, 2: 0}),
+    # One end wins once: age 2, within lifetime 2 only.
+    ([(0, 2)], {1: 0, 2: 2}),
+    # Refreshed, then its other end wins once more.
+    ([(0, 1), (1, 2)], {1: 0, 2: 2})])
+def test_edge_update_ages_an_edge_both_winners_share(lifetime, pairs, shared_age):
+    g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
+    g.ages[0, 1] = g.ages[1, 0] = 1
+    ref = NGGraph.from_text(g.to_text())
+    for a, b in pairs:
+        oracles.edge_update(ref, a, b)
+    g.edge_update(*np.array(pairs).T)
+    assert same_bits(g.ages, ref.ages)
+    assert g.ages[0, 1] == g.ages[1, 0] == shared_age[lifetime]
+    g.check_invariants()
+
+
+def test_edge_update_memory_stays_within_the_winner_rows_at_paper_shape():
+    # 400 nodes with about 12 live edges each, and the pairs of a 1024-row
+    # presentation (about 370 distinct winners).
+    n, rows, lifetime = 400, 1024, 200
+    rng = np.random.default_rng(0xED6F)
+    g = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
+    upper = np.triu(rng.random((n, n)) < 0.03, k=1)
+    ages = np.where(upper, rng.integers(1, lifetime + 1, size=(n, n)), 0)
+    g.ages = ages + ages.T
+    r1 = rng.integers(0, n, size=rows)
+    r2 = (r1 + rng.integers(1, n, size=rows)) % n
+    ref = NGGraph.from_text(g.to_text())
+    for a, b in zip(r1, r2):
+        oracles.edge_update(ref, int(a), int(b))
+    winners = np.unique(r1)
+    live = np.count_nonzero(g.ages[winners])
+    tracemalloc.start()
+    try:
+        g.edge_update(r1, r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The gathered winner rows (8 bytes per age), a few int64 arrays per live edge
+    # of a winner and per presented row, with room to spare.  Arithmetic over
+    # every (winner, node) pair would hold several times the rows: 4.9 MB here.
+    assert peak < 8 * len(winners) * n + 64 * live + 64 * rows
+    assert same_bits(g.ages, ref.ages)
+
+
 # -- init and training -----------------------------------------------------------
 
 def test_init_graph_with_full_budget_is_permutation():
@@ -622,6 +672,35 @@ def test_invariants_flag_a_per_node_array_that_lost_a_row(name):
     setattr(g, name, getattr(g, name)[:2])
     with pytest.raises(StateError, match=name):
         g.check_invariants()
+
+
+def broken_ages(case, n=3, lifetime=5):
+    """An (n, n) age matrix that breaks one edge-state rule."""
+    ages = np.zeros((n, n), dtype=int)
+    if case == "asymmetric":
+        ages[0, 1] = 2
+    elif case == "diagonal":
+        ages[1, 1] = 1
+    else:
+        ages[0, 2] = ages[2, 0] = -1 if case == "negative" else lifetime + 1
+    return ages
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "diagonal", "negative", "above_lifetime"])
+def test_graph_rejects_an_age_matrix_that_is_no_edge_state(case):
+    with pytest.raises(InputError, match="ages"):
+        NGGraph(*node_arrays(), ages=broken_ages(case))
+    g = NGGraph(*node_arrays())  # lifetime 5, as broken_ages assumes
+    g.ages = broken_ages(case)
+    with pytest.raises(StateError, match="ages"):
+        g.check_invariants()
+
+
+def test_graph_accepts_ages_up_to_the_lifetime():
+    ages = np.zeros((3, 3), dtype=int)
+    ages[0, 1] = ages[1, 0] = 5
+    ages[1, 2] = ages[2, 1] = 1
+    NGGraph(*node_arrays(), ages=ages).check_invariants()
 
 
 def test_training_single_node_contracts_geometrically():

@@ -250,6 +250,38 @@ def test_refreshed_anchors_are_exact():
     assert _exemplar_anchor_loss(stream.session(1).train_x[::25], params, params)[0] == 0.0
 
 
+def test_a_session_encodes_its_batch_once_per_step(monkeypatch):
+    stream, hp = desk_stream(9), small_hp(base_epochs=3, inc_epochs=4, ng_passes=1)
+    params, graph = train_base_session(stream, hp, 9)
+    session = stream.session(2)
+    encoded, encode = [], protocol.extract_features
+
+    def counting(p, x):
+        encoded.append(np.array_equal(x, session.train_x))
+        return encode(p, x)
+
+    monkeypatch.setattr(protocol, "extract_features", counting)
+    params, graph = train_incremental_session(params, graph, session, hp, "topic_al_mml",
+                                              None, 9)
+    assert sum(encoded) == hp.inc_epochs
+    # The new nodes' variances are those of the batch encoded under the final params.
+    new_nodes = np.flatnonzero(graph.origins == 2)
+    ref = NGGraph.from_text(graph.to_text())
+    ref.estimate_variances(encode(params, session.train_x), node_indices=new_nodes)
+    assert ref.variances.tobytes() == graph.variances.tobytes()
+
+
+@pytest.mark.parametrize("method", ["topic_al", "ft"])
+def test_a_session_without_steps_is_rejected_before_anything_changes(method):
+    stream = desk_stream(3)
+    params, graph = train_base_session(stream, small_hp(base_epochs=2, ng_passes=1), 3)
+    text, before = graph.to_text(), params.copy()
+    with pytest.raises(InputError, match="inc_epochs"):
+        train_incremental_session(params, graph, stream.session(2), small_hp(inc_epochs=0),
+                                  method, None, 3)
+    assert graph.to_text() == text and same_params(params, before)
+
+
 def test_finetuning_forgets_old_classes():
     for seed in range(3):
         stream = desk_stream(seed)
