@@ -173,8 +173,12 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
     during a run are held until it ends: a failed run drops them, a run
     that succeeds re-emits them.  An output
     directory that cannot be created raises ConfigError before any run.
-    Runs of one seed share its base session, which is trained once; the
-    neural gas is fitted only for runs that read it or write checkpoints.
+    Runs of one seed share its stream and base session, each built once;
+    the neural gas is fitted only for runs that read it or write
+    checkpoints.  Runs go method-major, and a seed's stream and base live
+    from its first run to its last (that of the last method), so a
+    one-method sweep holds one seed's data at a time while a sweep of
+    several methods holds every seed's stream.
     """
     config.validate()
     out = config.out_dir
@@ -189,17 +193,18 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {path!r}: {exc}") from exc
 
-    streams = {seed: make_synthetic_stream(
-        config.base_classes, config.new_classes, config.way, config.shot,
-        config.input_dim, config.cluster_spread, config.train_per_base,
-        config.test_per_class, seed) for seed in config.seeds}
-
-    rows, bases, seen = [], {}, {}
+    rows, streams, bases, seen = [], {}, {}, {}
+    last_method = max(config.methods)
     results_path = os.path.join(out, "results.csv")
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write(RESULTS_HEADER + "\n")
     for method in sorted(config.methods):
         for seed in sorted(config.seeds):
+            if seed not in streams:
+                streams[seed] = make_synthetic_stream(
+                    config.base_classes, config.new_classes, config.way, config.shot,
+                    config.input_dim, config.cluster_spread, config.train_per_base,
+                    config.test_per_class, seed)
             sink = None
             if config.emit_graphs:
                 sink = lambda t, g, m=method, s=seed: g.save(
@@ -217,6 +222,9 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
                 print(f"run error: method={method} seed={seed}: "
                       f"{type(exc).__name__}: {exc}")
                 return 3
+            if method == last_method:
+                del streams[seed]
+                bases.pop(seed, None)
             for w in caught:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=seen)
             run_rows = [_format_row(method, seed, m) for m in metrics]

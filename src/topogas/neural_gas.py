@@ -20,7 +20,7 @@ for bit that of the row-by-row rules.  `nearest` is the one winner search:
 small searches compute every distance, larger ones screen the refs with one
 product per block of query rows.  Every pass over rows works in blocks of
 bounded size, whatever the row, ref or node count: a search block holds at
-most NEAREST_BLOCK distances or SCREEN_BLOCK products (`max_distance` searches
+most NEAREST_BLOCK distances or SCREEN_BLOCK products (`max_distance` screens
 like `nearest`), and a training sweep presents SWEEP_BLOCK rows per call.
 Encoders passed to the graph map an input batch to features.
 """
@@ -126,11 +126,35 @@ def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
 
 
 def max_distance(points: np.ndarray) -> float:
-    """Largest Euclidean distance between two rows, searched in blocks like `nearest`."""
+    """Largest Euclidean distance between two rows, screened like `nearest`.
+
+    Each block of rows is paired with the rows from its first on, which
+    meets every pair.  For rows p and q, h = |p|^2 + |q|^2 - 2 p.q from one
+    product per block is within `_screen_bound` of |p - q|^2, so the pairs
+    whose h is within twice the bound of the block's highest hold its
+    farthest pair.  Only those get exact distances, NEAREST_BLOCK at a time;
+    once a squared norm reaches SCREEN_NORM_LIMIT, every pair does.
+    """
     points = np.asarray(points, dtype=float)
-    step = _rows_per_block(points)
-    return max(float(np.linalg.norm(points[start:start + step, None, :] - points, axis=-1).max())
-               for start in range(0, len(points), step))
+    sq = _sq_norms(points)
+    screen = sq.max() < SCREEN_NORM_LIMIT
+    bound = 2.0 * _screen_bound(points.shape[1], sq.max(), sq.max())
+    step = max(1, SCREEN_BLOCK // len(points))
+    farthest = []
+    for start in range(0, len(points), step):
+        block, rest = points[start:start + step], points[start:]
+        if screen:
+            h = (-2.0 * block) @ rest.T
+            h += sq[start:]
+            h += sq[start:start + step, None]
+            pairs = np.flatnonzero(h >= h.max() - bound)
+        else:
+            pairs = np.arange(len(block) * len(rest))
+        row, col = np.divmod(pairs, len(rest))
+        for at in range(0, len(pairs), NEAREST_BLOCK):
+            chunk = slice(at, at + NEAREST_BLOCK)
+            farthest.append(float(_exact_distances(block[row[chunk]], rest[col[chunk]]).max()))
+    return max(farthest)
 
 
 @functools.lru_cache(maxsize=16)

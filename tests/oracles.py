@@ -256,6 +256,14 @@ def nearest(queries, refs):
     return np.array(index, dtype=int), np.array(dist, dtype=float)
 
 
+def max_distance(points, rows=16):
+    """Largest Euclidean distance between two rows: np.linalg.norm of every pair,
+    rows query rows at a time."""
+    points = np.asarray(points, dtype=float)
+    return max(float(np.linalg.norm(points[start:start + rows, None, :] - points, axis=-1).max())
+               for start in range(0, len(points), rows))
+
+
 def hebbian_update(graph, f, eta, alpha, updatable=None):
     """Per-rank gather/scatter Hebbian step; returns the node order."""
     order, _ = rank_nodes(graph, f)

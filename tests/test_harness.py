@@ -393,16 +393,58 @@ def test_graph_is_fitted_only_for_runs_that_read_it(tmp_path, monkeypatch, metho
     assert bool(presented) == bool(fits)
 
 
+def watch_streams(monkeypatch):
+    """(seed of each stream built, streams alive at each run) for the next experiment.
+
+    Streams are held weakly; each count follows a full garbage collection.
+    """
+    import gc
+    import weakref
+
+    import topogas.harness as harness
+
+    make, run = harness.make_synthetic_stream, harness.run_method
+    built, refs, alive = [], [], []
+
+    def making(*args):
+        stream = make(*args)
+        built.append(args[-1])
+        refs.append(weakref.ref(stream))
+        return stream
+
+    def running(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_synthetic_stream", making)
+    monkeypatch.setattr(harness, "run_method", running)
+    return built, alive
+
+
+def test_a_one_method_sweep_holds_one_seed_stream_at_a_time(tmp_path, monkeypatch):
+    built, alive = watch_streams(monkeypatch)
+    trained, _ = count_base_training(monkeypatch)
+    config = parse_config(TINY + "methods = topic_al\n")
+    config.out_dir = str(tmp_path)
+    assert run_experiment(config, quiet=True) == 0
+    assert built == trained == [0, 1, 2]
+    assert alive == [1, 1, 1]
+
+
 def test_shared_base_sessions_write_the_files_of_unshared_runs(tmp_path, monkeypatch):
     import topogas.harness as harness
     import topogas.protocol as protocol
 
     trained, fitted = count_base_training(monkeypatch)
+    built, alive = watch_streams(monkeypatch)
     config = parse_config(TINY + "methods = " + ",".join(RUNNABLE_METHODS) + "\n")
     config.emit_confusion = config.emit_graphs = True
     config.out_dir = str(tmp_path / "shared")
     assert run_experiment(config, quiet=True) == 0
-    assert trained == fitted == [0, 1, 2]  # once per seed
+    assert trained == fitted == built == [0, 1, 2]  # once per seed
+    # Runs go method-major, so each seed's stream lives until its run of the last method.
+    assert alive == [1, 2] + [3] * (3 * len(RUNNABLE_METHODS) - 4) + [2, 1]
 
     # The oracle: every run trains its own base session.
     monkeypatch.setattr(harness, "run_method", lambda *args, bases, **kwargs:
@@ -500,11 +542,12 @@ def test_cli_rejects_unusable_output_directory(tmp_path, capsys, where):
     ("seeds = 0,-1", []),
     ("", ["--seeds=-1"]),
     ("", ["--seeds", "1_0"]),
+    ("cluster_spread = 0", []),
 ], ids=["growth_k_at_shot", "shot_one", "node_budget_over_samples",
         "duplicate_seeds", "duplicate_methods", "duplicate_seed_override",
         "duplicate_method_override", "eps_var_reciprocal_overflows",
         "t_life_outside_int64", "t_life_ages_would_wrap", "negative_seed",
-        "negative_seed_override", "underscore_seed_override"])
+        "negative_seed_override", "underscore_seed_override", "cluster_spread_zero"])
 def test_cli_rejects_config_before_training(tmp_path, capsys, extra, overrides):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + extra + "\n")

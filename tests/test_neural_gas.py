@@ -1149,6 +1149,91 @@ def test_max_distance_matches_full_pairwise_array(monkeypatch, block):
         assert same_bits(max_distance(points), float(full))
 
 
+def farthest_pair_case(name):
+    """Points for one farthest-pair case; the squared norms of the last three
+    reach SCREEN_NORM_LIMIT, and those of the last overflow."""
+    rng = np.random.default_rng([0xFA2, len(name)])
+    random = rng.normal(size=(60, 5))
+    grid = rng.integers(-2, 3, size=(40, 3)) / 2.0
+    return {
+        "random": random,
+        "paper_shape": rng.normal(size=(405, 32)) * 3.0,
+        "duplicated": np.vstack([random[:10]] * 6),
+        "tied_max": np.vstack([grid, [[9.0, 0.0, 0.0], [-9.0, 0.0, 0.0],
+                                      [0.0, 9.0, 0.0], [0.0, -9.0, 0.0]]]),
+        "one_point": random[:1],
+        "all_equal": np.ones((30, 4)),
+        "signed_zeros": np.where(grid == 0.0, -0.0, grid),
+        "far_from_origin": 1e6 + random[:40] * 1e-3,  # products lose every distance
+        "large": random * 1e150,
+        "tiny": random * 1e-300,
+        "huge_norms": random * 2.0 ** 501,
+        "one_huge": np.vstack([random, random[:1] * 2.0 ** 501]),
+        "overflowing_norms": 2.0 ** 515 + grid * 2.0 ** 500,
+    }[name]
+
+
+@pytest.mark.parametrize("block", [1, 7, neural_gas.SCREEN_BLOCK])
+@pytest.mark.parametrize("case", ["random", "paper_shape", "duplicated", "tied_max", "one_point",
+                                  "all_equal", "signed_zeros", "far_from_origin", "large", "tiny",
+                                  "huge_norms", "one_huge", "overflowing_norms"])
+def test_max_distance_equals_the_pairwise_oracle_bit_for_bit(monkeypatch, case, block):
+    monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
+    points = farthest_pair_case(case)
+    assert same_bits(max_distance(points), oracles.max_distance(points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_max_distance_fuzz_matches_the_pairwise_oracle(data):
+    dim = data.draw(st.integers(1, 4), label="dim")
+    grid = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    values = st.one_of(grid, st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+    scale = data.draw(st.sampled_from([1.0, 1e-200, 1e150, 1e8, 2.0 ** 501]), label="scale")
+    drawn = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                               min_size=1, max_size=14))
+    points = np.array(drawn) * scale
+    settings_ = {"NEAREST_BLOCK": data.draw(st.integers(1, 40), label="nearest_block"),
+                 "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
+    with mock.patch.multiple(neural_gas, **settings_):
+        farthest = max_distance(points)
+    assert same_bits(farthest, oracles.max_distance(points))
+
+
+def test_max_distance_computes_exact_distances_for_few_pairs(monkeypatch):
+    exact, pairs = neural_gas._exact_distances, []
+
+    def counting(f, refs):
+        pairs.append(len(f))
+        return exact(f, refs)
+
+    monkeypatch.setattr(neural_gas, "_exact_distances", counting)
+    points = farthest_pair_case("paper_shape")
+    assert same_bits(max_distance(points), oracles.max_distance(points))
+    assert 0 < sum(pairs) < len(points)  # of 405 x 405 pairs
+    pairs.clear()
+    points = farthest_pair_case("huge_norms")
+    assert same_bits(max_distance(points), oracles.max_distance(points))
+    assert sum(pairs) == len(points) ** 2  # too large to screen: every pair
+
+
+def test_max_distance_memory_stays_bounded_when_every_pair_is_a_candidate():
+    points = np.ones((1000, 32))  # every pair ties, so the screen rules none out
+    tracemalloc.start()
+    try:
+        farthest = max_distance(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(farthest, 0.0)
+    # Beyond the squared norms: a block's products and mask, its candidate pairs as
+    # flat, row and column indices (8 bytes each), and the paired rows, differences
+    # and squares of one chunk of NEAREST_BLOCK pairs.  All of one block's candidate
+    # pairs at once would hold 134 MB.
+    assert peak < (8 * len(points) + 40 * neural_gas.SCREEN_BLOCK
+                   + 40 * neural_gas.NEAREST_BLOCK * points.shape[1])
+
+
 # -- serialization ----------------------------------------------------------------
 
 def random_trained_graph(seed):

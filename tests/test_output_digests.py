@@ -69,9 +69,9 @@ def run_configs(root: Path) -> dict:
             [sys.executable, "-m", "topogas.cli", "--config", str(cfg),
              "--out", str(root / name), "--quiet"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    outputs = {name: proc.communicate(timeout=600)[0] for name, proc in procs.items()}
     for name, proc in procs.items():
-        output, _ = proc.communicate(timeout=600)
-        assert proc.returncode == 0, f"{name} exited {proc.returncode}:\n{output}"
+        assert proc.returncode == 0, f"{name} exited {proc.returncode}:\n{outputs[name]}"
     return {f"{name}/{path.relative_to(root / name).as_posix()}":
             hashlib.sha256(path.read_bytes()).hexdigest()
             for name in CONFIGS for path in sorted((root / name).rglob("*")) if path.is_file()}
@@ -102,9 +102,11 @@ def test_outputs_match_the_committed_digests(tmp_path):
         f"{len(differ)} files differ: {differ}; missing: {missing}; not recorded: {extra}")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_output_digests.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_configs(Path(tmp))
     DIGESTS.write_text("\n".join(
