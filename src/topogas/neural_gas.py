@@ -20,8 +20,9 @@ for bit that of the row-by-row rules.  `nearest` is the one winner search:
 small searches compute every distance, larger ones screen the refs with one
 product per block of query rows.  Every pass over rows works in blocks of
 bounded size, whatever the row, ref or node count: a search block holds at
-most NEAREST_BLOCK distances or SCREEN_BLOCK products (`max_distance` screens
-like `nearest`), and a training sweep presents SWEEP_BLOCK rows per call.
+most NEAREST_BLOCK distances or SCREEN_BLOCK products, and a screen computes
+its candidates' exact distances NEAREST_BLOCK at a time (`max_distance`
+screens like `nearest`); a training sweep presents SWEEP_BLOCK rows per call.
 Encoders passed to the graph map an input batch to features.
 """
 
@@ -36,7 +37,8 @@ from .errors import InputError, StateError
 FORMAT_HEADER = "nggraph v1"
 KMEANS_ITERS = 10
 # Most distances one block of a winner search holds (a block is at least one query
-# row); at 2048 a block's (rows, refs, dim) temporaries stay within cache.
+# row), and most candidates a screen computes exactly at once; at 2048 a block's
+# (rows, refs, dim) temporaries stay within cache.
 NEAREST_BLOCK = 1 << 11
 # Frozen nodes x feature dim from which a masked Hebbian call screens the frozen
 # side with one matrix product instead of ranking every node.  Measured on a 2-CPU
@@ -56,14 +58,24 @@ SCREEN_MARGIN = 2.0 ** 10
 SCREEN_NORM_LIMIT = 2.0 ** 1000
 UNIT_ROUNDOFF = 2.0 ** -53
 TINY = 2.0 ** -1074
-# Range of every integer field a checkpoint may hold: labels, origins and ages
-# are stored in int64 arrays, and session and lifetime end up in them.
+# Range of every integer field a checkpoint may hold: labels and origins are
+# stored in int64 arrays, and session and lifetime are read as int64.
 INT64 = np.iinfo(np.int64)
 # Largest edge lifetime: the row-by-row rule adds one to a live edge's age (at most
-# the lifetime) before it expires the edge, so lifetime + 1 must fit in int64.
+# the lifetime) before it expires the edge, so lifetime + 1 must fit in the age
+# dtype, and `age_dtype` never gives a wider one than int64.
 MAX_LIFETIME = int(INT64.max) - 1
 # The integers to_text writes; int() also reads "1_0" and non-ASCII digits.
 INT_WORD = re.compile(r"-?[0-9]+")
+
+
+def age_dtype(lifetime: int) -> np.dtype:
+    """Narrowest integer dtype of an age matrix under `lifetime`: one that holds
+    lifetime + 1, the largest age the row-by-row rule holds before it expires an
+    edge (uint8 up to lifetime 254).  int64 takes the place of uint64, which
+    numpy promotes to float when mixed with int64."""
+    dtype = np.min_scalar_type(lifetime + 1)
+    return np.dtype(np.int64) if dtype == np.uint64 else dtype
 
 
 def _rows_per_block(refs) -> int:
@@ -104,24 +116,30 @@ def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
 
     For query q and ref r, h = |r|^2 - 2 q.r is within `_screen_bound` of
     |q - r|^2 - |q|^2, so the refs whose h is within twice the bound of the
-    row's lowest hold its winner.  Only those get exact distances; the
-    lowest, ties to the lower index, wins.
+    row's lowest hold its winner.  Only those get exact distances,
+    NEAREST_BLOCK candidates at a time; the lowest, ties to the lower index,
+    wins.
     """
     bound = 2.0 * _screen_bound(queries.shape[1], q_sq.max(), r_sq.max())
-    index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
+    index, dist = np.empty(len(queries), dtype=int), np.full(len(queries), np.inf)
     step = max(1, SCREEN_BLOCK // len(refs))
     for start in range(0, len(queries), step):
-        block = slice(start, start + step)
-        h = (-2.0 * queries[block]) @ refs.T
+        h = (-2.0 * queries[start:start + step]) @ refs.T
         h += r_sq
         # Candidates in row-major order: by query row, then by ref index.
         row, ref = np.divmod(np.flatnonzero(h <= h.min(axis=1, keepdims=True) + bound), len(refs))
-        d = _exact_distances(queries[block][row], refs[ref])
-        rows = np.arange(len(h))
-        best = np.minimum.reduceat(d, np.searchsorted(row, rows))
-        hit = np.flatnonzero(d == best[row])
-        first = hit[np.searchsorted(row[hit], rows)]  # the lowest ref index at the minimum
-        index[block], dist[block] = ref[first], d[first]
+        row += start
+        chunk = max(1, NEAREST_BLOCK)
+        for at in range(0, len(row), chunk):
+            r, c = row[at:at + chunk], ref[at:at + chunk]
+            d = _exact_distances(queries[r], refs[c])
+            rows = np.arange(r[0], r[-1] + 1)  # every row has a candidate
+            best = np.minimum.reduceat(d, np.searchsorted(r, rows))
+            hit = np.flatnonzero(d == best[r - r[0]])
+            first = c[hit[np.searchsorted(r[hit], rows)]]  # the lowest ref index at the minimum
+            # A row's earlier chunks hold its lower refs, so only a lower distance wins.
+            lower = best < dist[rows]
+            index[rows[lower]], dist[rows[lower]] = first[lower], best[lower]
     return index, dist
 
 
@@ -207,6 +225,10 @@ def _exact_order(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
 class NGGraph:
     """Node collection plus a symmetric age matrix: 0 for no edge, else the edge's age.
 
+    The ages are stored in `age_dtype(lifetime)`, one byte per node pair up to
+    lifetime 254; `edge_update` computes new ages in int64 and stores them once
+    they are within the lifetime.
+
     Operations mutate the graph in place.  `session` tracks the most recent
     growth session so newly inserted nodes can be told apart from
     stabilized old ones.
@@ -227,7 +249,8 @@ class NGGraph:
         self.lifetime = int(lifetime)
         self.eps_var = float(eps_var)
         self.session = int(session)
-        self.ages = np.zeros((n, n), dtype=int) if ages is None else np.asarray(ages, dtype=int)
+        dtype = age_dtype(self.lifetime)
+        self.ages = np.zeros((n, n), dtype=dtype) if ages is None else np.asarray(ages, dtype=int)
         mismatched = self._mismatched_array()
         if mismatched is not None:
             raise InputError(f"{mismatched} of shape {getattr(self, mismatched).shape} "
@@ -235,6 +258,7 @@ class NGGraph:
         bad_ages = self._bad_ages()
         if bad_ages is not None:
             raise InputError(bad_ages)
+        self.ages = self.ages.astype(dtype, copy=False)  # within 0..lifetime, so nothing wraps
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
@@ -425,7 +449,8 @@ class NGGraph:
         winners = np.flatnonzero(wins)
         # Each live edge (i, j) of a winner, listed from both ends when both won, ages
         # by the wins of both; one whose age a + aged passes the lifetime expired on
-        # the way, which a > lifetime - aged tests without overflow.
+        # the way, which a > lifetime - aged tests without overflow.  Both sides are
+        # int64 whatever the age dtype, and only ages within the lifetime are stored.
         k, j = np.nonzero(self.ages[winners])
         i = winners[k]
         ages, aged = self.ages[i, j], wins[i] + wins[j]
@@ -654,6 +679,8 @@ class NGGraph:
                 raise bad("an edge must join two in-range nodes once, lower index first")
             if age < 1:
                 raise bad(f"edge age {age} is below 1")
+            if age > lifetime:  # checked before it is narrowed to the age dtype
+                raise bad(f"edge age {age} is above the lifetime {lifetime}")
             graph.ages[i, j] = graph.ages[j, i] = age
         if pos != len(lines):
             raise InputError(f"malformed checkpoint: trailing content after line {pos}")

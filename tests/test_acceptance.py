@@ -17,7 +17,7 @@ from topogas import (HyperParams, NGGraph, anchor_loss, distillation_loss,
                      run_experiment, run_method, total_loss,
                      train_on_features, xi_heuristic)
 from topogas.feature_model import backward_batch, softmax_cross_entropy_batch
-from topogas.neural_gas import _exact_distances, _exact_order
+from topogas.neural_gas import _exact_distances, _exact_order, age_dtype
 
 DESK = dict(base_classes=10, new_classes=8, way=2, shot=5, input_dim=16,
             cluster_spread=0.55, train_per_base=100, test_per_class=100)
@@ -102,7 +102,7 @@ def random_small_graph(rng):
                 np.ones(n, dtype=int), int(rng.integers(1, 8)), 1e-6)
     mask = np.triu(rng.random((n, n)) < 0.4, 1)
     ages = np.where(mask, rng.integers(1, g.lifetime + 1, size=(n, n)), 0)
-    g.ages = ages + ages.T
+    g.ages = (ages + ages.T).astype(age_dtype(g.lifetime))
     return g
 
 

@@ -243,7 +243,7 @@ def presentation_case(n, seed, lifetime=3):
     g = graph_from_centroids(centroids, lifetime=lifetime)
     upper = np.triu(rng.random((n, n)) < 0.3, k=1)
     ages = np.where(upper, rng.integers(1, lifetime + 1, size=(n, n)), 0)
-    g.ages = ages + ages.T
+    g.ages = (ages + ages.T).astype(neural_gas.age_dtype(lifetime))
     g.check_invariants()
     feats = np.vstack([rng.integers(-2, 3, size=(30, 3)) / 2.0, rng.normal(size=(30, 3))])
     return g, feats[rng.permutation(len(feats))], rng
@@ -479,17 +479,21 @@ def test_bad_batch_is_rejected_before_anything_moves(rows, call, monkeypatch):
 
 # -- closed-form edge updates ----------------------------------------------------
 
+# The largest lifetime of each age dtype: uint8, uint16, uint32 and int64.
+LARGEST_LIFETIMES = [254, 65534, 2 ** 32 - 2, neural_gas.MAX_LIFETIME]
+
+
 def aged_graph(n, lifetime, rng):
     """Random live edges with ages up to the lifetime (within 3 of it when it is large)."""
     g = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
     low = max(1, lifetime - 3) if lifetime > 100 else 1
     ages = np.where(upper, rng.integers(low, lifetime + 1, size=(n, n)), 0)
-    g.ages = ages + ages.T
+    g.ages = (ages + ages.T).astype(neural_gas.age_dtype(lifetime))
     return g
 
 
-@pytest.mark.parametrize("lifetime", [1, 2, 5, neural_gas.MAX_LIFETIME])
+@pytest.mark.parametrize("lifetime", [1, 2, 5, 255, 65535, 2 ** 32 - 1] + LARGEST_LIFETIMES)
 def test_edge_update_sequence_matches_sequential_updates(lifetime):
     rng = np.random.default_rng([lifetime % 1000, 0xED6E])
     for _ in range(30):
@@ -507,24 +511,24 @@ def test_edge_update_sequence_matches_sequential_updates(lifetime):
 
 
 def test_edge_update_expires_live_edges_at_the_largest_lifetime():
-    lifetime = neural_gas.MAX_LIFETIME
-    g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
-    g.ages[0, 1] = g.ages[1, 0] = lifetime
-    g.ages[1, 3] = g.ages[3, 1] = lifetime - 1
-    g.check_invariants()
-    ref, one_by_one = NGGraph.from_text(g.to_text()), NGGraph.from_text(g.to_text())
-    pairs = [(0, 2), (1, 2), (0, 2)]
-    for a, b in pairs:
-        oracles.edge_update(ref, a, b)
-        one_by_one.edge_update(a, b)
-    g.edge_update(*np.array(pairs).T)
-    for h in (g, one_by_one):
-        assert same_bits(h.ages, ref.ages)
-        # (0, 1) expires at its first ageing, three past the lifetime in closed
-        # form; (1, 3) ages once, to the lifetime, and survives.
-        assert h.ages[0, 1] == 0 and h.ages[1, 3] == lifetime
-        assert h.ages[0, 2] == h.ages[1, 2] == 1
-        h.check_invariants()
+    for lifetime in LARGEST_LIFETIMES:  # of every age dtype
+        g = graph_from_centroids(np.zeros((4, 2)), lifetime=lifetime)
+        g.ages[0, 1] = g.ages[1, 0] = lifetime
+        g.ages[1, 3] = g.ages[3, 1] = lifetime - 1
+        g.check_invariants()
+        ref, one_by_one = NGGraph.from_text(g.to_text()), NGGraph.from_text(g.to_text())
+        pairs = [(0, 2), (1, 2), (0, 2)]
+        for a, b in pairs:
+            oracles.edge_update(ref, a, b)
+            one_by_one.edge_update(a, b)
+        g.edge_update(*np.array(pairs).T)
+        for h in (g, one_by_one):
+            assert same_bits(h.ages, ref.ages), lifetime
+            # (0, 1) expires at its first ageing, three past the lifetime in closed
+            # form; (1, 3) ages once, to the lifetime, and survives.
+            assert h.ages[0, 1] == 0 and h.ages[1, 3] == lifetime
+            assert h.ages[0, 2] == h.ages[1, 2] == 1
+            h.check_invariants()
 
 
 def test_edge_update_scalar_pair_matches_array_of_one():
@@ -576,7 +580,7 @@ def test_edge_update_memory_stays_within_the_winner_rows_at_paper_shape():
     g = graph_from_centroids(np.zeros((n, 2)), lifetime=lifetime)
     upper = np.triu(rng.random((n, n)) < 0.03, k=1)
     ages = np.where(upper, rng.integers(1, lifetime + 1, size=(n, n)), 0)
-    g.ages = ages + ages.T
+    g.ages = (ages + ages.T).astype(neural_gas.age_dtype(lifetime))
     r1 = rng.integers(0, n, size=rows)
     r2 = (r1 + rng.integers(1, n, size=rows)) % n
     ref = NGGraph.from_text(g.to_text())
@@ -590,10 +594,12 @@ def test_edge_update_memory_stays_within_the_winner_rows_at_paper_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The gathered winner rows (8 bytes per age), a few int64 arrays per live edge
-    # of a winner and per presented row, with room to spare.  Arithmetic over
-    # every (winner, node) pair would hold several times the rows: 4.9 MB here.
-    assert peak < 8 * len(winners) * n + 64 * live + 64 * rows
+    # The gathered winner rows (one byte per age at this lifetime), a few int64
+    # arrays per live edge of a winner and per presented row, with room to spare.
+    # Arithmetic over every (winner, node) pair would hold several times the rows
+    # in int64: 4.9 MB here.
+    assert g.ages.itemsize == 1
+    assert peak < g.ages.itemsize * len(winners) * n + 64 * live + 64 * rows
     assert same_bits(g.ages, ref.ages)
 
 
@@ -694,6 +700,39 @@ def test_graph_rejects_an_age_matrix_that_is_no_edge_state(case):
     g.ages = broken_ages(case)
     with pytest.raises(StateError, match="ages"):
         g.check_invariants()
+
+
+@pytest.mark.parametrize("lifetime, dtype", [
+    (1, np.uint8), (254, np.uint8), (255, np.uint16), (65534, np.uint16), (65535, np.uint32),
+    (2 ** 32 - 2, np.uint32), (2 ** 32 - 1, np.int64), (neural_gas.MAX_LIFETIME, np.int64)])
+def test_ages_take_the_narrowest_dtype_that_holds_lifetime_plus_one(lifetime, dtype):
+    assert neural_gas.age_dtype(lifetime) == dtype
+    args = node_arrays()
+    args[5] = lifetime
+    ages = np.zeros((3, 3), dtype=int)
+    ages[0, 1] = ages[1, 0] = lifetime
+    for g in (NGGraph(*args), NGGraph(*args, ages=ages)):
+        assert g.ages.dtype == dtype
+        g.grow({7: (np.ones((3, 2)), np.zeros((3, 4)))}, k=1, session=2)
+        assert g.ages.dtype == dtype and len(g) == 4
+        assert NGGraph.from_text(g.to_text()).ages.dtype == dtype
+    assert g.ages[0, 1] == lifetime
+
+
+def test_a_paper_sized_age_matrix_holds_one_byte_per_node_pair():
+    g = graph_from_centroids(np.zeros((400, 2)), lifetime=200)
+    assert g.ages.dtype == np.uint8 and g.ages.nbytes == 160_000
+
+
+@pytest.mark.parametrize("age", [201, 256, -1, 2 ** 40])
+def test_graph_rejects_ages_outside_the_lifetime_before_narrowing_them(age):
+    # Each would wrap into 0..200 if it were cast to uint8 before the check.
+    args = node_arrays()
+    args[5] = 200
+    ages = np.zeros((3, 3), dtype=int)
+    ages[0, 2] = ages[2, 0] = age
+    with pytest.raises(InputError, match="ages"):
+        NGGraph(*args, ages=ages)
 
 
 def test_graph_accepts_ages_up_to_the_lifetime():
@@ -1078,6 +1117,64 @@ def test_screened_search_memory_stays_within_the_product_bound():
     assert same_bits(index, expected[0]) and same_bits(dist, expected[1])
 
 
+def screened_refs_case(case):
+    """(queries, refs) for the screened search: each query has many candidates, or few."""
+    rng = np.random.default_rng([0x5D, len(case)])
+    queries, refs = rng.normal(size=(50, 4)), rng.normal(size=(40, 4))
+    if case == "tied":  # every ref is a candidate of every query
+        refs = np.ones((40, 4))
+    elif case == "duplicated":
+        refs = refs[rng.integers(0, 5, size=40)]
+        queries[:10] = refs[:10]
+    elif case == "huge_norms":  # squared norms near 1e299, still below SCREEN_NORM_LIMIT
+        queries, refs = queries * 1e149, refs * 1e149
+    return queries, refs
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "duplicated", "huge_norms"])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64, 500])
+def test_screened_search_in_chunks_equals_the_unscreened_search(case, chunk, monkeypatch):
+    queries, refs = screened_refs_case(case)
+    monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", NEVER)
+    unscreened = nearest(queries, refs)
+    screened, exact = neural_gas._nearest_screened, neural_gas._exact_distances
+    screens, sizes = [], []
+    monkeypatch.setattr(neural_gas, "_nearest_screened",
+                        lambda *args: screens.append(1) or screened(*args))
+    monkeypatch.setattr(neural_gas, "_exact_distances",
+                        lambda f, r: sizes.append(len(f)) or exact(f, r))
+    monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", chunk)
+    for block in (1, 60, neural_gas.SCREEN_BLOCK):
+        monkeypatch.setattr(neural_gas, "SCREEN_BLOCK", block)
+        screens.clear()
+        sizes.clear()
+        index, dist = nearest(queries, refs)
+        assert same_bits(index, unscreened[0]) and same_bits(dist, unscreened[1])
+        # The screen ran, and no call computed more than one chunk of exact distances.
+        assert screens == [1] and 0 < max(sizes) <= chunk
+    if case == "tied":
+        assert not index.any()
+
+
+def test_screened_search_memory_stays_bounded_when_every_ref_ties():
+    rng = np.random.default_rng(0x5E)
+    queries, refs = rng.normal(size=(5000, 32)), np.ones((400, 32))
+    tracemalloc.start()
+    try:
+        index, dist = nearest(queries, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not index.any()
+    assert same_bits(dist, np.linalg.norm(queries - 1.0, axis=1))
+    # Beyond the squared norms and the results: a block's products and mask, its
+    # candidates as flat, row and ref indices (8 bytes each), and the paired rows,
+    # differences and squares of one chunk of NEAREST_BLOCK candidates.  All of a
+    # block's candidates at once would hold 134 MB.
+    assert peak < (8 * (len(refs) + 3 * len(queries)) + 40 * neural_gas.SCREEN_BLOCK
+                   + 40 * neural_gas.NEAREST_BLOCK * queries.shape[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_nearest_fuzz_matches_per_row_oracle(data):
@@ -1346,6 +1443,17 @@ def test_from_text_rejects_malformed_checkpoint(mutation):
         NGGraph.from_text(bad)
 
 
+@pytest.mark.parametrize("age", [201, 300])
+def test_from_text_rejects_an_edge_age_above_the_lifetime_before_storing_it(age):
+    # 300 does not fit the uint8 ages of lifetime 200, 201 does: both are refused alike.
+    g = graph_from_centroids(np.zeros((3, 2)), lifetime=200)
+    g.edge_update(0, 1)
+    text = g.to_text()
+    assert text.endswith("edges 1\n0 1 1\n")
+    with pytest.raises(InputError, match=f"edge age {age} is above the lifetime 200"):
+        NGGraph.from_text(text.replace("0 1 1\n", f"0 1 {age}\n"))
+
+
 def test_save_and_load_files(tmp_path):
     g = random_trained_graph(12)
     path = tmp_path / "checkpoint.ngtxt"
@@ -1364,7 +1472,7 @@ def test_an_earlier_desk_sweep_checkpoint_loads_unchanged():
     assert g.to_text() == text
     lines = text.splitlines()
     start = lines.index("edges 89") + 1
-    expected = np.zeros((48, 48), dtype=int)
+    expected = np.zeros((48, 48), dtype=neural_gas.age_dtype(g.lifetime))
     for line in lines[start:]:
         i, j, age = map(int, line.split())
         expected[i, j] = expected[j, i] = age
