@@ -60,8 +60,7 @@ class ModelParams:
         return self.phi.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w1.copy(), self.b1.copy(), self.w2.copy(),
-                           self.b2.copy(), self.phi.copy())
+        return ModelParams(*(a.copy() for a in self.arrays().values()))
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
@@ -69,10 +68,7 @@ class ModelParams:
 
     def norm(self) -> float:
         """Global L2 norm: the squared sums of w1, b1, w2, b2 and phi, added in that order."""
-        w1, b1, w2, b2, phi = self.w1, self.b1, self.w2, self.b2, self.phi
-        return math.sqrt(sum((float((w1 * w1).sum()), float((b1 * b1).sum()),
-                              float((w2 * w2).sum()), float((b2 * b2).sum()),
-                              float((phi * phi).sum()))))
+        return math.sqrt(sum(float((a * a).sum()) for a in self.arrays().values()))
 
     def clipped(self, max_norm: float) -> "ModelParams":
         """These arrays rescaled so the global norm is at most max_norm."""
@@ -80,8 +76,7 @@ class ModelParams:
         if n <= max_norm or n == 0.0:
             return self
         s = max_norm / n
-        return ModelParams(self.w1 * s, self.b1 * s, self.w2 * s,
-                           self.b2 * s, self.phi * s)
+        return ModelParams(*(a * s for a in self.arrays().values()))
 
 
 @dataclass

@@ -272,7 +272,7 @@ class SessionPlan:
 
 def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
                  hp: HyperParams, method: str, *, old_params: ModelParams | None = None,
-                 n_old: int | None = None, xi: float | None = None) -> SessionPlan:
+                 xi: float | None = None) -> SessionPlan:
     """The SessionPlan of METHODS[method] for batch (inputs, labels) over graph and the
     stored exemplar rows, one (rows, d) array as wide as the batch, or None.
 
@@ -282,7 +282,8 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
     Terms are weighted 1 (CE on the batch), lambda1 (anchor), lambda2 (min-max,
     margin xi) and gamma (distillation on batch + stored rows).  Both the
     exemplar anchors' targets and the distillation's logits are the frozen
-    snapshot old_params's outputs on the stored rows.
+    snapshot old_params's outputs on the stored rows; the distillation covers
+    the snapshot's classes.
     """
     spec = method_spec(method)
     if spec.reads_graph and graph is None:
@@ -312,11 +313,11 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
         terms.append((hp.lambda2, "feat", np.r_[batch_rows, new_rows], _min_max_term,
                       (graph, _min_max_index(batch_y, graph), margin, True, True)))
     if spec.distill:
-        if old_params is None or n_old is None:
-            raise StateError("distillation methods need the frozen snapshot and n_old")
+        if old_params is None:
+            raise StateError("distillation methods need the frozen snapshot")
         dl = slice(0, store_rows.stop)
         terms.append((hp.gamma, "logits", dl, _distillation_term,
-                      (forward_batch(x[dl], old_params)[1], hp.t_distill, n_old)))
+                      (forward_batch(x[dl], old_params)[1], hp.t_distill, old_params.class_count)))
     return SessionPlan(x, tuple(terms))
 
 

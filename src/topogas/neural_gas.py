@@ -229,9 +229,9 @@ class NGGraph:
     lifetime 254; `edge_update` computes new ages in int64 and stores them once
     they are within the lifetime.
 
-    Operations mutate the graph in place.  `session` tracks the most recent
-    growth session so newly inserted nodes can be told apart from
-    stabilized old ones.
+    Operations mutate the graph in place.  `session` is the most recent growth's:
+    presentations and variance estimates touch only its nodes (origin ==
+    session), and nodes of earlier origins are the stabilized old ones.
     """
 
     def __init__(self, centroids: np.ndarray, variances: np.ndarray,
@@ -255,9 +255,9 @@ class NGGraph:
         if mismatched is not None:
             raise InputError(f"{mismatched} of shape {getattr(self, mismatched).shape} "
                              f"does not match the {n} centroids")
-        bad_ages = self._bad_ages()
-        if bad_ages is not None:
-            raise InputError(bad_ages)
+        bad_state = self._bad_state()
+        if bad_state is not None:
+            raise InputError(bad_state)
         self.ages = self.ages.astype(dtype, copy=False)  # within 0..lifetime, so nothing wraps
 
     def __len__(self) -> int:
@@ -269,24 +269,22 @@ class NGGraph:
 
     # -- competitive Hebbian learning -------------------------------------
 
-    def hebbian_update(self, features: np.ndarray, eta: float, alpha: float,
-                       updatable: np.ndarray | None = None) -> tuple:
+    def hebbian_update(self, features: np.ndarray, eta: float, alpha: float) -> tuple:
         """Per feature row in order, move centroids toward it by rank-decayed steps.
 
         A row ranks all nodes by Euclidean distance, ties by index, and the
         node at rank position i = 1..N-1 moves by eta*exp(-i/alpha) of its
         gap; the farthest node is left alone, and a single-node graph updates
-        its winner (otherwise it could never learn).  `updatable` is a
-        boolean mask over nodes; nodes outside it keep their centroids but
-        still take part in the ranking.  Every input is checked before any
-        centroid moves.  Returns the rows' winners and runners-up as two
-        index arrays (runner-up -1 on a single-node graph) for `edge_update`.
+        its winner (otherwise it could never learn).  Only the session's nodes
+        move (all of them at session 1); old nodes stay but are ranked.  Every
+        input is checked before any centroid moves.  Returns the rows' winners
+        and runners-up as two index arrays (runner-up -1 on a single-node
+        graph) for `edge_update`.
 
-        Masked calls with at least SCREEN_MIN frozen nodes x feature dims
-        screen the frozen side (`_hebbian_screened`); every call that does
-        not screen ranks every node (`_hebbian_node_major`), by exact
-        distances alone once a squared norm reaches SCREEN_NORM_LIMIT.  Both
-        give the same bits.
+        Calls with at least SCREEN_MIN old nodes x feature dims screen the
+        old side (`_hebbian_screened`); every call that does not screen ranks
+        every node (`_hebbian_node_major`), by exact distances alone once a
+        squared norm reaches SCREEN_NORM_LIMIT.  Both give the same bits.
         """
         if not 0.0 < eta <= 1.0:
             raise InputError(f"eta must be in (0, 1], got {eta}")
@@ -300,9 +298,7 @@ class NGGraph:
             raise InputError(f"features have shape {x.shape}, expected (rows, {dim})")
         if not np.isfinite(x).all():
             raise InputError("features must be finite")
-        moving = np.ones(n, dtype=bool) if updatable is None else np.array(updatable, dtype=bool)
-        if moving.shape != (n,):
-            raise InputError(f"updatable mask has shape {moving.shape}, expected ({n},)")
+        moving = self.origins == self.session
         frozen = ~moving
         steps = _rank_steps(eta, alpha, n)
         x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
@@ -466,15 +462,14 @@ class NGGraph:
                  + ends[b] - keys.searchsorted(b * count + last, side="right"))
         self.ages[a, b] = self.ages[b, a] = np.where(since < self.lifetime, 1 + since, 0)
 
-    def present(self, features: np.ndarray, eta: float, alpha: float,
-                updatable: np.ndarray | None = None) -> None:
+    def present(self, features: np.ndarray, eta: float, alpha: float) -> None:
         """Per feature row in order: a Hebbian step, then the winner-pair edge update.
 
         One `hebbian_update` call and one `edge_update` call cover the whole
-        batch.  A single-node graph has no runner-up, so it skips the edge
-        update.
+        batch; only the current session's nodes move.  A single-node graph
+        has no runner-up, so it skips the edge update.
         """
-        r1, r2 = self.hebbian_update(features, eta, alpha, updatable)
+        r1, r2 = self.hebbian_update(features, eta, alpha)
         if len(self) >= 2:
             self.edge_update(r1, r2)
 
@@ -497,27 +492,27 @@ class NGGraph:
         self.pseudo_inputs = x[best]
         self.labels = np.asarray(labels, dtype=int)[best]
 
-    def estimate_variances(self, features: np.ndarray,
-                           node_indices=None) -> None:
-        """Per-dimension population variance of each node's won features.
+    def estimate_variances(self, features: np.ndarray) -> None:
+        """Per-dimension population variance of the won features of each of the
+        session's nodes (every node at session 1); all nodes compete for the features.
 
-        A floor of eps_var is added everywhere; nodes winning at most one
-        feature fall back to the floor alone.
+        A floor of eps_var is added; nodes winning at most one feature fall back
+        to the floor alone.
         """
         features = np.asarray(features, dtype=float)
         winners = nearest(features, self.centroids)[0]
-        for j in range(len(self)) if node_indices is None else node_indices:
+        for j in np.flatnonzero(self.origins == self.session):
             won = features[winners == j]
             self.variances[j] = self.eps_var + (won.var(axis=0) if len(won) > 1 else 0.0)
 
-    def grow(self, class_samples: dict, k: int, session: int, seed: int = 0) -> None:
-        """Insert k nodes per new class from its few-shot features.
+    def grow(self, class_samples: dict, k: int, seed: int = 0) -> None:
+        """Start the next session: insert k nodes per new class from its few-shot features.
 
         class_samples maps label -> (features (K, n), inputs (K, d)).
         Centroids come from a seeded k-means over the shots (for k = 1, the
         mean of the K shot features).  New nodes get the floor variance, the
-        nearest shot as pseudo input, and no edges.  Every class is checked
-        before anything changes.
+        nearest shot as pseudo input, no edges and origin session + 1, the new
+        session.  Every class is checked before anything changes.
         """
         known, shots = set(self.labels.tolist()), {}
         n, d = self.feature_dim, self.pseudo_inputs.shape[1]
@@ -535,13 +530,13 @@ class NGGraph:
         centers = [_kmeans(feats, k, rng) for feats, _ in shots.values()]
         picks = [z[nearest(c, f)[0]] for c, (f, z) in zip(centers, shots.values())]
         added = k * len(shots)
+        self.origins = np.concatenate([self.origins, np.full(added, self.session + 1, dtype=int)])
         self.centroids = np.vstack([self.centroids, *centers])
         self.variances = np.vstack([self.variances, np.full((added, n), self.eps_var)])
         self.pseudo_inputs = np.vstack([self.pseudo_inputs, *picks])
         self.labels = np.concatenate([self.labels, np.repeat(list(shots), k).astype(int)])
-        self.origins = np.concatenate([self.origins, np.full(added, session, dtype=int)])
         self.ages = np.pad(self.ages, ((0, added), (0, added)))
-        self.session = int(session)
+        self.session += 1
 
     def refresh_anchors(self, encode) -> None:
         """Re-encode every pseudo input with the current extractor: m <- f(z).
@@ -570,25 +565,29 @@ class NGGraph:
                 return name
         return None
 
-    def _bad_ages(self) -> str | None:
-        """Why the age matrix is no edge state, or None: `edge_update` reads only the
-        winners' rows, so it must be symmetric, zero on the diagonal, within 0..lifetime."""
+    def _bad_state(self) -> str | None:
+        """Why the ages or origins are no graph state, or None.  `edge_update` reads only
+        the winners' rows, so the ages must be symmetric, zero on the diagonal and within
+        0..lifetime; a node of a session after the current one would be neither old nor
+        current, so it would never be anchored and never move."""
         if not np.array_equal(self.ages, self.ages.T):
             return "ages is not symmetric"
         if np.any(np.diagonal(self.ages)):
             return "ages has a non-zero diagonal: self-edges are not allowed"
         if np.any(self.ages < 0) or np.any(self.ages > self.lifetime):
             return f"ages holds an age below 0 or above the lifetime {self.lifetime}"
+        if np.any(self.origins > self.session):
+            return f"origins holds a session after the current session {self.session}"
         return None
 
     def check_invariants(self) -> None:
-        """Raise StateError if shape, symmetry, diagonal, lifetime or floor invariants fail."""
+        """Raise StateError if shape, age, origin or floor invariants fail."""
         mismatched = self._mismatched_array()
         if mismatched is not None:
             raise StateError(f"{mismatched} does not have one row per node")
-        bad_ages = self._bad_ages()
-        if bad_ages is not None:
-            raise StateError(bad_ages)
+        bad_state = self._bad_state()
+        if bad_state is not None:
+            raise StateError(bad_state)
         if np.any(self.variances < self.eps_var * (1 - 1e-12)):
             raise StateError("variance fell below the floor")
 

@@ -261,7 +261,8 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     The whole few-shot set forms a single batch; every iteration applies one
     clipped SGD step on the method's composed loss, then re-ranks the batch
     features (taken after the step) to move new-class nodes and refresh
-    edges.  Old nodes keep their centroids during the session and are
+    edges.  The graph's growth starts its next session, whose nodes alone
+    move; old nodes keep their centroids during the session and are
     re-anchored at the end, the new nodes' variances come from the features
     presented after the last step, and the exemplar rows in store are pinned
     to their features under params as given.  With graph None the session
@@ -273,7 +274,6 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     if hp.inc_epochs < 1:
         raise InputError(f"an incremental session needs at least one step, got "
                          f"inc_epochs = {hp.inc_epochs}")
-    n_old = params.class_count
     old_params = params.copy()
     params = expand_output_layer(params, len(session.labels), seed=seed * 1009 + session.index)
 
@@ -284,13 +284,12 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
             mask = session.train_y == label
             shots[label] = (extract_features(params, session.train_x[mask]),
                             session.train_x[mask])
-        graph.grow(shots, hp.growth_k, session.index, seed=seed)
+        graph.grow(shots, hp.growth_k, seed=seed)
         if method_spec(method).min_max:
             xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
-        updatable = graph.origins == session.index
 
     plan = plan_session((session.train_x, session.train_y), graph, store, hp, method,
-                        old_params=old_params, n_old=n_old, xi=xi)
+                        old_params=old_params, xi=xi)
     for iteration in range(hp.inc_epochs):
         loss, grads = total_loss(plan, params)
         if not np.isfinite(loss):
@@ -302,12 +301,11 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
             if not np.isfinite(feats).all():
                 raise DivergenceError(
                     f"non-finite features at session {session.index}, iteration {iteration}")
-            graph.present(feats, hp.eta, hp.alpha, updatable)
+            graph.present(feats, hp.eta, hp.alpha)
 
     if graph is not None:
         graph.refresh_anchors(lambda x: extract_features(params, x))
-        new_nodes = np.flatnonzero(graph.origins == session.index)
-        graph.estimate_variances(feats, node_indices=new_nodes)
+        graph.estimate_variances(feats)
     return params, graph
 
 

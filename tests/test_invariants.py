@@ -95,7 +95,7 @@ def test_grow_adds_exactly_k_nodes_per_class(seed, n_classes, k):
     samples = {100 + c: (rng.normal(size=(5, 2)), rng.normal(size=(5, 4)))
                for c in range(n_classes)}
     before = g.centroids.copy()
-    g.grow(samples, k=k, session=2, seed=seed)
+    g.grow(samples, k=k, seed=seed)
     assert len(g) == 3 + k * n_classes
     assert np.array_equal(g.centroids[:3], before)
 
@@ -140,8 +140,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def checkpoint_graphs(draw):
-    """Any graph a checkpoint can hold: finite floats, int64 fields, live edges only."""
+    """Any graph a checkpoint can hold: finite floats, int64 fields, no origin after the
+    session, live edges only."""
     n, dim, z_dim = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    session = draw(INT64)
     eps_var = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     lifetime = draw(st.integers(1, 2 ** 63 - 2))
     vectors = lambda width, elements=FINITE: st.lists(elements, min_size=width,
@@ -156,8 +158,9 @@ def checkpoint_graphs(draw):
                                           min_size=n, max_size=n))),
                    np.array(draw(st.lists(vectors(z_dim), min_size=n, max_size=n))),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
-                   np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
-                   lifetime, eps_var, draw(INT64), ages=ages)
+                   np.array(draw(st.lists(st.integers(-2 ** 63, session), min_size=n,
+                                          max_size=n))),
+                   lifetime, eps_var, session, ages=ages)
 
 
 @given(checkpoint_graphs())

@@ -528,7 +528,7 @@ def test_total_loss_weighted_sum_matches_term_by_term():
                                            hp.t_distill, 4)),
     }
     for method, names in TAG_TERMS.items():
-        plan = plan_session((bx, by), g, store, hp, method, old_params=old, n_old=4, xi=xi)
+        plan = plan_session((bx, by), g, store, hp, method, old_params=old, xi=xi)
         loss, grads = total_loss(plan, params)
         expected = ce
         recomposed = backward_batch(cache, grad_o, np.zeros_like(feat), params)
@@ -611,7 +611,7 @@ def test_plan_session_rejects_a_store_that_is_not_a_block_of_the_batch_width(sto
 
 def test_total_loss_distill_requires_snapshot():
     params = make_params()
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="need the frozen snapshot"):
         plan_session((np.zeros((1, 3)), np.array([0])), None, np.zeros((0, 3)), HyperParams(),
                      "distill")
 
@@ -624,7 +624,7 @@ def test_total_loss_distill_includes_exemplars_in_dl_term():
     store = rng.normal(size=(1, 3))
     hp = HyperParams()
     with_p, without_p = (total_loss(plan_session((bx, by), None, rows, hp, "distill",
-                                                 old_params=old, n_old=4), params)[0]
+                                                 old_params=old), params)[0]
                          for rows in (store, None))
     dl_extra, _ = distillation_loss(store, old, params,
                                     hp.t_distill, 4)

@@ -124,22 +124,25 @@ def test_hebbian_single_node_updates_its_winner():
 
 
 def test_hebbian_respects_updatable_mask():
-    g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
+    # Only node 1 is of the current session 2; node 0 wins but stays.
+    g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]], session=2, origins=[1, 2, 1])
     before = g.centroids.copy()
-    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0,
-                     updatable=np.array([False, True, False]))
+    g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0)
     assert np.array_equal(g.centroids[0], before[0])
     assert not np.array_equal(g.centroids[1], before[1])
 
 
-@pytest.mark.parametrize("length", [2, 4])
-def test_hebbian_rejects_mask_of_wrong_length(length):
-    g = graph_from_centroids([[0.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
-    before = g.centroids.copy()
-    with pytest.raises(InputError):
-        g.hebbian_update(np.array([[1.0, 0.0]]), eta=0.5, alpha=1.0,
-                         updatable=np.ones(length, dtype=bool))
-    assert np.array_equal(g.centroids, before)
+@pytest.mark.parametrize("call", ["hebbian_update", "present"])
+def test_a_presentation_moves_exactly_the_current_sessions_nodes(call):
+    # Nodes of sessions 1 and 2 are old at session 3, and nodes 1 and 3 are its own.
+    rng = np.random.default_rng(5)
+    centroids, feats = rng.normal(size=(5, 3)), rng.normal(size=(20, 3))
+    for session, origins in ((3, [1, 3, 2, 3, 1]), (1, [1] * 5), (2, [1] * 5)):
+        g = graph_from_centroids(centroids, session=session, origins=origins)
+        getattr(g, call)(feats, 0.5, 1.0)
+        moved = (g.centroids != centroids).any(axis=1)
+        assert moved.tolist() == (np.array(origins) == session).tolist()
+        assert same_bits(g.centroids[~moved], centroids[~moved])
 
 
 def test_hebbian_rejects_bad_rates():
@@ -266,11 +269,18 @@ def assert_same_graph(g, ref):
     assert g.to_text() == ref.to_text()
 
 
-def present_in_batches(g, feats, eta, alpha, updatable, size):
+def set_session_nodes(g, moving):
+    """Make the nodes where `moving` holds those of session 2 and the others old
+    (origin 1); with moving None, every node stays of session 1."""
+    if moving is not None:
+        g.origins, g.session = np.where(moving, 2, 1), 2
+
+
+def present_in_batches(g, feats, eta, alpha, size):
     """Present feats in calls of `size` rows; the (winner, runner-up) of every row."""
     pairs = []
     for start in range(0, len(feats), size):
-        r1, r2 = g.hebbian_update(feats[start:start + size], eta, alpha, updatable)
+        r1, r2 = g.hebbian_update(feats[start:start + size], eta, alpha)
         if len(g) >= 2:
             g.edge_update(r1, r2)
         pairs.extend(zip(r1.tolist(), r2.tolist()))
@@ -312,23 +322,25 @@ def test_presentation_matches_per_rank_oracle(n, mask, monkeypatch):
     for side in SIDES:
         calls = kernel_calls(monkeypatch, side)
         g, feats, rng = presentation_case(n, seed=len(mask))
+        set_session_nodes(g, {"none": None, "all_false": np.zeros(n, dtype=bool),
+                              "all_true": np.ones(n, dtype=bool),
+                              "sparse": rng.random(n) < 0.3}[mask])
         ref = NGGraph.from_text(g.to_text())
-        updatable = {"none": None, "all_false": np.zeros(n, dtype=bool),
-                     "all_true": np.ones(n, dtype=bool), "sparse": rng.random(n) < 0.3}[mask]
-        expected = oracles.present(ref, feats, 0.3, 1.5, updatable)
-        assert present_in_batches(g, feats, 0.3, 1.5, updatable, size=7) == expected
+        expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
+        assert present_in_batches(g, feats, 0.3, 1.5, size=7) == expected
         assert_same_graph(g, ref)
         g.check_invariants()
         for f in feats[:10]:
             (order, distances), (ref_order, ref_distances) = rank_nodes(g, f), oracles.rank_nodes(ref, f)
             assert same_bits(order, ref_order) and same_bits(distances, ref_distances)
-        frozen = n if updatable is None else n - int(updatable.sum())
-        screens = side == "screened" and updatable is not None and frozen >= 2
+        frozen = np.count_nonzero(g.origins != g.session)
+        screens = side == "screened" and frozen >= 2
         assert set(calls) == {"screened" if screens else "node_major"}
 
 
 def screen_case(case, seed):
-    """(graph, features, updatable) for a named hard case of the masked presentation."""
+    """(graph, features, moving) for a named hard case of the masked presentation: the
+    graph is at session 2, and its moving nodes are of that session."""
     n = 2 if case.startswith("two_nodes") else 30
     g, feats, rng = presentation_case(n, seed, lifetime=4)
     moving = rng.random(n) < 0.2
@@ -354,6 +366,7 @@ def screen_case(case, seed):
     elif case == "norms_2^1000":  # too large to screen; squared distances stay finite
         g.centroids = (g.centroids + 3.0) * 2.0 ** 501
         feats = (feats + 3.0) * 2.0 ** 501
+    set_session_nodes(g, moving)
     return g, feats, moving
 
 
@@ -369,8 +382,8 @@ def test_batched_presentation_matches_row_by_row_oracle(case, side, monkeypatch)
     for seed in range(3):
         g, feats, moving = screen_case(case, seed)
         ref = NGGraph.from_text(g.to_text())
-        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
-        assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+        expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
+        assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
         assert_same_graph(g, ref)
     screens = side == "screened" and case != "norms_2^1000" and (~moving).sum() >= 2
     assert calls == ["screened" if screens else "node_major"] * 9  # 60 rows in three calls, three seeds
@@ -382,10 +395,10 @@ def test_huge_norms_rank_every_row_exactly(side, monkeypatch):
     for seed in range(3):
         g, feats, moving = screen_case("norms_2^1000", seed)
         ref = NGGraph.from_text(g.to_text())
-        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+        expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+            assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
         assert_same_graph(g, ref)
     # Neither the screen nor the certificate runs: one exact ranking per row.
     assert calls == ["node_major"] * 9 and fallbacks == [30] * 180
@@ -403,22 +416,24 @@ def test_presentation_fuzz_matches_row_by_row_oracle(data):
     feats = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
                                         max_size=12))).reshape(-1, dim) * scale
     masks = st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
-    moving = data.draw(masks, label="updatable")
+    moving = data.draw(masks, label="moving")
     lifetime = data.draw(st.integers(1, 4), label="lifetime")
     size = data.draw(st.integers(1, 12), label="rows per call")
     settings_ = {"SCREEN_MIN": data.draw(st.sampled_from([0, NEVER]), label="screen_min"),
                  "SCREEN_NORM_LIMIT": data.draw(st.sampled_from([0.0, LIMIT]), label="norm_limit"),
                  "SCREEN_BLOCK": data.draw(st.integers(1, 40), label="screen_block")}
-    g = graph_from_centroids(centroids, lifetime=lifetime)
-    ref = graph_from_centroids(centroids, lifetime=lifetime)
-    expected = oracles.present(ref, feats, 0.3, 1.5, moving)
+    g, ref = (graph_from_centroids(centroids, lifetime=lifetime) for _ in range(2))
+    for h in (g, ref):
+        set_session_nodes(h, moving)
+    expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
     with mock.patch.multiple(neural_gas, **settings_):
-        assert present_in_batches(g, feats, 0.3, 1.5, moving, size) == expected
+        assert present_in_batches(g, feats, 0.3, 1.5, size) == expected
     assert_same_graph(g, ref)
 
 
 def certificate_case(case, seed):
-    """(graph, features, updatable) on which every row, or no row, must rank exactly."""
+    """(graph, features) on which every row, or no row, must rank exactly; a graph
+    with frozen nodes is at session 2, and its moving nodes are of that session."""
     rng = np.random.default_rng([seed, 0xCE7])
     moving = None
     if case == "frozen_permutations":
@@ -438,7 +453,9 @@ def certificate_case(case, seed):
         centroids, feats = rng.normal(size=(40, 32)) * 1e-200, rng.normal(size=(40, 32)) * 1e-200
     else:  # no two nodes near a tie
         centroids, feats = rng.normal(size=(40, 32)), rng.normal(size=(40, 32))
-    return graph_from_centroids(centroids, lifetime=4), feats, moving
+    g = graph_from_centroids(centroids, lifetime=4)
+    set_session_nodes(g, moving)
+    return g, feats
 
 
 @pytest.mark.parametrize("case", ["frozen_permutations", "frozen_duplicates", "scale_1e-200",
@@ -447,10 +464,10 @@ def test_node_major_certificate_falls_back_exactly_on_ties_and_underflow(case, m
     kernel_calls(monkeypatch, "node_major")
     fallbacks = exact_order_calls(monkeypatch)
     for seed in range(3):
-        g, feats, moving = certificate_case(case, seed)
-        ref = graph_from_centroids(g.centroids, lifetime=4)
-        expected = oracles.present(ref, feats, 0.3, 1.5, moving)
-        assert present_in_batches(g, feats, 0.3, 1.5, moving, size=25) == expected
+        g, feats = certificate_case(case, seed)
+        ref = graph_from_centroids(g.centroids, lifetime=4, session=g.session, origins=g.origins)
+        expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
+        assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
         assert_same_graph(g, ref)
     assert len(fallbacks) == (0 if case == "gaussian" else 3 * len(feats))
 
@@ -471,9 +488,10 @@ def test_bad_batch_is_rejected_before_anything_moves(rows, call, monkeypatch):
     for side in SIDES:
         kernel_calls(monkeypatch, side)
         g, _, _ = presentation_case(40, seed=2)
+        set_session_nodes(g, np.arange(40) < 3)
         text, ages = g.to_text(), g.ages.tobytes()
         with pytest.raises(InputError):
-            getattr(g, call)(rows, 0.3, 1.5, np.arange(40) < 3)
+            getattr(g, call)(rows, 0.3, 1.5)
         assert g.to_text() == text and g.ages.tobytes() == ages
 
 
@@ -713,7 +731,7 @@ def test_ages_take_the_narrowest_dtype_that_holds_lifetime_plus_one(lifetime, dt
     ages[0, 1] = ages[1, 0] = lifetime
     for g in (NGGraph(*args), NGGraph(*args, ages=ages)):
         assert g.ages.dtype == dtype
-        g.grow({7: (np.ones((3, 2)), np.zeros((3, 4)))}, k=1, session=2)
+        g.grow({7: (np.ones((3, 2)), np.zeros((3, 4)))}, k=1)
         assert g.ages.dtype == dtype and len(g) == 4
         assert NGGraph.from_text(g.to_text()).ages.dtype == dtype
     assert g.ages[0, 1] == lifetime
@@ -733,6 +751,21 @@ def test_graph_rejects_ages_outside_the_lifetime_before_narrowing_them(age):
     ages[0, 2] = ages[2, 0] = age
     with pytest.raises(InputError, match="ages"):
         NGGraph(*args, ages=ages)
+
+
+def test_a_node_from_a_session_after_the_graphs_is_rejected():
+    # Origin 3 at session 2 is neither old nor current: never anchored, never moved.
+    args = node_arrays()
+    args[4] = np.array([1, 2, 3])
+    with pytest.raises(InputError, match="origins holds a session after the current session 2"):
+        NGGraph(*args, session=2)
+    g = NGGraph(*args, session=3)
+    text = g.to_text()
+    g.session = 2
+    with pytest.raises(StateError, match="origins"):
+        g.check_invariants()
+    with pytest.raises(InputError, match="origins"):
+        NGGraph.from_text(text.replace("session 3", "session 2"))
 
 
 def test_graph_accepts_ages_up_to_the_lifetime():
@@ -883,11 +916,27 @@ def test_estimate_variances_single_win_gets_floor():
 
 
 def test_estimate_variances_respects_node_filter():
-    g = graph_from_centroids([[0.0, 0.0], [10.0, 0.0]])
+    # At session 2 only node 1, grown in it, is re-estimated.
+    g = graph_from_centroids([[0.0, 0.0], [10.0, 0.0]], session=2, origins=[1, 2])
     g.variances[0] = [123.0, 123.0]
-    g.estimate_variances(np.array([[9.0, 0.0], [11.0, 0.0]]), node_indices=[1])
+    g.estimate_variances(np.array([[9.0, 0.0], [11.0, 0.0]]))
     assert np.allclose(g.variances[0], [123.0, 123.0])
     assert np.allclose(g.variances[1], [1.0 + EPS, EPS])
+
+
+def test_estimate_variances_rewrites_exactly_the_current_sessions_rows():
+    rng = np.random.default_rng(6)
+    centroids = rng.normal(size=(5, 3)) * 10.0
+    feats = np.repeat(centroids, 4, axis=0) + rng.normal(scale=0.1, size=(20, 3))
+    sentinel = rng.uniform(1.0, 2.0, size=(5, 3))
+    for session, origins in ((3, [1, 3, 2, 3, 1]), (1, [1] * 5), (2, [1] * 5)):
+        g = graph_from_centroids(centroids, session=session, origins=origins)
+        g.variances = sentinel.copy()
+        g.estimate_variances(feats)
+        current = np.array(origins) == session
+        assert same_bits(g.variances[~current], sentinel[~current])
+        for j in np.flatnonzero(current):
+            assert same_bits(g.variances[j], EPS + feats[4 * j:4 * j + 4].var(axis=0))
 
 
 # -- growth ---------------------------------------------------------------------
@@ -899,17 +948,33 @@ def shots(features):
 
 def test_grow_identical_shots_centroid_equals_shot():
     g = graph_from_centroids([[0.0, 0.0]], labels=[0])
-    g.grow({1: shots([[3.0, 3.0]] * 5)}, k=1, session=2)
+    g.grow({1: shots([[3.0, 3.0]] * 5)}, k=1)
     assert np.allclose(g.centroids[1], [3.0, 3.0])
     assert g.labels[1] == 1
     assert g.origins[1] == 2
     assert g.session == 2
 
 
+def test_grow_numbers_sessions_consecutively_also_after_a_checkpoint():
+    g = graph_from_centroids([[0.0, 0.0]], labels=[0])
+    g.grow({1: shots([[1.0, 0.0]] * 3)}, k=1)
+    g.grow({2: shots([[2.0, 0.0]] * 3), 3: shots([[3.0, 0.0]] * 3)}, k=1)
+    assert g.session == 3 and g.origins.tolist() == [1, 2, 3, 3]
+    g = NGGraph.from_text(g.to_text())
+    g.grow({4: shots([[4.0, 0.0]] * 3)}, k=1)
+    assert g.session == 4 and g.origins.tolist() == [1, 2, 3, 3, 4]
+    # A session-5 checkpoint of 48 nodes grows its session-6 nodes.
+    g = NGGraph.load(Path(__file__).parent / "data" / "topic_al_mml_1_5.ngtxt")
+    before = g.origins.copy()
+    g.grow({99: (np.ones((3, g.feature_dim)), np.zeros((3, g.pseudo_inputs.shape[1])))}, k=1)
+    assert g.session == 6 and g.origins.tolist() == before.tolist() + [6]
+    g.check_invariants()
+
+
 def test_grow_line_of_shots_centroid_at_mean():
     g = graph_from_centroids([[9.0, 9.0]], labels=[0])
     line = [[float(v), 0.0] for v in range(5)]
-    g.grow({3: shots(line)}, k=1, session=2)
+    g.grow({3: shots(line)}, k=1)
     assert np.allclose(g.centroids[1], [2.0, 0.0])
     assert np.array_equal(g.pseudo_inputs[1], [2.0, 0.0])
     # Random shots at mixed scales: the k = 1 centroid is their mean, bit for bit.
@@ -917,7 +982,7 @@ def test_grow_line_of_shots_centroid_at_mean():
     for count in (2, 7, 39):
         feats = rng.normal(scale=10.0 ** rng.uniform(-8, 8), size=(count, 6))
         g = graph_from_centroids(np.zeros((1, 6)), labels=[0])
-        g.grow({1: shots(feats)}, k=1, session=2, seed=count)
+        g.grow({1: shots(feats)}, k=1, seed=count)
         assert g.centroids[1].tobytes() == feats.mean(axis=0).tobytes()
 
 
@@ -926,7 +991,7 @@ def test_grow_appends_k_nodes_per_class_without_touching_old():
     before = g.centroids.copy()
     rng = np.random.default_rng(8)
     g.grow({2: shots(rng.normal(size=(5, 2))),
-            3: shots(rng.normal(size=(5, 2)))}, k=2, session=2, seed=4)
+            3: shots(rng.normal(size=(5, 2)))}, k=2, seed=4)
     assert len(g) == 6
     assert np.array_equal(g.centroids[:2], before)
     assert list(g.labels) == [0, 1, 2, 2, 3, 3]
@@ -938,13 +1003,13 @@ def test_grow_appends_k_nodes_per_class_without_touching_old():
 def test_grow_rejects_duplicate_class():
     g = graph_from_centroids([[0.0, 0.0]], labels=[4])
     with pytest.raises(InputError):
-        g.grow({4: shots([[1.0, 1.0]] * 3)}, k=1, session=2)
+        g.grow({4: shots([[1.0, 1.0]] * 3)}, k=1)
 
 
 def test_grow_rejects_bad_k():
     g = graph_from_centroids([[0.0, 0.0]], labels=[0])
     with pytest.raises(InputError):
-        g.grow({1: shots([[1.0, 1.0]] * 3)}, k=3, session=2)
+        g.grow({1: shots([[1.0, 1.0]] * 3)}, k=3)
 
 
 @pytest.mark.parametrize("feats, inputs", [
@@ -958,7 +1023,7 @@ def test_grow_rejects_bad_shot_widths_before_anything_changes(feats, inputs):
     g.ages[0, 1] = g.ages[1, 0] = 3
     text = g.to_text()
     with pytest.raises(InputError, match="class 3 shots"):
-        g.grow({2: shots(np.full((3, 2), 2.0)), 3: (feats, inputs)}, k=1, session=2)
+        g.grow({2: shots(np.full((3, 2), 2.0)), 3: (feats, inputs)}, k=1)
     assert g.to_text() == text
 
 

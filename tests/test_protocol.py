@@ -265,9 +265,8 @@ def test_a_session_encodes_its_batch_once_per_step(monkeypatch):
                                               None, 9)
     assert sum(encoded) == hp.inc_epochs
     # The new nodes' variances are those of the batch encoded under the final params.
-    new_nodes = np.flatnonzero(graph.origins == 2)
     ref = NGGraph.from_text(graph.to_text())
-    ref.estimate_variances(encode(params, session.train_x), node_indices=new_nodes)
+    ref.estimate_variances(encode(params, session.train_x))
     assert ref.variances.tobytes() == graph.variances.tobytes()
 
 
@@ -564,7 +563,7 @@ def second_session(seed):
     encode = lambda x: forward_batch(x, params)[0]
     graph.grow({label: (encode(session.train_x[session.train_y == label]),
                         session.train_x[session.train_y == label])
-                for label in session.labels}, 1, 2)
+                for label in session.labels}, 1)
     snapshot = init_params(16, 32, 8, 10, seed=seed + 1)
     return hp, snapshot, params, graph, session, stream.session(1).train_x[::97]
 
@@ -575,15 +574,15 @@ def test_session_plan_equals_the_per_step_builder_over_a_session(method):
     graph.ages[:] = 0  # edges come only from this session's presentations
     batch, xi = (session.train_x, session.train_y), xi_heuristic(graph)
     g = graph if METHODS[method].reads_graph else None
-    context = dict(old_params=snapshot, n_old=10, xi=xi)
+    context = dict(old_params=snapshot, xi=xi)
     plan = plan_session(batch, g, store, hp, method, **context)
     for step in range(4):
         loss, grads = total_loss(plan, params)
-        ref_loss, ref_grads = oracles.total_loss(batch, g, params, store, hp, method, **context)
+        ref_loss, ref_grads = oracles.total_loss(batch, g, params, store, hp, method, n_old=10,
+                                                 **context)
         assert loss == ref_loss and same_params(grads, ref_grads), step
         params = sgd_step(params, grads.clipped(10.0), hp.inc_lr)
-        graph.present(forward_batch(session.train_x, params)[0], hp.eta, hp.alpha,
-                      graph.origins == 2)
+        graph.present(forward_batch(session.train_x, params)[0], hp.eta, hp.alpha)
     assert np.count_nonzero(graph.ages) > 0
 
 
@@ -596,11 +595,11 @@ def test_graph_free_methods_do_not_read_the_graph(method):
     encode = lambda x: forward_batch(x, params)[0]
     graph.grow({label: (encode(session.train_x[session.train_y == label]),
                         session.train_x[session.train_y == label])
-                for label in session.labels}, 1, 2)
+                for label in session.labels}, 1)
     store, snapshot = stream.session(1).train_x[::97], init_params(16, 32, 8, 10, seed=13)
     batch = (session.train_x, session.train_y)
     with_graph, without = (total_loss(plan_session(batch, g, store, hp, method,
-                                                   old_params=snapshot, n_old=10), params)
+                                                   old_params=snapshot), params)
                            for g in (graph, None))
     assert with_graph[0] == without[0]
     for name, array in with_graph[1].arrays().items():
