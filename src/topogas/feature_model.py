@@ -70,14 +70,6 @@ class ModelParams:
         """Global L2 norm: the squared sums of w1, b1, w2, b2 and phi, added in that order."""
         return math.sqrt(sum(float((a * a).sum()) for a in self.arrays().values()))
 
-    def clipped(self, max_norm: float) -> "ModelParams":
-        """These arrays rescaled so the global norm is at most max_norm."""
-        n = self.norm()
-        if n <= max_norm or n == 0.0:
-            return self
-        s = max_norm / n
-        return ModelParams(*(a * s for a in self.arrays().values()))
-
 
 @dataclass
 class ForwardCache:

@@ -30,7 +30,7 @@ BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
 
 @dataclass
 class ExperimentConfig:
-    """Stream, model and training parameters plus run matrix and emit flags."""
+    """Stream parameters, hyperparameters (the model's dims too), run matrix and emit flags."""
 
     # stream
     base_classes: int = 10
@@ -41,10 +41,7 @@ class ExperimentConfig:
     cluster_spread: float = 0.55
     train_per_base: int = 100
     test_per_class: int = 100
-    # model
-    hidden_dim: int = 32
-    feature_dim: int = 8
-    # training
+    # training and the model's dims
     hp: HyperParams = field(default_factory=HyperParams)
     # run matrix
     methods: list[str] = field(default_factory=lambda: ["ft", "topic_al", "topic_al_mml"])
@@ -213,7 +210,6 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> int:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     metrics = run_method(streams[seed], method, config.hp, seed,
-                                         config.hidden_dim, config.feature_dim,
                                          graph_sink=sink, bases=bases)
             except DivergenceError as exc:
                 print(f"divergence: method={method} seed={seed}: {exc}")

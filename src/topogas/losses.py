@@ -15,7 +15,7 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, extract_features, forward,  # noqa: F401
                             forward_batch, softmax, softmax_cross_entropy_batch)
-from .neural_gas import MAX_LIFETIME, NGGraph, _rows_per_block, max_distance
+from .neural_gas import MAX_LIFETIME, NGGraph, _rows_per_block, check_variance_floor, max_distance
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def method_spec(method: str) -> MethodSpec:
 
 @dataclass
 class HyperParams:
-    """Training knobs; defaults follow the reference configuration.
+    """Training knobs and the model's dims; defaults follow the reference configuration.
 
     xi = None means the margin is recomputed at each session start as the
     maximum pairwise centroid distance.
@@ -76,6 +76,8 @@ class HyperParams:
     eps_var: float = 1e-6
     exemplars_per_class: int = 2
     ng_passes: int = 3
+    hidden_dim: int = 32
+    feature_dim: int = 8
 
     def validate(self) -> None:
         for f in fields(self):
@@ -89,8 +91,7 @@ class HyperParams:
             raise InputError(f"t_life must be at most {MAX_LIFETIME}, got {self.t_life}")
         if self.eta > 1.0:
             raise InputError(f"eta must be at most 1, got {self.eta}")
-        if not math.isfinite(1.0 / self.eps_var):
-            raise InputError(f"eps_var must have a finite reciprocal, got {self.eps_var}")
+        check_variance_floor(self.eps_var)
 
 
 # -- terms: the rows of one output -> (loss, gradient on those rows)

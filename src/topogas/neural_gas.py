@@ -78,6 +78,12 @@ def age_dtype(lifetime: int) -> np.dtype:
     return np.dtype(np.int64) if dtype == np.uint64 else dtype
 
 
+def check_variance_floor(eps_var: float) -> None:
+    """Raise InputError unless eps_var is finite and positive with a finite reciprocal."""
+    if not (0.0 < float(eps_var) < math.inf and math.isfinite(1.0 / float(eps_var))):
+        raise InputError(f"eps_var {eps_var} is not finite and positive with a finite reciprocal")
+
+
 def _rows_per_block(refs) -> int:
     """Query rows per block so that one block holds at most NEAREST_BLOCK distances."""
     return max(1, NEAREST_BLOCK // max(1, len(refs)))
@@ -247,6 +253,7 @@ class NGGraph:
         self.labels = np.asarray(labels, dtype=int)
         self.origins = np.asarray(origins, dtype=int)
         self.lifetime = int(lifetime)
+        check_variance_floor(eps_var)
         self.eps_var = float(eps_var)
         self.session = int(session)
         dtype = age_dtype(self.lifetime)
@@ -512,8 +519,10 @@ class NGGraph:
         Centroids come from a seeded k-means over the shots (for k = 1, the
         mean of the K shot features).  New nodes get the floor variance, the
         nearest shot as pseudo input, no edges and origin session + 1, the new
-        session.  Every class is checked before anything changes.
+        session.  Every class, and the last int64 session, is refused before anything changes.
         """
+        if self.session == INT64.max:
+            raise StateError(f"no session can follow session {self.session} in an int64 origin")
         known, shots = set(self.labels.tolist()), {}
         n, d = self.feature_dim, self.pseudo_inputs.shape[1]
         for label in sorted(class_samples):
@@ -568,14 +577,16 @@ class NGGraph:
     def _bad_state(self) -> str | None:
         """Why the ages or origins are no graph state, or None.  `edge_update` reads only
         the winners' rows, so the ages must be symmetric, zero on the diagonal and within
-        0..lifetime; a node of a session after the current one would be neither old nor
-        current, so it would never be anchored and never move."""
+        0..lifetime; sessions count from 1 in int64, and a node of a session after the current
+        one would be neither old nor current, so it would never be anchored and never move."""
         if not np.array_equal(self.ages, self.ages.T):
             return "ages is not symmetric"
         if np.any(np.diagonal(self.ages)):
             return "ages has a non-zero diagonal: self-edges are not allowed"
         if np.any(self.ages < 0) or np.any(self.ages > self.lifetime):
             return f"ages holds an age below 0 or above the lifetime {self.lifetime}"
+        if not 1 <= self.session <= INT64.max or np.any(self.origins < 1):
+            return f"session {self.session} or an origin is outside 1..{INT64.max}"
         if np.any(self.origins > self.session):
             return f"origins holds a session after the current session {self.session}"
         return None
@@ -655,8 +666,8 @@ class NGGraph:
 
         (lifetime,), (session,) = numbers(take("lifetime")), numbers(take("session"))
         (eps_var,), (count,) = numbers(take("eps_var"), float), numbers(take("nodes"))
-        if count < 1 or eps_var <= 0:
-            raise bad("need at least one node and a positive variance floor")
+        if count < 1:
+            raise bad("need at least one node")
         heads, centroids, variances, pseudo = [], [], [], []
         for j in range(count):
             head = take("node", 5)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InputError
-# `forward`, `forward_batch`, `backward_batch` and `softmax_cross_entropy_batch`
-# stay bound here because the perfbench tracer patches them in this namespace.
+# `forward`, `forward_batch`, `backward_batch`, `softmax_cross_entropy_batch` and
+# `sgd_step` stay bound here because the perfbench tracer patches them in this namespace.
 from .feature_model import (ModelParams, StepBuffers, backward_batch,  # noqa: F401
                             backward_into, cross_entropy_into, expand_output_layer,
                             extract_features, forward, forward_batch, forward_into,
@@ -23,9 +23,9 @@ from .losses import (METHODS, HyperParams, method_spec, plan_session, total_loss
 from .neural_gas import NGGraph, init_graph, train_on_features
 
 BASE_BATCH_SIZE = 128
-# The composed incremental gradient is norm-clipped so that stiff anchor
-# terms (tiny variances or huge lambda1) slow training down instead of
-# blowing it up.
+# The composed incremental gradient is scaled down to this global norm so
+# that stiff anchor terms (tiny variances or huge lambda1) slow training down
+# instead of blowing it up.
 GRAD_CLIP_NORM = 10.0
 LR_DROP_MILESTONES = (0.6, 0.8)
 
@@ -212,16 +212,15 @@ def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return params
 
 
-def train_base_session(stream: SessionStream, hp: HyperParams, seed: int,
-                       hidden_dim: int = 32, feature_dim: int = 8, *,
+def train_base_session(stream: SessionStream, hp: HyperParams, seed: int, *,
                        fit_graph: bool = True):
     """Train the base model with cross-entropy, then fit the neural gas.
 
-    Returns (params, graph); the graph is fit_base_graph's, or None without
-    fit_graph.
+    The model's dims are hp's.  Returns (params, graph); the graph is
+    fit_base_graph's, or None without fit_graph.
     """
     base = stream.session(1)
-    params = init_params(stream.input_dim, hidden_dim, feature_dim,
+    params = init_params(stream.input_dim, hp.hidden_dim, hp.feature_dim,
                          len(base.labels), seed)
     params = _train_cross_entropy(params, base.train_x, base.train_y,
                                   hp.base_epochs, hp.base_lr, seed,
@@ -258,23 +257,23 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
                               store: np.ndarray | None, seed: int):
     """Finetune on one few-shot session with per-iteration neural-gas updates.
 
-    The whole few-shot set forms a single batch; every iteration applies one
-    clipped SGD step on the method's composed loss, then re-ranks the batch
+    The whole few-shot set forms a single batch; every iteration steps the
+    expanded copy of params in place by SGD on the method's composed loss,
+    its gradient scaled down to norm GRAD_CLIP_NORM, then re-ranks the batch
     features (taken after the step) to move new-class nodes and refresh
     edges.  The graph's growth starts its next session, whose nodes alone
     move; old nodes keep their centroids during the session and are
     re-anchored at the end, the new nodes' variances come from the features
     presented after the last step, and the exemplar rows in store are pinned
-    to their features under params as given.  With graph None the session
-    trains the model alone; methods whose loss does not read the graph run
-    that way.  inc_epochs below 1 raises InputError before anything changes.
-    A non-finite loss, or non-finite features to present, raise
-    DivergenceError.
+    to their features under params, which is never changed.  With graph None
+    the session trains the model alone, as methods whose loss does not read
+    the graph do.  inc_epochs below 1 raises InputError before anything
+    changes; a non-finite loss or non-finite features raise DivergenceError.
     """
     if hp.inc_epochs < 1:
         raise InputError(f"an incremental session needs at least one step, got "
                          f"inc_epochs = {hp.inc_epochs}")
-    old_params = params.copy()
+    old_params = params
     params = expand_output_layer(params, len(session.labels), seed=seed * 1009 + session.index)
 
     xi = None
@@ -295,7 +294,11 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
         if not np.isfinite(loss):
             raise DivergenceError(
                 f"non-finite loss at session {session.index}, iteration {iteration}")
-        params = sgd_step(params, grads.clipped(GRAD_CLIP_NORM), hp.inc_lr)
+        norm = grads.norm()
+        if not (norm <= GRAD_CLIP_NORM or norm == 0.0):  # a NaN norm makes every gradient NaN
+            for g in grads.arrays().values():
+                g *= GRAD_CLIP_NORM / norm
+        sgd_step_in_place(params, grads, hp.inc_lr)
         if graph is not None:
             feats = extract_features(params, session.train_x)
             if not np.isfinite(feats).all():
@@ -383,34 +386,31 @@ class _TrainedBase:
 
     stream: SessionStream
     hp: HyperParams
-    dims: tuple
     params: ModelParams
     graph: NGGraph | None
 
 
 def _base_session(stream: SessionStream, hp: HyperParams, seed: int,
-                  dims: tuple, bases: dict, need_graph: bool) -> tuple:
-    """(params, graph) of the base session, the run's own to mutate.
+                  bases: dict, need_graph: bool) -> tuple:
+    """(params, graph) of the base session: the stored params, which nothing writes,
+    and the run's own copy of the graph, or None unless need_graph.
 
-    The graph is None unless need_graph.  The base is trained on the seed's
-    first lookup in bases and copied on every later one; a lookup with
-    another stream, hyperparameters or dims raises InputError.
+    The base is trained on the seed's first lookup in bases; a lookup with another
+    stream or hyperparameters (the model's dims among them) raises InputError.
     """
     base = bases.get(seed)
     if base is None:
         base = bases[seed] = _TrainedBase(
-            stream, replace(hp), dims,
-            *train_base_session(stream, hp, seed, *dims, fit_graph=need_graph))
-    elif base.stream is not stream or base.hp != hp or base.dims != dims:
+            stream, replace(hp), *train_base_session(stream, hp, seed, fit_graph=need_graph))
+    elif base.stream is not stream or base.hp != hp:
         raise InputError(f"the base session stored for seed {seed} was trained "
-                         "from another stream, hyperparameters or model dims")
+                         "from another stream or hyperparameters")
     if need_graph and base.graph is None:
         base.graph = fit_base_graph(base.params, stream, hp, seed)
-    return base.params.copy(), copy.deepcopy(base.graph) if need_graph else None
+    return base.params, copy.deepcopy(base.graph) if need_graph else None
 
 
 def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
-               hidden_dim: int = 32, feature_dim: int = 8,
                graph_sink=None, bases: dict | None = None) -> list:
     """Full pipeline for one method and seed; returns SessionMetrics per session.
 
@@ -427,8 +427,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
         raise InputError(f"unknown method {method!r}; expected one of {RUNNABLE_METHODS}")
     hp.validate()
     reads_graph = method != "joint" and METHODS[method].reads_graph
-    params, graph = _base_session(stream, hp, seed, (hidden_dim, feature_dim),
-                                  {} if bases is None else bases,
+    params, graph = _base_session(stream, hp, seed, {} if bases is None else bases,
                                   need_graph=reads_graph or graph_sink is not None)
     metrics = [evaluate_joint(params, stream, 1)]
     if graph_sink is not None:
@@ -438,7 +437,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
 
     if method == "joint":
         for t in range(2, len(stream) + 1):
-            fresh = init_params(stream.input_dim, hidden_dim, feature_dim,
+            fresh = init_params(stream.input_dim, hp.hidden_dim, hp.feature_dim,
                                 len(stream.cumulative_labels(t)), seed * 31 + t)
             fresh = _train_cross_entropy(fresh, *stream.cumulative_train(t), hp.base_epochs,
                                          hp.base_lr, seed * 31 + t, context=f"joint session {t}",

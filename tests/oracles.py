@@ -72,6 +72,16 @@ def finite_difference_check(loss_evaluator, params: ModelParams,
     return GradReport(per_parameter, max_error, tol, max_error < tol)
 
 
+def clipped(params, max_norm):
+    """params rescaled so the global norm is at most max_norm, in a new record unless
+    the norm is within max_norm or 0 (a NaN norm rescales every array to NaN)."""
+    n = params.norm()
+    if n <= max_norm or n == 0.0:
+        return params
+    s = max_norm / n
+    return ModelParams(*(a * s for a in params.arrays().values()))
+
+
 def train_cross_entropy(params, x, y, epochs, base_lr, seed, context):
     """Mini-batch SGD on mean cross-entropy composed from the checked per-batch passes:
     forward_batch, softmax_cross_entropy_batch, backward_batch, then sgd_step."""

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (add_scaled, backward_from_pre_activations, finite_difference_check,
-                     softmax_cross_entropy, zero_grads)
+from oracles import (add_scaled, backward_from_pre_activations, clipped,
+                     finite_difference_check, softmax_cross_entropy, zero_grads)
 from topogas import (DivergenceError, ForwardCache, InputError, ModelParams,
                      backward_batch, expand_output_layer, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
@@ -304,8 +304,8 @@ def test_norm_and_clipped_equal_the_summed_generator_bit_for_bit(scale):
             s = max_norm / old_norm
             expected = params if old_norm <= max_norm else ModelParams(
                 *(a * s for a in params.arrays().values()))
-            clipped = params.clipped(max_norm)
-            for name, arr in clipped.arrays().items():
+            got = clipped(params, max_norm)
+            for name, arr in got.arrays().items():
                 assert arr.tobytes() == expected.arrays()[name].tobytes(), (scale, name)
 
 

@@ -1,5 +1,7 @@
 """Property tests for the structural invariants the algorithms rely on."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,11 +142,12 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def checkpoint_graphs(draw):
-    """Any graph a checkpoint can hold: finite floats, int64 fields, no origin after the
-    session, live edges only."""
+    """Any graph a checkpoint can hold: finite floats, int64 fields, sessions and origins
+    from 1, no origin after the session, a floor with a finite reciprocal, live edges only."""
     n, dim, z_dim = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    session = draw(INT64)
-    eps_var = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    session = draw(st.integers(1, 2 ** 63 - 1))
+    eps_var = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                   .filter(lambda v: math.isfinite(1.0 / v)))
     lifetime = draw(st.integers(1, 2 ** 63 - 2))
     vectors = lambda width, elements=FINITE: st.lists(elements, min_size=width,
                                                        max_size=width).map(np.array)
@@ -158,7 +161,7 @@ def checkpoint_graphs(draw):
                                           min_size=n, max_size=n))),
                    np.array(draw(st.lists(vectors(z_dim), min_size=n, max_size=n))),
                    np.array(draw(st.lists(INT64, min_size=n, max_size=n))),
-                   np.array(draw(st.lists(st.integers(-2 ** 63, session), min_size=n,
+                   np.array(draw(st.lists(st.integers(1, session), min_size=n,
                                           max_size=n))),
                    lifetime, eps_var, session, ages=ages)
 

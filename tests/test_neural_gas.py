@@ -768,6 +768,36 @@ def test_a_node_from_a_session_after_the_graphs_is_rejected():
         NGGraph.from_text(text.replace("session 3", "session 2"))
 
 
+@pytest.mark.parametrize("eps_var", [0.0, -1.0, math.nan, math.inf, 1e-320])
+def test_graph_rejects_a_variance_floor_without_a_finite_reciprocal(eps_var):
+    args = node_arrays()
+    args[6] = eps_var
+    with pytest.raises(InputError, match="is not finite and positive with a finite reciprocal"):
+        NGGraph(*args)
+
+
+@pytest.mark.parametrize("origins, session", [([0, 1, 1], 1), ([1, -5, 1], 1),
+                                              ([1, 1, 1], -3), ([1, 1, 1], 0)])
+def test_sessions_are_numbered_from_one(origins, session):
+    args = node_arrays()
+    args[4] = np.array(origins)
+    with pytest.raises(InputError, match="or an origin is outside 1"):
+        NGGraph(*args, session=session)
+    g = NGGraph(*node_arrays())
+    g.origins, g.session = np.array(origins), session
+    with pytest.raises(StateError, match="or an origin is outside 1"):
+        g.check_invariants()
+
+
+def test_no_session_follows_the_last_an_int64_holds():
+    g = graph_from_centroids([[0.0, 0.0]], session=2 ** 63 - 1)
+    text = g.to_text()
+    with pytest.raises(StateError, match="no session can follow"):
+        g.grow({1: shots([[1.0, 0.0]] * 3)}, k=1)
+    assert g.to_text() == text
+    g.check_invariants()
+
+
 def test_graph_accepts_ages_up_to_the_lifetime():
     ages = np.zeros((3, 3), dtype=int)
     ages[0, 1] = ages[1, 0] = 5
@@ -1490,6 +1520,15 @@ CHECKPOINT_MUTATIONS = {
     "label_non_ascii_digit": (set_line("node 1 ", "node 1 label \u0661 origin 1"),
                               "int values"),
     "centroid_with_underscore": (set_line("m ", "m 1_0.0 0.5 0.5"), "float values"),
+    "eps_var_zero": (set_line("eps_var ", "eps_var 0.0"), "finite reciprocal"),
+    "eps_var_negative": (set_line("eps_var ", "eps_var -1.0"), "finite reciprocal"),
+    "eps_var_nan": (set_line("eps_var ", "eps_var nan"), "non-finite"),
+    "eps_var_inf": (set_line("eps_var ", "eps_var inf"), "non-finite"),
+    "eps_var_reciprocal_overflows": (set_line("eps_var ", "eps_var 1e-320"),
+                                     "finite reciprocal"),
+    "session_zero": (set_line("session ", "session 0"), "session 0 or an origin is outside"),
+    "origin_below_one": (
+        set_line("node 1 ", lambda old: old.rsplit(" ", 1)[0] + " -4"), "an origin is outside"),
 }
 
 

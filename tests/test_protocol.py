@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from topogas import (METHODS, DivergenceError, HyperParams, InputError,
 from topogas import protocol
 from topogas.feature_model import row_blocks
 from topogas.losses import anchor_loss
-from topogas.protocol import BASE_BATCH_SIZE, _balanced_union, _train_cross_entropy
+from topogas.protocol import (BASE_BATCH_SIZE, RUNNABLE_METHODS, _balanced_union,
+                              _train_cross_entropy)
 
 DESK = dict(base_classes=10, new_classes=8, way=2, shot=5, input_dim=16,
             cluster_spread=0.55, train_per_base=100, test_per_class=100)
@@ -270,6 +273,48 @@ def test_a_session_encodes_its_batch_once_per_step(monkeypatch):
     assert ref.variances.tobytes() == graph.variances.tobytes()
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_session_leaves_the_callers_params_unchanged(method):
+    stream, hp = desk_stream(3), small_hp(base_epochs=2, inc_epochs=3, ng_passes=1)
+    params, graph = train_base_session(stream, hp, 3)
+    before = params.copy()
+    stepped, _ = train_incremental_session(params, graph, stream.session(2), hp, method,
+                                           stream.session(1).train_x[::25], 3)
+    assert stepped.class_count == 12 and same_params(params, before)
+
+
+def gradient_record(params, norm):
+    """A gradient record shaped like params whose global norm is norm: 0, 3, exactly 10
+    (a 6 and an 8), 40, inf or NaN."""
+    rng = np.random.default_rng(5)
+    grads = ModelParams(*(np.zeros_like(a) for a in params.arrays().values()))
+    if norm in (3.0, 40.0):
+        grads = ModelParams(*(rng.normal(size=a.shape) for a in params.arrays().values()))
+        grads = ModelParams(*(a * (norm / grads.norm()) for a in grads.arrays().values()))
+    elif norm == 10.0:
+        grads.w1[0, 0], grads.phi[1, 2] = 6.0, 8.0
+    elif norm != 0.0:
+        grads.w2[:] = rng.normal(size=grads.w2.shape)
+        grads.w2[1, 1] = norm
+    return grads
+
+
+@pytest.mark.parametrize("norm", [0.0, 3.0, 10.0, 40.0, math.inf, math.nan])
+def test_an_incremental_step_equals_sgd_step_on_the_clipped_gradient(norm, monkeypatch):
+    stream, hp = desk_stream(6), small_hp(inc_epochs=1)
+    base = init_params(16, 32, 8, 10, seed=6)
+    session = stream.session(2)
+    expanded = expand_output_layer(base, len(session.labels), seed=6 * 1009 + 2)
+    grads = gradient_record(expanded, norm)
+    n = grads.norm()
+    assert n == norm if norm in (0.0, 10.0, math.inf) else n == pytest.approx(norm, nan_ok=True)
+    monkeypatch.setattr(protocol, "total_loss", lambda plan, p: (0.0, grads.copy()))
+    with np.errstate(invalid="ignore"):  # inf * 0 when an infinite norm is scaled
+        got, _ = train_incremental_session(base, None, session, hp, "ft", None, 6)
+        want = sgd_step(expanded, oracles.clipped(grads, protocol.GRAD_CLIP_NORM), hp.inc_lr)
+    assert same_params(got, want)
+
+
 @pytest.mark.parametrize("method", ["topic_al", "ft"])
 def test_a_session_without_steps_is_rejected_before_anything_changes(method):
     stream = desk_stream(3)
@@ -475,7 +520,7 @@ def test_run_method_base_session_identical_across_methods():
 def test_stored_base_session_survives_runs_unchanged():
     stream, hp, bases = desk_stream(4), small_hp(), {}
     params, graph = train_base_session(stream, hp, 4)
-    for method in ("ft", "topic_al_mml"):
+    for method in sorted(RUNNABLE_METHODS):
         run_method(stream, method, hp, 4, bases=bases)
     stored = bases[4]
     assert stored.graph.to_text() == graph.to_text()
@@ -581,7 +626,7 @@ def test_session_plan_equals_the_per_step_builder_over_a_session(method):
         ref_loss, ref_grads = oracles.total_loss(batch, g, params, store, hp, method, n_old=10,
                                                  **context)
         assert loss == ref_loss and same_params(grads, ref_grads), step
-        params = sgd_step(params, grads.clipped(10.0), hp.inc_lr)
+        params = sgd_step(params, oracles.clipped(grads, 10.0), hp.inc_lr)
         graph.present(forward_batch(session.train_x, params)[0], hp.eta, hp.alpha)
     assert np.count_nonzero(graph.ages) > 0
 
@@ -610,15 +655,14 @@ def test_graph_free_methods_do_not_read_the_graph(method):
 def test_stored_base_session_rejects_another_config(change):
     stream, hp, bases = desk_stream(8), small_hp(base_epochs=2, inc_epochs=1), {}
     run_method(stream, "ft", hp, 8, bases=bases)
-    dims = (32, 8)
     if change == "stream":
         stream = desk_stream(8)  # equal data, another object
     elif change == "hp":
         hp.inc_lr = 0.05  # the stored copy keeps the old value
     else:
-        dims = (16, 8)
+        hp = replace(hp, hidden_dim=16)  # the dims are hyperparameters too
     with pytest.raises(InputError, match="seed 8"):
-        run_method(stream, "ft", hp, 8, *dims, bases=bases)
+        run_method(stream, "ft", hp, 8, bases=bases)
 
 
 def test_run_method_is_bit_reproducible():
