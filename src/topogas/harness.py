@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, DivergenceError, InputError, StateError
 from .losses import HyperParams
-from .neural_gas import INT_WORD
+from .neural_gas import _number_word
 from .protocol import RUNNABLE_METHODS, make_synthetic_stream, run_method
 
 RESULTS_HEADER = "method,seed,session,joint_acc,old_acc,new_acc"
@@ -90,10 +90,8 @@ def _parse_value(key: str, kind, value: str):
     if kind is bool and value.lower() in BOOL_WORDS:
         return BOOL_WORDS[value.lower()]
     try:
-        if kind is int and INT_WORD.fullmatch(value):
-            return int(value)
-        if kind in (float, float | None) and value.isascii() and "_" not in value:
-            return float(value)
+        if kind in (int, float, float | None):
+            return _number_word(value, int if kind is int else float)
     except ValueError:
         pass
     raise ConfigError(f"{key} expects {getattr(kind, '__name__', kind)}, got {value!r}")

@@ -69,6 +69,20 @@ MAX_LIFETIME = int(INT64.max) - 1
 INT_WORD = re.compile(r"-?[0-9]+")
 
 
+def _number_word(word: str, kind: type):
+    """`word` as `kind`, int or float, written as plain ASCII: an int as INT_WORD, a
+    float without "_" (float() also reads "1_0" and non-ASCII digits); else ValueError."""
+    if not (INT_WORD.fullmatch(word) if kind is int else word.isascii() and "_" not in word):
+        raise ValueError(f"{word!r} is not a plain {kind.__name__}")
+    return kind(word)
+
+
+def _integral(values, kinds: str = "iu") -> bool:
+    """Whether values have an integer dtype (with "biu", bool too) that int64 holds."""
+    dtype = np.asarray(values).dtype
+    return dtype.kind in kinds and np.can_cast(dtype, np.int64)
+
+
 def age_dtype(lifetime: int) -> np.dtype:
     """Narrowest integer dtype of an age matrix under `lifetime`: one that holds
     lifetime + 1, the largest age the row-by-row rule holds before it expires an
@@ -244,28 +258,17 @@ class NGGraph:
                  pseudo_inputs: np.ndarray, labels: np.ndarray, origins: np.ndarray,
                  lifetime: int, eps_var: float, session: int = 1,
                  ages: np.ndarray | None = None):
-        if not 1 <= lifetime <= MAX_LIFETIME:
-            raise InputError(f"lifetime must be between 1 and {MAX_LIFETIME}, got {lifetime}")
-        n = centroids.shape[0]
-        self.centroids = np.asarray(centroids, dtype=float)
-        self.variances = np.asarray(variances, dtype=float)
-        self.pseudo_inputs = np.asarray(pseudo_inputs, dtype=float)
-        self.labels = np.asarray(labels, dtype=int)
-        self.origins = np.asarray(origins, dtype=int)
-        self.lifetime = int(lifetime)
-        check_variance_floor(eps_var)
-        self.eps_var = float(eps_var)
-        self.session = int(session)
-        dtype = age_dtype(self.lifetime)
-        self.ages = np.zeros((n, n), dtype=dtype) if ages is None else np.asarray(ages, dtype=int)
-        mismatched = self._mismatched_array()
-        if mismatched is not None:
-            raise InputError(f"{mismatched} of shape {getattr(self, mismatched).shape} "
-                             f"does not match the {n} centroids")
-        bad_state = self._bad_state()
-        if bad_state is not None:
-            raise InputError(bad_state)
-        self.ages = self.ages.astype(dtype, copy=False)  # within 0..lifetime, so nothing wraps
+        self.centroids, self.variances, self.pseudo_inputs = (
+            np.asarray(a, dtype=float) for a in (centroids, variances, pseudo_inputs))
+        self.labels, self.origins = np.asarray(labels), np.asarray(origins)
+        self.lifetime, self.eps_var, self.session = lifetime, eps_var, session
+        zeros = np.zeros(self.centroids.shape[:1] * 2, dtype=bool)
+        self.ages = zeros if ages is None else np.asarray(ages)
+        self._check(InputError)  # on the fields as given, before any cast
+        self.labels = self.labels.astype(int, copy=False)
+        self.origins = self.origins.astype(int, copy=False)
+        self.lifetime, self.eps_var, self.session = int(lifetime), float(eps_var), int(session)
+        self.ages = self.ages.astype(age_dtype(self.lifetime), copy=False)  # nothing wraps
 
     def __len__(self) -> int:
         return self.centroids.shape[0]
@@ -480,24 +483,26 @@ class NGGraph:
         if len(self) >= 2:
             self.edge_update(r1, r2)
 
-
     # -- node bookkeeping ---------------------------------------------------
 
     def assign_pseudo_exemplars(self, inputs, labels, features) -> None:
         """Store, per node, the raw training input whose feature is nearest m.
 
-        The chosen sample's label becomes the node label.  features holds
-        the (B, n) features of the (B, d) inputs, one row per input.
+        The chosen sample's label becomes the node label.  features and labels
+        hold one (n,) feature and one integer per row of the (B, d) inputs.
         """
         if len(inputs) == 0:
             raise InputError("cannot assign pseudo-exemplars from an empty dataset")
         x = np.asarray(inputs, dtype=float)
-        features = np.asarray(features, dtype=float)
+        features, labels = np.asarray(features, dtype=float), np.asarray(labels)
         if len(features) != len(x):
             raise InputError(f"{len(features)} feature rows for {len(x)} inputs")
+        if labels.shape != (len(x),) or not _integral(labels):
+            raise InputError(f"{labels.dtype} labels of shape {labels.shape} "
+                             f"are not one integer per input")
         best = nearest(self.centroids, features)[0]
         self.pseudo_inputs = x[best]
-        self.labels = np.asarray(labels, dtype=int)[best]
+        self.labels = labels.astype(int, copy=False)[best]
 
     def estimate_variances(self, features: np.ndarray) -> None:
         """Per-dimension population variance of the won features of each of the
@@ -519,7 +524,8 @@ class NGGraph:
         Centroids come from a seeded k-means over the shots (for k = 1, the
         mean of the K shot features).  New nodes get the floor variance, the
         nearest shot as pseudo input, no edges and origin session + 1, the new
-        session.  Every class, and the last int64 session, is refused before anything changes.
+        session.  Every class and its integer label, and the last int64 session, are checked
+        before anything changes.
         """
         if self.session == INT64.max:
             raise StateError(f"no session can follow session {self.session} in an int64 origin")
@@ -527,6 +533,8 @@ class NGGraph:
         n, d = self.feature_dim, self.pseudo_inputs.shape[1]
         for label in sorted(class_samples):
             feats, inputs = (np.asarray(a, dtype=float) for a in class_samples[label])
+            if not _integral(label):
+                raise InputError(f"class label {label!r} is not an integer")
             if int(label) in known:
                 raise InputError(f"class {label} already has nodes in the graph")
             if feats.ndim != 2 or feats.shape[1] != n or inputs.shape != (len(feats), d):
@@ -561,46 +569,49 @@ class NGGraph:
             raise InputError("quantization error needs at least one feature")
         return float(nearest(features, self.centroids)[1].mean())
 
-    def _mismatched_array(self) -> str | None:
-        """The first per-node array without one row per node, or None.
-
-        variances and pseudo_inputs are (N, ...), labels and origins (N,), ages (N, N).
-        """
-        n = len(self)
-        for name, ndim in (("variances", 2), ("pseudo_inputs", 2), ("labels", 1),
-                           ("origins", 1), ("ages", 2)):
-            shape = getattr(self, name).shape
-            if len(shape) != ndim or shape[0] != n or name == "ages" and shape[1] != n:
-                return name
-        return None
-
-    def _bad_state(self) -> str | None:
-        """Why the ages or origins are no graph state, or None.  `edge_update` reads only
-        the winners' rows, so the ages must be symmetric, zero on the diagonal and within
-        0..lifetime; sessions count from 1 in int64, and a node of a session after the current
-        one would be neither old nor current, so it would never be anchored and never move."""
+    def _check(self, error: type) -> None:
+        """Raise `error`, naming the field, for the first rule of a valid graph this state
+        breaks: the shapes below; integer dtypes int64 holds (ages bool too), so no cast
+        changes a value; finite float arrays; no variance below eps_var, a floor with a
+        finite reciprocal; ages symmetric, zero on the diagonal and within 0..lifetime (as
+        `edge_update` reads only the winners' rows); origins from 1 up to the session."""
+        if self.centroids.ndim != 2:
+            raise error(f"centroids of shape {self.centroids.shape} are not 2-D")
+        n, dim = self.centroids.shape
+        for name, shape in (("variances", (n, dim)), ("pseudo_inputs", (n, None)),
+                            ("labels", (n,)), ("origins", (n,)), ("ages", (n, n)),
+                            ("lifetime", ()), ("session", ())):
+            got = np.shape(getattr(self, name))
+            if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
+                raise error(f"{name} has shape {got}, expected {shape}".replace("None", "any"))
+        for name in ("labels", "origins", "ages", "lifetime", "session"):
+            if not _integral(getattr(self, name), "biu" if name == "ages" else "iu"):
+                raise error(f"{name} must hold integers that int64 holds")
+        for name in ("centroids", "variances", "pseudo_inputs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise error(f"{name} holds a non-finite value")
+        try:
+            check_variance_floor(self.eps_var)
+        except InputError as exc:
+            raise error(str(exc)) from None
+        if np.any(self.variances < self.eps_var * (1 - 1e-12)):
+            raise error(f"variances holds a value below the floor eps_var {self.eps_var}")
+        if not 1 <= self.lifetime <= MAX_LIFETIME:
+            raise error(f"lifetime must be between 1 and {MAX_LIFETIME}, got {self.lifetime}")
         if not np.array_equal(self.ages, self.ages.T):
-            return "ages is not symmetric"
+            raise error("ages is not symmetric")
         if np.any(np.diagonal(self.ages)):
-            return "ages has a non-zero diagonal: self-edges are not allowed"
+            raise error("ages has a non-zero diagonal: self-edges are not allowed")
         if np.any(self.ages < 0) or np.any(self.ages > self.lifetime):
-            return f"ages holds an age below 0 or above the lifetime {self.lifetime}"
-        if not 1 <= self.session <= INT64.max or np.any(self.origins < 1):
-            return f"session {self.session} or an origin is outside 1..{INT64.max}"
+            raise error(f"ages holds an age below 0 or above the lifetime {self.lifetime}")
+        if self.session < 1 or np.any(self.origins < 1):
+            raise error(f"session {self.session} or an origin is outside 1..{INT64.max}")
         if np.any(self.origins > self.session):
-            return f"origins holds a session after the current session {self.session}"
-        return None
+            raise error(f"origins holds a session after the current session {self.session}")
 
     def check_invariants(self) -> None:
-        """Raise StateError if shape, age, origin or floor invariants fail."""
-        mismatched = self._mismatched_array()
-        if mismatched is not None:
-            raise StateError(f"{mismatched} does not have one row per node")
-        bad_state = self._bad_state()
-        if bad_state is not None:
-            raise StateError(bad_state)
-        if np.any(self.variances < self.eps_var * (1 - 1e-12)):
-            raise StateError("variance fell below the floor")
+        """Raise StateError for the first rule of a valid graph (`_check`) this state breaks."""
+        self._check(StateError)
 
     # -- serialization ------------------------------------------------------
 
@@ -627,7 +638,8 @@ class NGGraph:
 
     @staticmethod
     def from_text(text: str) -> "NGGraph":
-        """Parse a to_text checkpoint; anything malformed raises InputError."""
+        """Parse a to_text checkpoint; anything malformed raises InputError: a syntax fault
+        with its line number, a graph that breaks a rule as NGGraph(...) raises it."""
         lines = text.splitlines()
         if not lines or lines[0] != FORMAT_HEADER:
             raise InputError(f"not a recognized graph checkpoint (expected '{FORMAT_HEADER}')")
@@ -651,17 +663,11 @@ class NGGraph:
 
         def numbers(words: list, kind=int) -> list:
             try:
-                if not all(INT_WORD.fullmatch(w) if kind is int else w.isascii() and "_" not in w
-                           for w in words):
-                    raise ValueError
-                values = [kind(w) for w in words]
+                values = [_number_word(w, kind) for w in words]
             except ValueError:
                 raise bad(f"expected {kind.__name__} values") from None
-            if kind is int:
-                if not all(INT64.min <= v <= INT64.max for v in values):
-                    raise bad("integer outside int64")
-            elif not all(math.isfinite(v) for v in values):
-                raise bad("non-finite value")
+            if kind is int and not all(INT64.min <= v <= INT64.max for v in values):
+                raise bad("integer outside int64")
             return values
 
         (lifetime,), (session,) = numbers(take("lifetime")), numbers(take("session"))
@@ -694,10 +700,6 @@ class NGGraph:
             graph.ages[i, j] = graph.ages[j, i] = age
         if pos != len(lines):
             raise InputError(f"malformed checkpoint: trailing content after line {pos}")
-        try:
-            graph.check_invariants()
-        except StateError as exc:
-            raise InputError(f"invalid checkpoint: {exc}") from exc
         return graph
 
     def save(self, path) -> None:
@@ -730,7 +732,7 @@ def init_graph(features: np.ndarray, inputs: np.ndarray, labels, node_count: int
     labels; assign_pseudo_exemplars replaces both after training.
     """
     features, inputs = np.asarray(features, dtype=float), np.asarray(inputs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)  # cast by NGGraph, which refuses labels that are not integers
     if not node_count <= len(features) == len(inputs) == len(labels):
         raise InputError(f"cannot sample {node_count} nodes from {len(features)} features, "
                          f"{len(inputs)} inputs and {len(labels)} labels")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topogas import InputError, NGGraph, StateError, init_graph, neural_gas, train_on_features
+from topogas import (ConfigError, InputError, NGGraph, StateError, init_graph, neural_gas,
+                     parse_config, train_on_features)
 from topogas.neural_gas import _exact_distances, _exact_order, max_distance, nearest
 
 import oracles
@@ -667,6 +669,12 @@ def test_init_graph_rejects_rows_that_do_not_pair_up(short):
         init_graph(feats, args["inputs"], args["labels"], 2, 200, EPS, seed=0)
 
 
+def test_init_graph_refuses_labels_that_are_not_integers():
+    feats = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(InputError, match="^labels must hold integers"):
+        init_graph(feats, feats, [0.4, 1.6, 2.9], 3, 200, EPS, seed=0)
+
+
 def node_arrays(n=3):
     """Arguments of a valid n-node graph: centroids, variances, pseudo inputs, labels,
     origins, lifetime, eps_var."""
@@ -805,6 +813,100 @@ def test_graph_accepts_ages_up_to_the_lifetime():
     NGGraph(*node_arrays(), ages=ages).check_invariants()
 
 
+def valid_fields(n=3):
+    """Keyword arguments of a valid n-node graph of lifetime 5 (as broken_ages assumes)."""
+    names = ("centroids", "variances", "pseudo_inputs", "labels", "origins", "lifetime", "eps_var")
+    return dict(zip(names, node_arrays(n)), session=1, ages=np.zeros((n, n), dtype=int))
+
+
+def one_off(value, at=(1, 0), shape=(3, 2)):
+    """An array of zeros of `shape` holding `value` at `at`."""
+    array = np.zeros(shape, dtype=np.asarray(value).dtype)
+    array[at] = value
+    return array
+
+
+# States that break one rule of a valid graph: the field, its value, and the
+# start of the message both NGGraph(...) and check_invariants give.
+BROKEN_STATES = {
+    "nan_centroid": ("centroids", one_off(math.nan), "centroids holds a non-finite value"),
+    "inf_centroid": ("centroids", one_off(-math.inf), "centroids holds a non-finite value"),
+    "inf_pseudo_input": ("pseudo_inputs", one_off(math.inf, shape=(3, 4)),
+                         "pseudo_inputs holds a non-finite value"),
+    "nan_variance": ("variances", np.full((3, 2), math.nan), "variances holds a non-finite value"),
+    "zero_variances": ("variances", np.zeros((3, 2)), "variances holds a value below the floor"),
+    "variance_below_floor": ("variances", np.full((3, 2), EPS * (1 - 1e-9)),
+                             "variances holds a value below the floor"),
+    "one_d_centroids": ("centroids", np.zeros(3), "centroids of shape (3,) are not 2-D"),
+    "variances_of_another_width": ("variances", np.full((3, 3), EPS),
+                                   "variances has shape (3, 3), expected (3, 2)"),
+    "label_half": ("labels", np.array([0.5, 0.0, 0.0]), "labels must hold integers"),
+    "labels_as_floats": ("labels", [0.5, 1.7, 2.0], "labels must hold integers"),
+    "label_beyond_int64": ("labels", np.array([0, 1, 2 ** 63], dtype=np.uint64),
+                           "labels must hold integers"),
+    "origin_one_and_a_half": ("origins", np.array([1, 1.5, 1]), "origins must hold integers"),
+    "float_ages": ("ages", np.zeros((3, 3)), "ages must hold integers"),
+    "lifetime_two_and_a_half": ("lifetime", 2.5, "lifetime must hold integers"),
+    "lifetime_zero": ("lifetime", 0, "lifetime must be between 1 and"),
+    "lifetime_as_array": ("lifetime", np.array([5]), "lifetime has shape (1,), expected ()"),
+    "session_two_point_zero": ("session", 2.0, "session must hold integers"),
+    "session_zero": ("session", 0, "session 0 or an origin is outside 1.."),
+    "origin_zero": ("origins", np.array([0, 1, 1]), "session 1 or an origin is outside 1.."),
+    "origin_after_session": ("origins", np.array([1, 2, 1]),
+                             "origins holds a session after the current session 1"),
+    "eps_var_zero": ("eps_var", 0.0, "eps_var 0.0 is not finite and positive"),
+    **{f"ages_{case}": ("ages", broken_ages(case), "ages ")
+       for case in ("asymmetric", "diagonal", "negative", "above_lifetime")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_STATES))
+def test_the_constructor_and_check_invariants_refuse_a_broken_state_alike(case):
+    name, value, message = BROKEN_STATES[case]
+    with pytest.raises(InputError, match="^" + re.escape(message)) as built:
+        NGGraph(**{**valid_fields(), name: value})
+    g = NGGraph(**valid_fields())
+    g.check_invariants()
+    setattr(g, name, value)
+    with pytest.raises(StateError) as checked:
+        g.check_invariants()
+    assert str(checked.value) == str(built.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_graph_the_constructor_accepts_round_trips_through_text(data):
+    n, dim, width = (data.draw(st.integers(1, high)) for high in (9, 4, 3))
+    scale = data.draw(st.sampled_from([1e-200, 1.0, 1e150]))
+    eps_var = data.draw(st.sampled_from([EPS, 1e-200, 2.5]))
+
+    def floats(shape, low=-1.0):
+        values = data.draw(st.lists(st.floats(low, 1.0), min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))
+        return np.reshape(values, shape) * scale
+
+    lifetime = data.draw(st.sampled_from([1, 200, 255, neural_gas.MAX_LIFETIME]))
+    session = data.draw(st.sampled_from([1, 2, 9, 2 ** 63 - 1]))
+    ages = np.triu(np.reshape(data.draw(st.lists(st.integers(0, lifetime), min_size=n * n,
+                                                 max_size=n * n)), (n, n)), 1)
+    ages = ages + ages.T
+    if data.draw(st.booleans()):  # bool ages: each edge of age 1
+        ages = ages > 0
+    fields = dict(centroids=floats((n, dim)), variances=eps_var + floats((n, dim), low=0.0),
+                  pseudo_inputs=floats((n, width)),
+                  labels=data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                            min_size=n, max_size=n)),
+                  origins=data.draw(st.lists(st.integers(1, session), min_size=n, max_size=n)),
+                  lifetime=lifetime, eps_var=eps_var, session=session, ages=ages)
+    if data.draw(st.booleans()):
+        fields = {k: np.asarray(v).tolist() for k, v in fields.items()}
+    g = NGGraph(**fields)
+    text = g.to_text()
+    h = NGGraph.from_text(text)
+    h.check_invariants()
+    assert h.to_text() == text
+
+
 def test_training_single_node_contracts_geometrically():
     # Closed form: the winner moves by eta*exp(-1/alpha) of the gap per
     # presentation, so the distance shrinks by that fixed factor.
@@ -923,6 +1025,16 @@ def test_assign_pseudo_exemplars_rejects_a_feature_row_count_unlike_the_inputs(r
     inputs = np.zeros((3, 2))
     with pytest.raises(InputError, match=f"{rows} feature rows for 3 inputs"):
         g.assign_pseudo_exemplars(inputs, [0, 1, 2], np.zeros((rows, 2)))
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [0.5, 1.5, 2.5], [[0], [1], [2]],
+                                    ["a", "b", "c"]])
+def test_assign_pseudo_exemplars_refuses_labels_that_are_not_one_integer_per_input(labels):
+    g = graph_from_centroids([[0.0, 0.0]], labels=[4])
+    text, inputs = g.to_text(), np.arange(6.0).reshape(3, 2)
+    with pytest.raises(InputError, match="labels of shape .* are not one integer per input"):
+        g.assign_pseudo_exemplars(inputs, labels, inputs)
+    assert g.to_text() == text
 
 
 def test_estimate_variances_identical_features_floor_only():
@@ -1054,6 +1166,15 @@ def test_grow_rejects_bad_shot_widths_before_anything_changes(feats, inputs):
     text = g.to_text()
     with pytest.raises(InputError, match="class 3 shots"):
         g.grow({2: shots(np.full((3, 2), 2.0)), 3: (feats, inputs)}, k=1)
+    assert g.to_text() == text
+
+
+@pytest.mark.parametrize("label", [2.5, np.float64(3.0), True, "3", 2 ** 63])
+def test_grow_rejects_a_label_that_is_not_an_integer_before_anything_changes(label):
+    g = graph_from_centroids([[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
+    text = g.to_text()
+    with pytest.raises(InputError, match="is not an integer"):
+        g.grow({label: shots(np.full((3, 2), 2.0))}, k=1)
     assert g.to_text() == text
 
 
@@ -1522,8 +1643,8 @@ CHECKPOINT_MUTATIONS = {
     "centroid_with_underscore": (set_line("m ", "m 1_0.0 0.5 0.5"), "float values"),
     "eps_var_zero": (set_line("eps_var ", "eps_var 0.0"), "finite reciprocal"),
     "eps_var_negative": (set_line("eps_var ", "eps_var -1.0"), "finite reciprocal"),
-    "eps_var_nan": (set_line("eps_var ", "eps_var nan"), "non-finite"),
-    "eps_var_inf": (set_line("eps_var ", "eps_var inf"), "non-finite"),
+    "eps_var_nan": (set_line("eps_var ", "eps_var nan"), "eps_var nan is not finite"),
+    "eps_var_inf": (set_line("eps_var ", "eps_var inf"), "eps_var inf is not finite"),
     "eps_var_reciprocal_overflows": (set_line("eps_var ", "eps_var 1e-320"),
                                      "finite reciprocal"),
     "session_zero": (set_line("session ", "session 0"), "session 0 or an origin is outside"),
@@ -1556,6 +1677,36 @@ def test_from_text_rejects_an_edge_age_above_the_lifetime_before_storing_it(age)
     assert text.endswith("edges 1\n0 1 1\n")
     with pytest.raises(InputError, match=f"edge age {age} is above the lifetime 200"):
         NGGraph.from_text(text.replace("0 1 1\n", f"0 1 {age}\n"))
+
+
+# Number words as an int and as a float, and whether they are plain: to_text's
+# own words, which the config parser and the checkpoint parser accept alike.
+NUMBER_WORDS = [(word, int, word in ("10", "-3"))
+                for word in ("1_0", "\u0661", "+5", "0x10", "1e3", "2.5", "10", "-3")] + [
+                (word, float, word in ("+5", "1e3", "2.5"))
+                for word in ("1_0", "\u0661", "+5", "0x10", "1e3", "2.5")]
+
+
+@pytest.mark.parametrize("word, kind, plain", NUMBER_WORDS)
+def test_configs_and_checkpoints_read_number_words_alike(word, kind, plain):
+    """An int word is a config's `shot` and node 1's label; a float word is the
+    config's `cluster_spread` and node 0's first centroid value."""
+    key = "shot" if kind is int else "cluster_spread"
+    try:
+        from_config = getattr(parse_config(f"{key} = {word}\n"), key)
+    except ConfigError:
+        from_config = None
+    if kind is int:
+        mutate = set_line("node 1 ", f"node 1 label {word} origin 1")
+    else:
+        mutate = set_line("m ", lambda old: f"m {word} " + old.split(" ", 2)[2])
+    lines = mutate(random_trained_graph(13).to_text().splitlines())
+    try:
+        g = NGGraph.from_text("\n".join(lines) + "\n")
+        from_checkpoint = g.labels[1] if kind is int else g.centroids[0, 0]
+    except InputError:
+        from_checkpoint = None
+    assert from_config == from_checkpoint and (from_config is not None) == plain
 
 
 def test_save_and_load_files(tmp_path):

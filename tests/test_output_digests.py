@@ -4,7 +4,8 @@ Each config below runs through the CLI in a subprocess with one BLAS thread
 and OpenBLAS's Haswell kernels, the two settings that move bits on one
 machine; the SHA-256 of every output file (results.csv, summary.csv, each
 confusion file and each .ngtxt checkpoint) must equal the one recorded in
-tests/data/output_digests.txt, which also records numpy's version.  A change
+tests/data/output_digests.txt, which also records numpy's version, and every
+checkpoint must load, pass check_invariants and re-emit its bytes.  A change
 meant to move results regenerates the file with
 
     PYTHONPATH=src python tests/test_output_digests.py --write
@@ -20,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from topogas.neural_gas import NGGraph
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "data" / "output_digests.txt"
@@ -88,18 +91,36 @@ def read_digests() -> tuple:
     return settings, files
 
 
-def test_outputs_match_the_committed_digests(tmp_path):
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> tuple:
+    """The CONFIGS' output root and the digests of its files, from one set of runs."""
+    root = tmp_path_factory.mktemp("runs")
+    return root, run_configs(root)
+
+
+def test_outputs_match_the_committed_digests(runs):
     settings, expected = read_digests()
     if settings[0] != header()[0]:
         pytest.skip(f"digests were made with {settings[0]}, this is {header()[0]}")
     assert settings == header()
-    actual = run_configs(tmp_path)
+    actual = runs[1]
     differ = sorted(name for name in expected.keys() & actual.keys()
                     if expected[name] != actual[name])
     missing = sorted(expected.keys() - actual.keys())
     extra = sorted(actual.keys() - expected.keys())
     assert not (differ or missing or extra), (
         f"{len(differ)} files differ: {differ}; missing: {missing}; not recorded: {extra}")
+
+
+
+def test_every_written_checkpoint_loads_checks_and_reemits_its_bytes(runs):
+    root, digests = runs
+    paths = sorted(root.rglob("*.ngtxt"))
+    assert len(paths) == sum(name.endswith(".ngtxt") for name in digests) > 0
+    for path in paths:
+        graph = NGGraph.load(path)
+        graph.check_invariants()
+        assert graph.to_text().encode("utf-8") == path.read_bytes(), path.relative_to(root)
 
 
 if __name__ == "__main__":
