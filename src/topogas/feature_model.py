@@ -281,8 +281,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 def sgd_step_in_place(params: ModelParams, grads: ModelParams, lr: float) -> None:
     """The step p <- p - lr*g on params itself; grads is scaled by lr in place."""
-    if lr <= 0:
-        raise InputError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise InputError(f"learning rate must be positive and finite, got {lr}")
     for p, g in zip(params.arrays().values(), grads.arrays().values()):
         g *= lr
         p -= g

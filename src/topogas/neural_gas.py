@@ -23,7 +23,6 @@ bounded size, whatever the row, ref or node count: a search block holds at
 most NEAREST_BLOCK distances or SCREEN_BLOCK products, and a screen computes
 its candidates' exact distances NEAREST_BLOCK at a time (`max_distance`
 screens like `nearest`); a training sweep presents SWEEP_BLOCK rows per call.
-Encoders passed to the graph map an input batch to features.
 """
 
 import functools
@@ -277,6 +276,18 @@ class NGGraph:
     def feature_dim(self) -> int:
         return self.centroids.shape[1]
 
+    def _block(self, values, name="features", inputs=False, rows=None) -> np.ndarray:
+        """The array rule of every method that takes features (raw inputs with `inputs`): a
+        finite 2-D float block as wide as the graph's and, with rows=(count, what), count rows."""
+        x = np.asarray(values, dtype=float)
+        width = self.pseudo_inputs.shape[1] if inputs else self.feature_dim
+        if x.ndim != 2 or x.shape[1] != width or not np.isfinite(x).all():
+            raise InputError(f"{name} must be finite, 2-D and {width} wide, got shape {x.shape}")
+        if rows is not None and len(x) != rows[0]:
+            noun = "input" if inputs else "feature"
+            raise InputError(f"{name}: {len(x)} {noun} rows for {rows[0]} {rows[1]}")
+        return x
+
     # -- competitive Hebbian learning -------------------------------------
 
     def hebbian_update(self, features: np.ndarray, eta: float, alpha: float) -> tuple:
@@ -303,11 +314,7 @@ class NGGraph:
         n, dim = self.centroids.shape
         if n == 0:
             raise StateError("cannot rank nodes of an empty graph")
-        x = np.asarray(features, dtype=float)
-        if x.ndim != 2 or x.shape[1] != dim:
-            raise InputError(f"features have shape {x.shape}, expected (rows, {dim})")
-        if not np.isfinite(x).all():
-            raise InputError("features must be finite")
+        x = self._block(features)
         moving = self.origins == self.session
         frozen = ~moving
         steps = _rank_steps(eta, alpha, n)
@@ -491,12 +498,9 @@ class NGGraph:
         The chosen sample's label becomes the node label.  features and labels
         hold one (n,) feature and one integer per row of the (B, d) inputs.
         """
-        if len(inputs) == 0:
-            raise InputError("cannot assign pseudo-exemplars from an empty dataset")
-        x = np.asarray(inputs, dtype=float)
-        features, labels = np.asarray(features, dtype=float), np.asarray(labels)
-        if len(features) != len(x):
-            raise InputError(f"{len(features)} feature rows for {len(x)} inputs")
+        x = self._block(inputs, "inputs", inputs=True)
+        features = self._block(features, rows=(len(x), "inputs"))
+        labels = np.asarray(labels)
         if labels.shape != (len(x),) or not _integral(labels):
             raise InputError(f"{labels.dtype} labels of shape {labels.shape} "
                              f"are not one integer per input")
@@ -511,7 +515,7 @@ class NGGraph:
         A floor of eps_var is added; nodes winning at most one feature fall back
         to the floor alone.
         """
-        features = np.asarray(features, dtype=float)
+        features = self._block(features)
         winners = nearest(features, self.centroids)[0]
         for j in np.flatnonzero(self.origins == self.session):
             won = features[winners == j]
@@ -530,16 +534,15 @@ class NGGraph:
         if self.session == INT64.max:
             raise StateError(f"no session can follow session {self.session} in an int64 origin")
         known, shots = set(self.labels.tolist()), {}
-        n, d = self.feature_dim, self.pseudo_inputs.shape[1]
         for label in sorted(class_samples):
-            feats, inputs = (np.asarray(a, dtype=float) for a in class_samples[label])
+            feats, inputs = class_samples[label]
             if not _integral(label):
                 raise InputError(f"class label {label!r} is not an integer")
             if int(label) in known:
                 raise InputError(f"class {label} already has nodes in the graph")
-            if feats.ndim != 2 or feats.shape[1] != n or inputs.shape != (len(feats), d):
-                raise InputError(f"class {label} shots have features {feats.shape} and inputs "
-                                 f"{inputs.shape}, expected (K, {n}) and (K, {d})")
+            feats = self._block(feats, f"class {label} shots' features")
+            inputs = self._block(inputs, f"class {label} shots' inputs", inputs=True,
+                                 rows=(len(feats), "features"))
             if not 1 <= k < feats.shape[0]:
                 raise InputError(f"growth count {k} must be below the {feats.shape[0]} shots")
             shots[int(label)] = feats, inputs
@@ -549,22 +552,21 @@ class NGGraph:
         added = k * len(shots)
         self.origins = np.concatenate([self.origins, np.full(added, self.session + 1, dtype=int)])
         self.centroids = np.vstack([self.centroids, *centers])
-        self.variances = np.vstack([self.variances, np.full((added, n), self.eps_var)])
+        self.variances = np.vstack([self.variances,
+                                    np.full((added, self.feature_dim), self.eps_var)])
         self.pseudo_inputs = np.vstack([self.pseudo_inputs, *picks])
         self.labels = np.concatenate([self.labels, np.repeat(list(shots), k).astype(int)])
         self.ages = np.pad(self.ages, ((0, added), (0, added)))
         self.session += 1
 
-    def refresh_anchors(self, encode) -> None:
-        """Re-encode every pseudo input with the current extractor: m <- f(z).
-
-        encode maps the (N, d) pseudo inputs to (N, n) features in one call.
-        """
-        self.centroids[:] = encode(self.pseudo_inputs)
+    def refresh_anchors(self, features: np.ndarray) -> None:
+        """Move every centroid onto its pseudo input's feature under the current
+        extractor: m <- f(z), from the (N, n) encodings of the (N, d) pseudo inputs."""
+        self.centroids[:] = self._block(features, rows=(len(self), "nodes"))
 
     def quantization_error(self, features: np.ndarray) -> float:
         """Mean Euclidean distance from each feature to its winner centroid."""
-        features = np.asarray(features, dtype=float)
+        features = self._block(features)
         if features.shape[0] == 0:
             raise InputError("quantization error needs at least one feature")
         return float(nearest(features, self.centroids)[1].mean())

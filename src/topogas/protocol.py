@@ -61,11 +61,13 @@ class SessionStream:
     def from_splits(labels: list, train: tuple, test: tuple) -> "SessionStream":
         """Session t owns the next rows of each split whose labels are in labels[t - 1].
 
-        The split arrays are made read-only.  Rows out of session order, or
-        rows that no session owns, raise InputError.
+        The split arrays are made read-only.  Rows out of session order, rows
+        that no session owns, or a non-finite input raise InputError.
         """
         cuts = []
         for name, (x, y) in (("train", train), ("test", test)):
+            if not np.isfinite(x).all():
+                raise InputError(f"{name} inputs hold a non-finite value")
             start, bounds = 0, []
             for session_labels in labels:
                 end = start + int(np.isin(y, session_labels).sum())
@@ -131,11 +133,10 @@ def make_synthetic_stream(base_classes: int, new_classes: int, way: int,
     if min(base_classes, way, shot, input_dim, train_per_base, test_per_class) < 1:
         raise InputError("base_classes, way, shot, input_dim, train_per_base and "
                          "test_per_class must all be positive")
-    if new_classes % way != 0:
-        raise InputError(
-            f"new_classes={new_classes} is not divisible by way={way}")
-    if cluster_spread <= 0:
-        raise InputError(f"cluster_spread must be positive, got {cluster_spread}")
+    if new_classes < 0 or new_classes % way != 0:
+        raise InputError(f"new_classes={new_classes} is negative or not divisible by way={way}")
+    if not 0 < cluster_spread < np.inf:
+        raise InputError(f"cluster_spread must be positive and finite, got {cluster_spread}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, 0x57E4])
@@ -212,6 +213,15 @@ def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return params
 
 
+def _encode(params: ModelParams, x: np.ndarray, stage: str) -> np.ndarray:
+    """The features of rows x handed to the graph; one that is not finite raises
+    DivergenceError, "non-finite features <stage>"."""
+    feats = extract_features(params, x)
+    if not np.isfinite(feats).all():
+        raise DivergenceError(f"non-finite features {stage}")
+    return feats
+
+
 def train_base_session(stream: SessionStream, hp: HyperParams, seed: int, *,
                        fit_graph: bool = True):
     """Train the base model with cross-entropy, then fit the neural gas.
@@ -236,19 +246,17 @@ def fit_base_graph(params: ModelParams, stream: SessionStream, hp: HyperParams,
     refreshed so the next session starts from a zero-deviation anchor
     state.  Only the graph's own seeded generators are drawn from, so the
     graph depends on params, stream, hp and seed alone.  The base rows are
-    encoded once; a non-finite feature raises DivergenceError before the
-    graph is started.
+    encoded once; a non-finite feature of theirs, or of the anchors, raises
+    DivergenceError before the graph is started or refreshed.
     """
     base = stream.session(1)
-    feats = extract_features(params, base.train_x)
-    if not np.isfinite(feats).all():
-        raise DivergenceError("non-finite features of the base session")
+    feats = _encode(params, base.train_x, "of the base session")
     graph = init_graph(feats, base.train_x, base.train_y, hp.node_budget, hp.t_life,
                        hp.eps_var, seed)
     train_on_features(graph, feats, hp.eta, hp.alpha, hp.ng_passes, seed)
     graph.assign_pseudo_exemplars(base.train_x, base.train_y, feats)
     graph.estimate_variances(feats)
-    graph.refresh_anchors(lambda x: extract_features(params, x))
+    graph.refresh_anchors(_encode(params, graph.pseudo_inputs, "of the anchors at session 1"))
     return graph
 
 
@@ -280,9 +288,8 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
     if graph is not None:
         shots = {}
         for label in session.labels:
-            mask = session.train_y == label
-            shots[label] = (extract_features(params, session.train_x[mask]),
-                            session.train_x[mask])
+            x = session.train_x[session.train_y == label]
+            shots[label] = _encode(params, x, f"of the shots at session {session.index}"), x
         graph.grow(shots, hp.growth_k, seed=seed)
         if method_spec(method).min_max:
             xi = hp.xi if hp.xi is not None else xi_heuristic(graph)
@@ -300,14 +307,13 @@ def train_incremental_session(params: ModelParams, graph: NGGraph | None,
                 g *= GRAD_CLIP_NORM / norm
         sgd_step_in_place(params, grads, hp.inc_lr)
         if graph is not None:
-            feats = extract_features(params, session.train_x)
-            if not np.isfinite(feats).all():
-                raise DivergenceError(
-                    f"non-finite features at session {session.index}, iteration {iteration}")
+            feats = _encode(params, session.train_x,
+                            f"at session {session.index}, iteration {iteration}")
             graph.present(feats, hp.eta, hp.alpha)
 
     if graph is not None:
-        graph.refresh_anchors(lambda x: extract_features(params, x))
+        graph.refresh_anchors(_encode(params, graph.pseudo_inputs,
+                                      f"of the anchors at session {session.index}"))
         graph.estimate_variances(feats)
     return params, graph
 

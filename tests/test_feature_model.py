@@ -9,7 +9,8 @@ from oracles import (add_scaled, backward_from_pre_activations, clipped,
 from topogas import (DivergenceError, ForwardCache, InputError, ModelParams,
                      backward_batch, expand_output_layer, forward, forward_batch,
                      init_params, sgd_step, softmax, softmax_cross_entropy_batch)
-from topogas.feature_model import ENCODE_BLOCK, extract_features, features_into, row_blocks
+from topogas.feature_model import (ENCODE_BLOCK, extract_features, features_into, row_blocks,
+                                   sgd_step_in_place)
 
 
 def small_params(seed=0, input_dim=3, hidden_dim=4, feature_dim=3, classes=4):
@@ -344,8 +345,14 @@ def test_sgd_descends_convex_quadratic_monotonically():
 
 def test_sgd_rejects_nonpositive_lr():
     params = small_params()
-    with pytest.raises(InputError):
-        sgd_step(params, zero_grads(params), 0.0)
+    before = params.copy()
+    for lr in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(InputError, match="learning rate must be positive and finite"):
+            sgd_step(params, zero_grads(params), lr)
+        with pytest.raises(InputError, match="learning rate must be positive and finite"):
+            sgd_step_in_place(params, zero_grads(params), lr)
+    for name, array in before.arrays().items():
+        assert array.tobytes() == params.arrays()[name].tobytes()
 
 
 def test_expand_keeps_old_columns_bit_identical():

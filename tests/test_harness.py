@@ -326,6 +326,29 @@ def test_a_diverging_run_prints_its_one_line_and_no_warning(tmp_path, capsys, me
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("stage, rows", [("shots", 3), ("anchors", 14)])
+def test_a_non_finite_encode_of_the_shots_or_anchors_exits_two(tmp_path, capsys, monkeypatch,
+                                                               stage, rows):
+    """A NaN in the features of one class's 3 shots, or of the 12 + 2 pseudo inputs
+    at session 2's anchor refresh, stops the run with its one divergence line."""
+    import topogas.protocol as protocol
+    encode = protocol.extract_features
+
+    def encode_with_a_nan_row(params, x):
+        feats = encode(params, x)
+        if len(x) == rows:
+            feats[0, -1] = np.nan
+        return feats
+
+    monkeypatch.setattr(protocol, "extract_features", encode_with_a_nan_row)
+    config = parse_config(TINY)
+    config.methods, config.seeds, config.out_dir = ["topic_al"], [0], str(tmp_path)
+    assert run_experiment(config, quiet=True) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"divergence: method=topic_al seed=0: non-finite features of the {stage} at session 2"]
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_a_run_that_succeeds_re_emits_its_warnings(tmp_path, monkeypatch):
     import topogas.harness as harness
     run_method = harness.run_method

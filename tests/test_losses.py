@@ -88,7 +88,7 @@ def test_anchor_loss_refresh_consistency():
     g.centroids += np.random.default_rng(7).normal(scale=0.2, size=g.centroids.shape)
     loss, _ = anchor_loss(g, np.arange(3), params)
     stored = g.centroids.copy()
-    g.refresh_anchors(lambda x: forward_batch(x, params)[0])
+    g.refresh_anchors(forward_batch(g.pseudo_inputs, params)[0])
     shifts = g.centroids - stored
     recomputed = float(np.sum(shifts * shifts / g.variances))
     assert recomputed == pytest.approx(loss, rel=1e-10)

@@ -86,13 +86,6 @@ def test_rank_nodes_empty_graph_rejected():
         g.hebbian_update(np.zeros((1, 2)), eta=0.5, alpha=1.0)
 
 
-def test_rank_nodes_bad_feature_dimension_rejected():
-    g = graph_from_centroids([[0.0, 0.0]])
-    with pytest.raises(InputError):
-        g.hebbian_update(np.zeros((1, 3)), eta=0.5, alpha=1.0)
-    assert g.centroids.tolist() == [[0.0, 0.0]]
-
-
 # -- Hebbian update -------------------------------------------------------------
 
 def test_hebbian_winner_step_scalar_oracle():
@@ -1019,14 +1012,6 @@ def test_assign_pseudo_exemplars_rejects_empty_dataset():
         g.assign_pseudo_exemplars([], [], [])
 
 
-@pytest.mark.parametrize("rows", [2, 4])
-def test_assign_pseudo_exemplars_rejects_a_feature_row_count_unlike_the_inputs(rows):
-    g = graph_from_centroids([[0.0, 0.0]])
-    inputs = np.zeros((3, 2))
-    with pytest.raises(InputError, match=f"{rows} feature rows for 3 inputs"):
-        g.assign_pseudo_exemplars(inputs, [0, 1, 2], np.zeros((rows, 2)))
-
-
 @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [0.5, 1.5, 2.5], [[0], [1], [2]],
                                     ["a", "b", "c"]])
 def test_assign_pseudo_exemplars_refuses_labels_that_are_not_one_integer_per_input(labels):
@@ -1183,14 +1168,14 @@ def test_grow_rejects_a_label_that_is_not_an_integer_before_anything_changes(lab
 def test_refresh_anchors_constant_extractor():
     g = graph_from_centroids([[1.0, 1.0], [2.0, 2.0]])
     g.pseudo_inputs = np.array([[0.0, 0.0], [1.0, 1.0]])
-    g.refresh_anchors(lambda x: np.full((len(x), 2), 7.0))
+    g.refresh_anchors(np.full((len(g.pseudo_inputs), 2), 7.0))
     assert np.allclose(g.centroids, 7.0)
 
 
 def test_refresh_anchors_identity_fixed_point():
     g = graph_from_centroids([[1.0, 2.0]])
     g.pseudo_inputs = np.array([[1.0, 2.0]])
-    g.refresh_anchors(identity_features)
+    g.refresh_anchors(identity_features(g.pseudo_inputs))
     assert np.allclose(g.centroids[0], [1.0, 2.0])
 
 
@@ -1216,6 +1201,82 @@ def test_quantization_error_rejects_empty_features():
     g = graph_from_centroids([[0.0, 0.0]])
     with pytest.raises(InputError):
         g.quantization_error(np.zeros((0, 2)))
+
+
+# -- the array rule ----------------------------------------------------------------
+
+def good_block(rows, width):
+    return np.linspace(-1.0, 1.0, rows * width).reshape(rows, width)
+
+
+def rule_graph():
+    """Three nodes of 2-wide features and 3-wide pseudo inputs, labels 0, 1 and 4, one edge."""
+    g = NGGraph(good_block(3, 2), np.full((3, 2), EPS), good_block(3, 3), [0, 1, 4],
+                np.ones(3, dtype=int), 200, EPS)
+    g.ages[0, 1] = g.ages[1, 0] = 3
+    return g
+
+
+def grow_with(features, inputs):
+    """Class 2 is good; class 3, grown after it, holds the block under test."""
+    return lambda g: g.grow({2: (good_block(4, 2), good_block(4, 3)), 3: (features, inputs)},
+                            k=1)
+
+
+# Every graph method that takes features or inputs: the rows and width of a good
+# block, the name its errors give, the message for a block of other row count (or
+# None where any count is good), and the call with a block b.
+RULE_CALLS = {
+    "hebbian_update": (4, 2, "features", None, lambda g, b: g.hebbian_update(b, 0.3, 1.5)),
+    "present": (4, 2, "features", None, lambda g, b: g.present(b, 0.3, 1.5)),
+    "estimate_variances": (4, 2, "features", None, lambda g, b: g.estimate_variances(b)),
+    "quantization_error": (4, 2, "features", None, lambda g, b: g.quantization_error(b)),
+    "assign_pseudo_exemplars.features": (
+        3, 2, "features", "features: {} feature rows for 3 inputs",
+        lambda g, b: g.assign_pseudo_exemplars(good_block(3, 3), [0, 1, 2], b)),
+    "assign_pseudo_exemplars.inputs": (
+        3, 3, "inputs", None,
+        lambda g, b: g.assign_pseudo_exemplars(b, [0, 1, 2], good_block(3, 2))),
+    "grow.features": (4, 2, "class 3 shots' features", None,
+                      lambda g, b: grow_with(b, good_block(4, 3))(g)),
+    "grow.inputs": (4, 3, "class 3 shots' inputs",
+                    "class 3 shots' inputs: {} input rows for 4 features",
+                    lambda g, b: grow_with(good_block(4, 2), b)(g)),
+    "refresh_anchors": (3, 2, "features", "features: {} feature rows for 3 nodes",
+                        lambda g, b: g.refresh_anchors(b)),
+}
+
+
+def bad_block(kind, rows, width):
+    """A block that breaks the array rule: a NaN, an inf, a wrong width, 1-D, or `kind` rows."""
+    if isinstance(kind, int):
+        return good_block(kind, width)
+    if kind in ("nan", "inf"):
+        block = good_block(rows, width)
+        block[rows // 2, width - 1] = np.nan if kind == "nan" else -np.inf
+        return block
+    return good_block(rows, width + 1) if kind == "wide" else good_block(rows, width)[0]
+
+
+RULE_CASES = [(call, kind) for call in RULE_CALLS for kind in ("nan", "inf", "wide", "1-D")]
+RULE_CASES += [(call, rows) for call, (good, _, _, message, _) in RULE_CALLS.items()
+               if message is not None for rows in sorted({1, good - 1, good + 1})]
+
+
+@pytest.mark.parametrize("call, kind", RULE_CASES, ids=[f"{c}-{k}" for c, k in RULE_CASES])
+def test_graph_methods_refuse_a_bad_block(call, kind):
+    """Each refuses the block with InputError and leaves the graph as it was."""
+    rows, width, name, message, run = RULE_CALLS[call]
+    g = rule_graph()
+    text, ages = g.to_text(), g.ages.tobytes()
+    if isinstance(kind, int):
+        match = re.escape(message.format(kind))
+    else:
+        match = re.escape(f"{name} must be finite, 2-D and {width} wide")
+    with pytest.raises(InputError, match="^" + match):
+        run(g, bad_block(kind, rows, width))
+    assert g.to_text() == text and g.ages.tobytes() == ages
+    run(g, good_block(rows, width))  # the same call with a good block goes through
 
 
 # -- winner search in blocks ------------------------------------------------------

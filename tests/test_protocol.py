@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from oracles import confusion_matrix
-from topogas import (METHODS, DivergenceError, HyperParams, InputError,
+from topogas import (METHODS, ConfigError, DivergenceError, HyperParams, InputError,
                      ModelParams, NGGraph, SessionStream, evaluate_joint, expand_output_layer,
-                     forward, forward_batch, init_params, make_synthetic_stream, plan_session,
-                     run_method, sgd_step, total_loss, train_base_session,
+                     forward, forward_batch, init_params, make_synthetic_stream, parse_config,
+                     plan_session, run_method, sgd_step, total_loss, train_base_session,
                      train_incremental_session, xi_heuristic)
 from topogas import protocol
 from topogas.feature_model import row_blocks
@@ -76,6 +76,19 @@ def test_stream_is_byte_identical_under_seed():
 def test_stream_rejects_bad_divisibility():
     with pytest.raises(InputError):
         make_synthetic_stream(10, 7, 2, 5, 16, 0.5, 100, 100, seed=0)
+    # -2 divides by way = 2, yet would list labels 10 and 11, which have no rows;
+    # 0 is a base-only stream.
+    with pytest.raises(InputError, match="new_classes=-2 is negative"):
+        make_synthetic_stream(seed=0, **dict(DESK, new_classes=-2))
+    assert len(make_synthetic_stream(seed=0, **STREAM_SHAPES[1])) == 1
+
+
+@pytest.mark.parametrize("spread", [0.0, -0.5, math.nan, math.inf])
+def test_stream_rejects_a_cluster_spread_the_config_gate_refuses(spread):
+    with pytest.raises(ConfigError, match="cluster_spread"):
+        parse_config(f"cluster_spread = {spread}").validate()
+    with pytest.raises(InputError, match="cluster_spread must be positive and finite"):
+        make_synthetic_stream(seed=0, **dict(DESK, cluster_spread=spread))
 
 
 def test_stream_rejects_negative_seed():
@@ -151,6 +164,12 @@ def test_stream_from_splits_rejects_rows_out_of_session_order_or_in_no_session()
     with pytest.raises(InputError, match="test has 4 inputs and 4 labels, 3 of them"):
         SessionStream.from_splits([[0, 1], [2]], (x, np.array([0, 1, 2, 2])),
                                   (x.copy(), np.arange(4)))
+    # A non-finite input, in either split, is refused before any training.
+    for split, value in (("train", np.nan), ("test", np.inf), ("test", -np.inf)):
+        splits = {"train": (x.copy(), np.arange(4)), "test": (x.copy(), np.arange(4))}
+        splits[split][0][2, 1] = value
+        with pytest.raises(InputError, match=f"^{split} inputs hold a non-finite value"):
+            SessionStream.from_splits([[0, 1], [2, 3]], splits["train"], splits["test"])
 
 
 # -- base session ------------------------------------------------------------------
@@ -225,6 +244,32 @@ def test_base_features_that_are_not_finite_diverge_before_the_graph_starts(monke
     monkeypatch.setattr(protocol, "init_graph", lambda *a: pytest.fail("graph started"))
     with pytest.raises(DivergenceError, match="base session"):
         protocol.fit_base_graph(params, stream, small_hp(), 0)
+
+
+@pytest.mark.parametrize("stage, t", [("shots", 2), ("anchors", 2), ("anchors", 1)])
+def test_a_non_finite_encode_for_the_graph_diverges_naming_its_stage(monkeypatch, stage, t):
+    """Every encode handed to the graph is checked, also those of a session's shots
+    and of the pseudo inputs at an anchor refresh, which hold one row per node."""
+    stream, hp = desk_stream(9), small_hp(base_epochs=3, inc_epochs=2, ng_passes=1)
+    params, graph = train_base_session(stream, hp, 9)
+    session, text, encode = stream.session(2), graph.to_text(), protocol.extract_features
+    poisoned = {"shots": lambda x: len(x) == 5,  # one class's shots of a 2-way 5-shot session
+                "anchors": lambda x: len(x) == (len(graph) if t == 2 else hp.node_budget)}[stage]
+
+    def encode_with_a_nan_row(p, x):
+        feats = encode(p, x)
+        if poisoned(x):
+            feats[-1, 0] = np.nan
+        return feats
+
+    monkeypatch.setattr(protocol, "extract_features", encode_with_a_nan_row)
+    with pytest.raises(DivergenceError, match=f"^non-finite features of the {stage} at session {t}$"):
+        if t == 1:
+            protocol.fit_base_graph(params, stream, hp, 9)
+        else:
+            train_incremental_session(params, graph, session, hp, "topic_al", None, 9)
+    if stage == "shots":
+        assert graph.to_text() == text  # refused before the graph grows
 
 
 def test_a_base_session_that_diverges_on_its_last_step_raises_divergence():
@@ -473,7 +518,8 @@ def test_blocked_evaluation_equals_the_one_shot_oracle(upto):
 def test_evaluation_raises_on_a_non_finite_row_in_a_later_block():
     paper = make_synthetic_stream(seed=3, **STREAM_SHAPES[3])
     x, y = (a.copy() for a in paper.test)
-    x[-1, 0] = np.nan
+    # A stream holds finite inputs only; the model overflows on this finite row.
+    x[-1] = np.finfo(float).max
     stream = SessionStream.from_splits([s.labels for s in paper.sessions], paper.train, (x, y))
     assert len(row_blocks(len(x))) > 1
     with pytest.raises(DivergenceError, match="^non-finite logits evaluating session 9$"):
@@ -588,7 +634,7 @@ def test_cross_entropy_training_rejects_bad_data_before_the_first_step(labels, s
 
 
 # 5e-324 is the smallest subnormal: the schedule's first drop rounds it to 0.
-@pytest.mark.parametrize("base_lr", [0.0, -0.1, 5e-324])
+@pytest.mark.parametrize("base_lr", [0.0, -0.1, 5e-324, math.nan, math.inf])
 def test_cross_entropy_training_rejects_a_learning_rate_that_is_not_positive(base_lr):
     params = init_params(16, 32, 8, 10, seed=3)
     before = params.copy()
