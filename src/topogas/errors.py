@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class StateError(RuntimeError):
-    """The object is in a state the operation cannot act on (e.g. empty graph)."""
+    """The object is in a state the operation cannot act on (e.g. a one-node graph's margin)."""
 
 
 class DivergenceError(RuntimeError):

@@ -117,13 +117,12 @@ def _distillation_term(logits, logits_hat, t_distill, n_old):
 
 @dataclass(frozen=True)
 class _MinMaxIndex:
-    """The min-max term's index sets for one batch; it reads edges and labels from the graph."""
+    """The min-max term's index sets for one batch; it reads the rest from the graph."""
 
     batch: int            # batch rows; the rows of this session's nodes follow them
     nodes: np.ndarray     # (K,) the nodes that carry a batch label, ascending
     other: np.ndarray     # (batch, K) bool: the node carries another label than the row
     node_row: np.ndarray  # (N,) the row of each node of this session
-    is_new: np.ndarray    # (N,) bool: the node was inserted this session
 
 
 def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
@@ -132,9 +131,8 @@ def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
     if missing.size:
         raise StateError(f"no node carries batch label {missing[0]}")
     nodes = np.flatnonzero(np.isin(graph.labels, y))
-    is_new = graph.origins == graph.session
-    node_row = len(y) + np.searchsorted(np.flatnonzero(is_new), np.arange(len(graph)))
-    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes], node_row, is_new)
+    node_row = len(y) + np.searchsorted(np.flatnonzero(graph.current), np.arange(len(graph)))
+    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes], node_row)
 
 
 def _min_max_term(feat, graph, index, xi, include_min, include_max):
@@ -165,7 +163,7 @@ def _min_max_term(feat, graph, index, xi, include_min, include_max):
         nodes = np.flatnonzero(counts)
         counts = counts[nodes]
         row = index.node_row[nodes]
-        is_new = index.is_new[nodes]
+        is_new = graph.current[nodes]
         m = graph.centroids[nodes]
         m[is_new] = feat[row[is_new]]
         pair, other = np.nonzero((graph.ages[nodes] > 0)
@@ -235,7 +233,7 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
     """
     if graph is None:
         raise StateError("min-max loss needs a graph")
-    x = np.concatenate([batch_x, graph.pseudo_inputs[graph.origins == graph.session]])
+    x = np.concatenate([batch_x, graph.pseudo_inputs[graph.current]])
     term = (1.0, "feat", slice(None), _min_max_term,
             (graph, _min_max_index(batch_y, graph), xi, include_min, include_max))
     return total_loss(SessionPlan(x, (term,)), params)
@@ -281,10 +279,10 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
     inputs and its old nodes' centroids and variances, as it does through one
     session's steps: they move only this session's centroids and the edges.
     Terms are weighted 1 (CE on the batch), lambda1 (anchor), lambda2 (min-max,
-    margin xi) and gamma (distillation on batch + stored rows).  Both the
-    exemplar anchors' targets and the distillation's logits are the frozen
-    snapshot old_params's outputs on the stored rows; the distillation covers
-    the snapshot's classes.
+    margin xi, which the caller resolves; hp.xi is not read) and gamma
+    (distillation on batch + stored rows).  Both the exemplar anchors' targets
+    and the distillation's logits are the frozen snapshot old_params's outputs
+    on the stored rows; the distillation covers the snapshot's classes.
     """
     spec = method_spec(method)
     if spec.reads_graph and graph is None:
@@ -296,8 +294,8 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
     empty = batch_x[:0]
     stored = store if store is not None and (spec.distill or spec.anchor == "exemplar") else empty
     z = graph.pseudo_inputs if spec.reads_graph else empty
-    old = np.flatnonzero(graph.origins < graph.session) if spec.anchor == "graph" else []
-    new = np.flatnonzero(graph.origins == graph.session) if spec.min_max else []
+    old = np.flatnonzero(~graph.current) if spec.anchor == "graph" else []
+    new = np.flatnonzero(graph.current) if spec.min_max else []
     x = np.concatenate([batch_x, stored, z[old], z[new]])
     ends = np.cumsum([len(batch_y), len(stored), len(old), len(new)])
     batch_rows, store_rows, old_rows, new_rows = map(slice, [0, *ends[:-1]], ends)
@@ -308,11 +306,10 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
     if spec.anchor == "graph":
         terms.append((hp.lambda1, "feat", old_rows, _anchor_term, _graph_anchors(graph, old)))
     if spec.min_max:
-        margin = xi if xi is not None else hp.xi
-        if margin is None:
+        if xi is None:
             raise InputError("min-max methods need the margin xi")
         terms.append((hp.lambda2, "feat", np.r_[batch_rows, new_rows], _min_max_term,
-                      (graph, _min_max_index(batch_y, graph), margin, True, True)))
+                      (graph, _min_max_index(batch_y, graph), xi, True, True)))
     if spec.distill:
         if old_params is None:
             raise StateError("distillation methods need the frozen snapshot")

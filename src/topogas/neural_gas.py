@@ -249,8 +249,8 @@ class NGGraph:
     they are within the lifetime.
 
     Operations mutate the graph in place.  `session` is the most recent growth's:
-    presentations and variance estimates touch only its nodes (origin ==
-    session), and nodes of earlier origins are the stabilized old ones.
+    presentations and variance estimates touch only its nodes (`current`), and
+    nodes of earlier origins are the stabilized old ones.
     """
 
     def __init__(self, centroids: np.ndarray, variances: np.ndarray,
@@ -275,6 +275,11 @@ class NGGraph:
     @property
     def feature_dim(self) -> int:
         return self.centroids.shape[1]
+
+    @property
+    def current(self) -> np.ndarray:
+        """(N,) bool mask of the session's nodes; the rules allow no later origin."""
+        return self.origins == self.session
 
     def _block(self, values, name="features", inputs=False, rows=None) -> np.ndarray:
         """The array rule of every method that takes features (raw inputs with `inputs`): a
@@ -312,18 +317,15 @@ class NGGraph:
         if not (math.isfinite(alpha) and alpha > 0.0):
             raise InputError(f"alpha must be finite and positive, got {alpha}")
         n, dim = self.centroids.shape
-        if n == 0:
-            raise StateError("cannot rank nodes of an empty graph")
         x = self._block(features)
-        moving = self.origins == self.session
-        frozen = ~moving
+        frozen = ~self.current
         steps = _rank_steps(eta, alpha, n)
         x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
         # Far from overflow, every squared distance and bound stays finite.
         certify = max(x_sq.max(initial=0.0), c_sq.max()) < SCREEN_NORM_LIMIT
         count = np.count_nonzero(frozen)
         if certify and len(x) and count >= 2 and count * dim >= SCREEN_MIN:
-            pairs = self._hebbian_screened(x, steps, moving, x_sq, c_sq)
+            pairs = self._hebbian_screened(x, steps, ~frozen, x_sq, c_sq)
         else:
             pairs = self._hebbian_node_major(x, steps, frozen, certify)
         return pairs[:, 0], pairs[:, 1]
@@ -517,7 +519,7 @@ class NGGraph:
         """
         features = self._block(features)
         winners = nearest(features, self.centroids)[0]
-        for j in np.flatnonzero(self.origins == self.session):
+        for j in np.flatnonzero(self.current):
             won = features[winners == j]
             self.variances[j] = self.eps_var + (won.var(axis=0) if len(won) > 1 else 0.0)
 
@@ -572,11 +574,14 @@ class NGGraph:
         return float(nearest(features, self.centroids)[1].mean())
 
     def _check(self, error: type) -> None:
-        """Raise `error`, naming the field, for the first rule of a valid graph this state
-        breaks: the shapes below; integer dtypes int64 holds (ages bool too), so no cast
-        changes a value; finite float arrays; no variance below eps_var, a floor with a
-        finite reciprocal; ages symmetric, zero on the diagonal and within 0..lifetime (as
+        """Raise `error`, naming the field, for the first rule of a valid graph this
+        state breaks: at least one node, feature column and pseudo-input column; the
+        shapes below; integer dtypes int64 holds (ages bool too), so no cast changes a
+        value; finite float arrays; no variance below eps_var, a floor with a finite
+        reciprocal; ages symmetric, zero on the diagonal and within 0..lifetime (as
         `edge_update` reads only the winners' rows); origins from 1 up to the session."""
+        if 0 in self.centroids.shape[:2] + self.pseudo_inputs.shape[1:2]:
+            raise error("a graph needs at least one node, feature column and pseudo-input column")
         if self.centroids.ndim != 2:
             raise error(f"centroids of shape {self.centroids.shape} are not 2-D")
         n, dim = self.centroids.shape
@@ -651,7 +656,7 @@ class NGGraph:
             return InputError(f"malformed checkpoint at line {pos}: {why}")
 
         def take(prefix: str | None, count: int | None = 1) -> list:
-            """Words of the next line after `prefix`: exactly count, or any non-zero number."""
+            """Words of the next line after `prefix`: exactly count, or any number."""
             nonlocal pos
             pos += 1
             words = lines[pos - 1].split() if pos <= len(lines) else []
@@ -659,8 +664,8 @@ class NGGraph:
                 if words[:1] != [prefix]:
                     raise bad(f"expected '{prefix} ...'")
                 words = words[1:]
-            if not words or (count is not None and len(words) != count):
-                raise bad(f"expected {count or 'some'} values")
+            if count is not None and len(words) != count:
+                raise bad(f"expected {count} values")
             return words
 
         def numbers(words: list, kind=int) -> list:
@@ -674,8 +679,6 @@ class NGGraph:
 
         (lifetime,), (session,) = numbers(take("lifetime")), numbers(take("session"))
         (eps_var,), (count,) = numbers(take("eps_var"), float), numbers(take("nodes"))
-        if count < 1:
-            raise bad("need at least one node")
         heads, centroids, variances, pseudo = [], [], [], []
         for j in range(count):
             head = take("node", 5)
@@ -688,7 +691,7 @@ class NGGraph:
         (edge_count,) = numbers(take("edges"))
         if edge_count < 0:
             raise bad("negative edge count")
-        labels, origins = np.array(heads).T
+        labels, origins = np.array(heads).reshape(-1, 2).T
         graph = NGGraph(np.array(centroids), np.array(variances), np.array(pseudo),
                         labels, origins, lifetime, eps_var, session)
         for _ in range(edge_count):

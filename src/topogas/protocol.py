@@ -61,9 +61,17 @@ class SessionStream:
     def from_splits(labels: list, train: tuple, test: tuple) -> "SessionStream":
         """Session t owns the next rows of each split whose labels are in labels[t - 1].
 
-        The split arrays are made read-only.  Rows out of session order, rows
-        that no session owns, or a non-finite input raise InputError.
+        The split arrays are made read-only.  Session t's labels are one or more of the next
+        class ids (a label is its head column), in any order; other labels, rows out of
+        session order or in no session, or a non-finite input raise InputError.
         """
+        seen = 0
+        for t, session_labels in enumerate(labels, start=1):
+            ids = list(range(seen, seen + len(session_labels)))
+            if not ids or sorted(session_labels) != ids:
+                raise InputError(f"session {t} has labels {list(session_labels)}; it needs one "
+                                 f"or more of the next class ids from {seen}, in any order")
+            seen += len(ids)
         cuts = []
         for name, (x, y) in (("train", train), ("test", test)):
             if not np.isfinite(x).all():

@@ -564,6 +564,16 @@ def test_total_loss_graph_method_requires_graph():
         plan_session((np.zeros((1, 3)), np.array([0])), None, None, HyperParams(), "topic_al")
 
 
+@pytest.mark.parametrize("method", [m for m, spec in METHODS.items() if spec.min_max])
+def test_plan_session_takes_the_min_max_margin_from_xi_alone(method):
+    # The session's caller resolves hp.xi or the heuristic; the plan does not read hp.xi.
+    params = make_params(seed=44)
+    g = make_graph(params, 2, [0, 1], [1, 2], seed=44)
+    with pytest.raises(InputError, match="^min-max methods need the margin xi$"):
+        plan_session((np.zeros((1, 3)), np.array([1])), g, None, HyperParams(xi=1.0), method,
+                     old_params=params)
+
+
 def test_total_loss_rejects_unknown_method():
     params = make_params()
     with pytest.raises(InputError):

@@ -81,9 +81,10 @@ def test_rank_nodes_random_matches_brute_force():
 
 
 def test_rank_nodes_empty_graph_rejected():
-    g = graph_from_centroids(np.zeros((0, 2)))
-    with pytest.raises(StateError):
-        g.hebbian_update(np.zeros((1, 2)), eta=0.5, alpha=1.0)
+    # No graph method removes nodes, so refusing an empty graph at construction
+    # leaves none to rank.
+    with pytest.raises(InputError, match="^a graph needs at least one node"):
+        graph_from_centroids(np.zeros((0, 2)))
 
 
 # -- Hebbian update -------------------------------------------------------------
@@ -641,6 +642,12 @@ def test_init_graph_rejects_oversized_budget():
         init_graph(feats, feats, np.zeros(3, dtype=int), 4, 200, EPS, seed=0)
 
 
+def test_init_graph_rejects_a_budget_of_no_nodes():
+    feats = np.zeros((3, 2))
+    with pytest.raises(InputError, match="^a graph needs at least one node"):
+        init_graph(feats, feats, np.zeros(3, dtype=int), 0, 200, EPS, seed=0)
+
+
 def test_init_graph_seeds_each_node_with_its_rows_input_and_label():
     rng = np.random.default_rng(4)
     feats, inputs = rng.normal(size=(20, 3)), rng.normal(size=(20, 5))
@@ -848,6 +855,10 @@ BROKEN_STATES = {
     "origin_after_session": ("origins", np.array([1, 2, 1]),
                              "origins holds a session after the current session 1"),
     "eps_var_zero": ("eps_var", 0.0, "eps_var 0.0 is not finite and positive"),
+    **{f"no_{what}": (name, np.zeros(shape), "a graph needs at least one node, feature column")
+       for what, name, shape in (("nodes", "centroids", (0, 2)),
+                                 ("feature_column", "centroids", (3, 0)),
+                                 ("pseudo_input_column", "pseudo_inputs", (3, 0)))},
     **{f"ages_{case}": ("ages", broken_ages(case), "ages ")
        for case in ("asymmetric", "diagonal", "negative", "above_lifetime")},
 }
@@ -866,10 +877,12 @@ def test_the_constructor_and_check_invariants_refuse_a_broken_state_alike(case):
     assert str(checked.value) == str(built.value)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_every_graph_the_constructor_accepts_round_trips_through_text(data):
-    n, dim, width = (data.draw(st.integers(1, high)) for high in (9, 4, 3))
+    # A graph with no node, feature column or pseudo-input column is refused, as its
+    # checkpoint could not be read back.
+    n, dim, width = (data.draw(st.integers(0, high)) for high in (9, 4, 3))
     scale = data.draw(st.sampled_from([1e-200, 1.0, 1e150]))
     eps_var = data.draw(st.sampled_from([EPS, 1e-200, 2.5]))
 
@@ -893,6 +906,10 @@ def test_every_graph_the_constructor_accepts_round_trips_through_text(data):
                   lifetime=lifetime, eps_var=eps_var, session=session, ages=ages)
     if data.draw(st.booleans()):
         fields = {k: np.asarray(v).tolist() for k, v in fields.items()}
+    if 0 in (n, dim, width):
+        with pytest.raises(InputError, match="^a graph needs at least one node"):
+            NGGraph(**fields)
+        return
     g = NGGraph(**fields)
     text = g.to_text()
     h = NGGraph.from_text(text)
@@ -1682,6 +1699,10 @@ CHECKPOINT_MUTATIONS = {
     "non_finite_centroid": (set_line("m ", "m nan 0.5 0.5"), "non-finite"),
     "negative_variance": (set_line("var ", "var -1.0 0.5 0.5"), "below the floor"),
     "zero_nodes": (lambda lines: lines[:4] + ["nodes 0", "edges 0"], "at least one node"),
+    "no_feature_column": (lambda lines: [line.split()[0] if line.startswith(("m ", "var "))
+                                         else line for line in lines], "at least one node"),
+    "no_pseudo_input_column": (lambda lines: ["z" if line.startswith("z ") else line
+                                              for line in lines], "at least one node"),
     "truncated": (lambda lines: lines[:7], "expected 'var"),
     "trailing_junk": (lambda lines: lines + ["junk"], "trailing content"),
     "label_outside_int64": (

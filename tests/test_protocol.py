@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -170,6 +171,28 @@ def test_stream_from_splits_rejects_rows_out_of_session_order_or_in_no_session()
         splits[split][0][2, 1] = value
         with pytest.raises(InputError, match=f"^{split} inputs hold a non-finite value"):
             SessionStream.from_splits([[0, 1], [2, 3]], splits["train"], splits["test"])
+
+
+@pytest.mark.parametrize("labels, session", [([[0, 1, 2, 2], [3], [4]], 1),  # a repeat
+                                             ([[0, 2], [1]], 1),  # a gap
+                                             ([[1, 0], [2, 4], [3]], 2),  # a skip
+                                             ([[0, 1], [2], []], 3)],  # no class
+                         ids=["repeat", "gap", "skip", "empty"])
+def test_stream_from_splits_refuses_labels_that_are_not_the_next_class_ids(labels, session):
+    # A label is its class's head column, so a repeated or skipped id is never scored,
+    # and a session of no class would fail only once the sessions before it are trained.
+    x, y = np.zeros((5, 2)), np.arange(5)
+    with pytest.raises(InputError, match=f"^session {session} has labels "
+                                         + re.escape(str(labels[session - 1]))):
+        SessionStream.from_splits(labels, (x, y), (x.copy(), y.copy()))
+
+
+def test_stream_from_splits_takes_a_session_s_class_ids_in_any_order():
+    x, y = np.zeros((5, 2)), np.array([1, 0, 1, 3, 2])
+    stream = SessionStream.from_splits([[1, 0], [3, 2]], (x, y), (x.copy(), y.copy()))
+    assert [s.labels for s in stream.sessions] == [[1, 0], [3, 2]]
+    assert stream.session(2).train_y.tolist() == [3, 2]
+    assert stream.cumulative_labels(2) == [1, 0, 3, 2]
 
 
 # -- base session ------------------------------------------------------------------
