@@ -15,7 +15,8 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, extract_features, forward,  # noqa: F401
                             forward_batch, softmax, softmax_cross_entropy_batch)
-from .neural_gas import MAX_LIFETIME, NGGraph, _rows_per_block, check_variance_floor, max_distance
+from .neural_gas import (MAX_LIFETIME, NGGraph, _exact_distances, _rows_per_block,
+                         check_variance_floor, max_distance)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
     return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes], node_row)
 
 
-def _min_max_term(feat, graph, index, xi, include_min, include_max):
+def _min_max_term(feat, graph, index, xi):
     """Min-max loss; rows are the batch, then f(z_j) of this session's nodes."""
     n = index.batch
     grad_feat = np.zeros_like(feat)
@@ -143,38 +144,35 @@ def _min_max_term(feat, graph, index, xi, include_min, include_max):
     # that label's nodes finds it: other-label nodes sit at inf, and a row whose
     # own-label distances all overflow to inf takes its first own-label node.
     refs, match = graph.centroids[index.nodes], np.empty(n, dtype=int)
-    step = _rows_per_block(refs)
+    step = _rows_per_block(len(refs))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         masked = index.other[rows]
-        d = np.where(masked, np.inf, np.linalg.norm(feat[rows, None, :] - refs, axis=-1))
+        d = np.where(masked, np.inf, _exact_distances(feat[rows, None, :], refs))
         pick = np.where(d.min(axis=1) == np.inf, masked.argmin(axis=1), d.argmin(axis=1))
         match[rows] = index.nodes[pick]
-    loss = 0.0
-    if include_min:
-        diff = feat[:n] - graph.centroids[match]
-        d = np.linalg.norm(diff, axis=1)
-        loss += float(d.sum())
-        np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
-    if include_max:
-        # A sample's hinge depends only on its matched node j (labels[j] == y),
-        # so each distinct j is evaluated once, weighted by its match count.
-        counts = np.bincount(match, minlength=len(graph))
-        nodes = np.flatnonzero(counts)
-        counts = counts[nodes]
-        row = index.node_row[nodes]
-        is_new = graph.current[nodes]
-        m = graph.centroids[nodes]
-        m[is_new] = feat[row[is_new]]
-        pair, other = np.nonzero((graph.ages[nodes] > 0)
-                                 & (graph.labels[nodes, None] != graph.labels))
-        gap = m[pair] - graph.centroids[other]
-        d = np.linalg.norm(gap, axis=1)
-        hit = d < xi
-        loss += float(counts[pair[hit]] @ (xi - d[hit]))
-        push = hit & is_new[pair] & (d > 0.0)
-        np.subtract.at(grad_feat, row[pair[push]],
-                       counts[pair[push], None] * gap[push] / d[push, None])
+    diff = feat[:n] - graph.centroids[match]
+    d = _exact_distances(feat[:n], graph.centroids[match])
+    loss = float(d.sum())
+    np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
+    # Push: a sample's hinge depends only on its matched node j (labels[j] == y),
+    # so each distinct j is evaluated once, weighted by its match count.
+    counts = np.bincount(match, minlength=len(graph))
+    nodes = np.flatnonzero(counts)
+    counts = counts[nodes]
+    row = index.node_row[nodes]
+    is_new = graph.current[nodes]
+    m = graph.centroids[nodes]
+    m[is_new] = feat[row[is_new]]
+    pair, other = np.nonzero((graph.ages[nodes] > 0)
+                             & (graph.labels[nodes, None] != graph.labels))
+    gap = m[pair] - graph.centroids[other]
+    d = _exact_distances(m[pair], graph.centroids[other])
+    hit = d < xi
+    loss += float(counts[pair[hit]] @ (xi - d[hit]))
+    push = hit & is_new[pair] & (d > 0.0)
+    np.subtract.at(grad_feat, row[pair[push]],
+                   counts[pair[push], None] * gap[push] / d[push, None])
     return loss, grad_feat
 
 
@@ -219,8 +217,7 @@ def xi_heuristic(graph: NGGraph) -> float:
 
 
 def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
-                 params: ModelParams, xi: float, include_min: bool = True,
-                 include_max: bool = True):
+                 params: ModelParams, xi: float):
     """Pull features to their class node, push cross-label neighbors apart.
 
     Per sample (x, y): let j be the nearest node labeled y under the stored
@@ -228,14 +225,13 @@ def min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
     with m_j constant.  The max part adds max(0, xi - d(m_i, m_j)) over
     neighbors i of j with a different label; m_i is always a constant, while
     m_j of a node inserted this session is re-expressed as f(z_j) so the
-    push has a gradient path into the extractor.  include_min/include_max
-    isolate the two parts.
+    push has a gradient path into the extractor.  The loss is their sum.
     """
     if graph is None:
         raise StateError("min-max loss needs a graph")
     x = np.concatenate([batch_x, graph.pseudo_inputs[graph.current]])
     term = (1.0, "feat", slice(None), _min_max_term,
-            (graph, _min_max_index(batch_y, graph), xi, include_min, include_max))
+            (graph, _min_max_index(batch_y, graph), xi))
     return total_loss(SessionPlan(x, (term,)), params)
 
 
@@ -309,7 +305,7 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
         if xi is None:
             raise InputError("min-max methods need the margin xi")
         terms.append((hp.lambda2, "feat", np.r_[batch_rows, new_rows], _min_max_term,
-                      (graph, _min_max_index(batch_y, graph), xi, True, True)))
+                      (graph, _min_max_index(batch_y, graph), xi)))
     if spec.distill:
         if old_params is None:
             raise StateError("distillation methods need the frozen snapshot")

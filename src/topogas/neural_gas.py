@@ -97,9 +97,9 @@ def check_variance_floor(eps_var: float) -> None:
         raise InputError(f"eps_var {eps_var} is not finite and positive with a finite reciprocal")
 
 
-def _rows_per_block(refs) -> int:
-    """Query rows per block so that one block holds at most NEAREST_BLOCK distances."""
-    return max(1, NEAREST_BLOCK // max(1, len(refs)))
+def _rows_per_block(width: int, budget: int | None = None) -> int:
+    """Rows of `width` values a block of `budget` (default NEAREST_BLOCK) holds; at least 1."""
+    return max(1, (NEAREST_BLOCK if budget is None else budget) // max(1, width))
 
 
 def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
@@ -120,11 +120,11 @@ def nearest(queries: np.ndarray, refs: np.ndarray) -> tuple:
         q_sq, r_sq = _sq_norms(queries), _sq_norms(refs)
         if q_sq.max() < SCREEN_NORM_LIMIT and r_sq.max() < SCREEN_NORM_LIMIT:
             return _nearest_screened(queries, refs, q_sq, r_sq)
-    step = _rows_per_block(refs)
+    step = _rows_per_block(len(refs))
     index, dist = np.empty(len(queries), dtype=int), np.empty(len(queries))
     for start in range(0, len(queries), step):
         block = slice(start, start + step)
-        d = np.linalg.norm(queries[block, None, :] - refs, axis=-1)
+        d = _exact_distances(queries[block, None, :], refs)
         index[block] = np.argmin(d, axis=1)
         dist[block] = d.min(axis=1)
     return index, dist
@@ -141,14 +141,13 @@ def _nearest_screened(queries, refs, q_sq, r_sq) -> tuple:
     """
     bound = 2.0 * _screen_bound(queries.shape[1], q_sq.max(), r_sq.max())
     index, dist = np.empty(len(queries), dtype=int), np.full(len(queries), np.inf)
-    step = max(1, SCREEN_BLOCK // len(refs))
+    step, chunk = _rows_per_block(len(refs), SCREEN_BLOCK), _rows_per_block(1)
     for start in range(0, len(queries), step):
         h = (-2.0 * queries[start:start + step]) @ refs.T
         h += r_sq
         # Candidates in row-major order: by query row, then by ref index.
         row, ref = np.divmod(np.flatnonzero(h <= h.min(axis=1, keepdims=True) + bound), len(refs))
         row += start
-        chunk = max(1, NEAREST_BLOCK)
         for at in range(0, len(row), chunk):
             r, c = row[at:at + chunk], ref[at:at + chunk]
             d = _exact_distances(queries[r], refs[c])
@@ -176,7 +175,7 @@ def max_distance(points: np.ndarray) -> float:
     sq = _sq_norms(points)
     screen = sq.max() < SCREEN_NORM_LIMIT
     bound = 2.0 * _screen_bound(points.shape[1], sq.max(), sq.max())
-    step = max(1, SCREEN_BLOCK // len(points))
+    step, chunk = _rows_per_block(len(points), SCREEN_BLOCK), _rows_per_block(1)
     farthest = []
     for start in range(0, len(points), step):
         block, rest = points[start:start + step], points[start:]
@@ -188,9 +187,9 @@ def max_distance(points: np.ndarray) -> float:
         else:
             pairs = np.arange(len(block) * len(rest))
         row, col = np.divmod(pairs, len(rest))
-        for at in range(0, len(pairs), NEAREST_BLOCK):
-            chunk = slice(at, at + NEAREST_BLOCK)
-            farthest.append(float(_exact_distances(block[row[chunk]], rest[col[chunk]]).max()))
+        for at in range(0, len(pairs), chunk):
+            r, c = row[at:at + chunk], col[at:at + chunk]
+            farthest.append(float(_exact_distances(block[r], rest[c]).max()))
     return max(farthest)
 
 
@@ -209,11 +208,11 @@ def _rank_steps(eta: float, alpha: float, nodes: int) -> np.ndarray:
     return steps
 
 
-def _exact_distances(f: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Euclidean distances of f to each ref row (or of paired rows), the arithmetic
-    of np.linalg.norm(refs - f, axis=1) bit for bit."""
-    diff = f - refs
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+def _exact_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The package's one Euclidean distance, of rows of a and b broadcast over leading axes.
+    Its difference is made C-ordered, so any layout sums as norm(a - b, axis=-1) on C arrays."""
+    diff = np.subtract(a, b, order="C")
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -359,7 +358,7 @@ class NGGraph:
                 order = s.argsort()
                 doubles = s.view(np.int64)[order]
             if not certify or still and (doubles[1:] - doubles[:-1]).min() <= margin:
-                order = _exact_order(f, cT.T.copy())
+                order = _exact_order(f, cT.T)
             step[order] = steps
             diff *= step
             # x + -0.0 is x for every x, so the nodes that stay keep their bits
@@ -396,7 +395,7 @@ class NGGraph:
         diff, sq, d, v = np.empty_like(mov), np.empty_like(mov), np.empty(u), np.empty(u)
         window, within, count = np.empty((u, 2)), np.empty(u, dtype=int), np.arange(u)
         pairs = []
-        rows = max(1, SCREEN_BLOCK // n)
+        rows = _rows_per_block(n, SCREEN_BLOCK)
         for start in range(0, len(x), rows):
             xb = x[start:start + rows]
             h = (-2.0 * xb) @ c.T
@@ -410,6 +409,7 @@ class NGGraph:
             heads = np.searchsorted(row, np.arange(len(xb)))
             nearest_frozen = np.stack((node[heads], node[heads + 1]), axis=1).tolist()
             for i, f in enumerate(xb):
+                # `_exact_distances` spelled out on buffers: diff is reused for the step.
                 np.subtract(f, mov, out=diff)
                 np.multiply(diff, diff, out=sq)
                 np.sqrt(np.add.reduce(sq, axis=1, out=d), out=d)
@@ -759,8 +759,8 @@ def train_on_features(graph: NGGraph, features: np.ndarray, eta: float,
     if passes < 1:
         raise InputError(f"need at least one pass, got {passes}")
     features = np.asarray(features, dtype=float)
-    rng = np.random.default_rng([seed, 0x7A41])
+    rng, step = np.random.default_rng([seed, 0x7A41]), _rows_per_block(1, SWEEP_BLOCK)
     for _ in range(passes):
         order = rng.permutation(features.shape[0])
-        for start in range(0, max(len(order), 1), SWEEP_BLOCK):  # an empty set is still checked
-            graph.present(features[order[start:start + SWEEP_BLOCK]], eta, alpha)
+        for start in range(0, max(len(order), 1), step):  # an empty set is still checked
+            graph.present(features[order[start:start + step]], eta, alpha)

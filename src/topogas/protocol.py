@@ -185,7 +185,8 @@ def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
     once by default); each batch is gathered from x through them.  Widths and
     labels are checked once, before the first step.  The steps then reuse one
     StepBuffers and update a copy of params in place; params itself is never
-    changed.
+    changed.  A non-finite loss raises DivergenceError, at any step or on the
+    last batch after the last step.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[1] != params.input_dim or y.shape != x.shape[:1]:
@@ -218,6 +219,11 @@ def _train_cross_entropy(params: ModelParams, x: np.ndarray, y: np.ndarray,
             backward_into(buf.cache, buf.grad_logits, buf.no_grad_feature, params, buf.grads,
                           buf.d_feature, buf.d_hidden, buf.active)
             sgd_step_in_place(params, buf.grads, lr)
+    if n and epochs > 0:  # the last step's loss is checked on its batch, still in buf
+        forward_into(params, buf.cache)
+        if not np.isfinite(cross_entropy_into(buf.cache.logits, buf.labels, buf.shifted,
+                                              buf.log_norm, buf.grad_logits)):
+            raise DivergenceError(f"non-finite loss during {context}, after its last step")
     return params
 
 

@@ -152,7 +152,7 @@ def distillation_term(feat, logits, logits_hat, t_distill, n_old):
     return loss, np.zeros_like(feat), grad_logits
 
 
-def min_max_term(feat, logits, y, graph, new_nodes, xi, include_min=True, include_max=True):
+def min_max_term(feat, logits, y, graph, new_nodes, xi):
     """The min-max term with its index sets rebuilt from y and the graph on every call,
     each row matched by `nearest` over its label's nodes; rows are the batch (labels y),
     then f(z_j) of new_nodes."""
@@ -165,14 +165,10 @@ def min_max_term(feat, logits, y, graph, new_nodes, xi, include_min=True, includ
         if nodes.size == 0:
             raise StateError(f"no node carries batch label {label}")
         match[rows] = nodes[batch_nearest(feat[rows], graph.centroids[nodes])[0]]
-    loss = 0.0
-    if include_min:
-        diff = feat[:n] - graph.centroids[match]
-        d = np.linalg.norm(diff, axis=1)
-        loss += float(d.sum())
-        np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
-    if not include_max:
-        return loss, grad_feat, np.zeros_like(logits)
+    diff = feat[:n] - graph.centroids[match]
+    d = np.linalg.norm(diff, axis=1)
+    loss = float(d.sum())
+    np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
     nodes, counts = np.unique(match, return_counts=True)
     row = n + np.searchsorted(new_nodes, nodes)
     is_new = graph.origins[nodes] == graph.session

@@ -66,6 +66,9 @@ def test_criterion_1_gradient_suite():
         params, graph, bx, by, old = random_loss_world(seed)
         xi = xi_heuristic(graph) * 1.2
         plan = plan_session((bx, by), graph, None, hp, "topic_al_mml", xi=xi)
+        # The graph without its edges pushes nothing: the min-max loss is its pull.
+        edgeless = NGGraph(graph.centroids, graph.variances, graph.pseudo_inputs, graph.labels,
+                           graph.origins, graph.lifetime, graph.eps_var, graph.session)
 
         def ce(p):
             feat, logits, cache = forward_batch(bx, p)
@@ -75,10 +78,8 @@ def test_criterion_1_gradient_suite():
         evaluators = {
             "ce": ce,
             "al": lambda p: anchor_loss(graph, [0, 1], p),
-            "mml_min": lambda p: min_max_loss(bx, by, graph, p, xi,
-                                              include_max=False),
-            "mml_max": lambda p: min_max_loss(bx, by, graph, p, xi,
-                                              include_min=False),
+            "mml_min": lambda p: min_max_loss(bx, by, edgeless, p, xi),
+            "mml": lambda p: min_max_loss(bx, by, graph, p, xi),
             "dl": lambda p: distillation_loss(bx, old, p, hp.t_distill, 4),
             "objective": lambda p: total_loss(plan, p),
         }

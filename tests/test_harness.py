@@ -291,9 +291,10 @@ def test_an_incremental_step_that_diverges_exits_two(tmp_path, capsys, method, i
     assert not (tmp_path / "summary.csv").exists()
 
 
-# Where each repro stops: methods whose loss reads the graph present non-finite
-# features (after the base session, the base graph's fit); the others reach the
-# evaluation.  joint takes no incremental step.
+# Where each repro stops: in an incremental step, methods whose loss reads the
+# graph present non-finite features, and the others reach the evaluation (joint
+# takes no incremental step); a base session whose last step diverges stops every
+# method at that step's loss.
 DIVERGE_LINES = {
     ("step", m): "non-finite logits evaluating session 2"
     for m in ("ft", "distill", "exemplar_anchor")
@@ -301,11 +302,9 @@ DIVERGE_LINES = {
     ("step", m): "non-finite features at session 2, iteration 0"
     for m in ("topic_al", "topic_al_mml", "topic_al_mml_dl")
 } | {
-    ("base", m): "non-finite logits evaluating session 1"
-    for m in ("ft", "distill", "exemplar_anchor", "joint")
-} | {
-    ("base", m): "non-finite features of the base session"
-    for m in ("topic_al", "topic_al_mml", "topic_al_mml_dl")
+    ("base", m): "non-finite loss during base session, after its last step"
+    for m in ("ft", "distill", "exemplar_anchor", "joint", "topic_al", "topic_al_mml",
+              "topic_al_mml_dl")
 }
 
 

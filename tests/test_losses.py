@@ -159,7 +159,8 @@ def test_min_max_loss_neighbor_at_half_margin():
 
 def test_min_max_loss_max_term_is_hinge_on_stored_centroids():
     # With an old matched node everything is a constant, so the max term is
-    # exactly max(0, xi - d) per cross-label neighbor pair.
+    # exactly max(0, xi - d) per cross-label neighbor pair.  The batch row is
+    # node 0's own pseudo input, so the pull is about 0.
     params = make_params(seed=10)
     g = make_graph(params, 3, [0, 1, 1], [1, 1, 1], seed=10)
     g.session = 2  # all nodes are old
@@ -169,8 +170,7 @@ def test_min_max_loss_max_term_is_hinge_on_stored_centroids():
     d01 = float(np.linalg.norm(g.centroids[0] - g.centroids[1]))
     d02 = float(np.linalg.norm(g.centroids[0] - g.centroids[2]))
     for xi in (0.5 * min(d01, d02), max(d01, d02) * 1.5, 10.0):
-        loss, _ = min_max_loss(np.asarray([x]), np.array([0]), g, params,
-                               xi=xi, include_min=False)
+        loss, _ = min_max_loss(np.asarray([x]), np.array([0]), g, params, xi=xi)
         expected = max(0.0, xi - d01) + max(0.0, xi - d02)
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -178,10 +178,11 @@ def test_min_max_loss_max_term_is_hinge_on_stored_centroids():
 def test_min_max_loss_min_term_only_is_distance_sum():
     params = make_params(seed=11)
     g = make_graph(params, 2, [0, 1], [1, 1], seed=11)
+    assert not g.ages.any()  # no edges, so the push is 0
     rng = np.random.default_rng(12)
     bx = rng.normal(size=(4, 3))
     by = np.array([0, 1, 0, 1])
-    loss, _ = min_max_loss(bx, by, g, params, xi=1.0, include_max=False)
+    loss, _ = min_max_loss(bx, by, g, params, xi=1.0)
     feats = forward_batch(bx, params)[0]
     expected = sum(float(np.linalg.norm(feats[b] - g.centroids[by[b]]))
                    for b in range(4))
@@ -235,8 +236,7 @@ def test_min_max_loss_subgradient_at_zero_distance():
 
 
 def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGraph,
-                           params: ModelParams, xi: float, include_min: bool = True,
-                           include_max: bool = True):
+                           params: ModelParams, xi: float):
     """The per-sample min-max loop that the vectorized min_max_loss replaced."""
     if graph is None:
         raise StateError("min-max loss needs a graph")
@@ -255,27 +255,25 @@ def reference_min_max_loss(batch_x: np.ndarray, batch_y: np.ndarray, graph: NGGr
             raise StateError(f"no node carries batch label {y}")
         dists = np.linalg.norm(graph.centroids[candidates] - feat[b], axis=1)
         j = int(candidates[np.argmin(dists)])
-        if include_min:
-            d = float(np.linalg.norm(feat[b] - graph.centroids[j]))
-            loss += d
-            if d > 0.0:
-                grad_feat[b] += (feat[b] - graph.centroids[j]) / d
-        if include_max:
-            is_new = int(graph.origins[j]) == graph.session
-            if is_new and j not in new_fwd:
-                fj, oj, cj = forward(graph.pseudo_inputs[j], params)
-                new_fwd[j] = (fj, oj, cj)
-                new_grad[j] = np.zeros_like(fj)
-            mj = new_fwd[j][0] if is_new else graph.centroids[j]
-            for i in np.flatnonzero(graph.ages[j]):
-                if int(graph.labels[i]) == y:
-                    continue
-                gap = mj - graph.centroids[i]
-                d_ij = float(np.linalg.norm(gap))
-                if d_ij < xi:
-                    loss += xi - d_ij
-                    if is_new and d_ij > 0.0:
-                        new_grad[j] -= gap / d_ij
+        d = float(np.linalg.norm(feat[b] - graph.centroids[j]))
+        loss += d
+        if d > 0.0:
+            grad_feat[b] += (feat[b] - graph.centroids[j]) / d
+        is_new = int(graph.origins[j]) == graph.session
+        if is_new and j not in new_fwd:
+            fj, oj, cj = forward(graph.pseudo_inputs[j], params)
+            new_fwd[j] = (fj, oj, cj)
+            new_grad[j] = np.zeros_like(fj)
+        mj = new_fwd[j][0] if is_new else graph.centroids[j]
+        for i in np.flatnonzero(graph.ages[j]):
+            if int(graph.labels[i]) == y:
+                continue
+            gap = mj - graph.centroids[i]
+            d_ij = float(np.linalg.norm(gap))
+            if d_ij < xi:
+                loss += xi - d_ij
+                if is_new and d_ij > 0.0:
+                    new_grad[j] -= gap / d_ij
     grads = backward_batch(cache, np.zeros_like(logits), grad_feat, params)
     for j, g in new_grad.items():
         fj, oj, cj = new_fwd[j]
@@ -317,15 +315,38 @@ def grid_world(seed):
     return params, graph, bx, by
 
 
-@pytest.mark.parametrize("include_min,include_max",
-                         [(True, True), (False, True), (True, False)])
-def test_min_max_loss_matches_per_sample_reference(include_min, include_max):
+def push_only_world(seed):
+    """grid_world with every batch row on a node of its label: rows 0-2 as planted,
+    then the pseudo inputs of nodes 4-8 with those nodes' centroids moved onto their
+    features.  Grid values are exact, so every row's pull is exactly 0."""
+    params, graph, bx, by = grid_world(seed)
+    graph.centroids[4:] = forward_batch(graph.pseudo_inputs[4:], params)[0]
+    bx, by = np.vstack([bx[:3], graph.pseudo_inputs[4:]]), np.r_[by[:3], graph.labels[4:]]
+    feat = forward_batch(bx, params)[0]
+    assert all((feat[b] == graph.centroids[graph.labels == by[b]]).all(axis=1).any()
+               for b in range(len(by)))
+    return params, graph, bx, by
+
+
+def pull_only_world(seed):
+    """grid_world without edges, so nothing is pushed."""
+    params, graph, bx, by = grid_world(seed)
+    graph.ages[:] = 0
+    return params, graph, bx, by
+
+
+# Which parts of the loss each world leaves live: (pull, push).
+PART_WORLDS = {(True, True): grid_world, (False, True): push_only_world,
+               (True, False): pull_only_world}
+
+
+@pytest.mark.parametrize("pull,push", list(PART_WORLDS))
+def test_min_max_loss_matches_per_sample_reference(pull, push):
     for seed in range(40):
-        params, g, bx, by = grid_world(seed)
+        params, g, bx, by = PART_WORLDS[pull, push](seed)
         xi = float(np.random.default_rng(seed).uniform(0.5, 4.0))
-        loss, grads = min_max_loss(bx, by, g, params, xi, include_min, include_max)
-        ref_loss, ref_grads = reference_min_max_loss(bx, by, g, params, xi,
-                                                     include_min, include_max)
+        loss, grads = min_max_loss(bx, by, g, params, xi)
+        ref_loss, ref_grads = reference_min_max_loss(bx, by, g, params, xi)
         assert loss == pytest.approx(ref_loss, rel=1e-9, abs=1e-9)
         for name, arr in grads.arrays().items():
             np.testing.assert_allclose(arr, ref_grads.arrays()[name], rtol=1e-9, atol=1e-9)
@@ -352,19 +373,21 @@ def test_min_max_loss_matches_reference_on_random_graphs():
             np.testing.assert_allclose(arr, ref_grads.arrays()[name], rtol=1e-9, atol=1e-9)
 
 
-PARTS = [(True, True), (False, True), (True, False)]
-
-
 def assert_min_max_term_matches_oracle(feat, y, graph, xi):
-    """The masked search's term equals the per-label `nearest` oracle's bit for bit."""
+    """The masked search's term equals the per-label `nearest` oracle's bit for bit:
+    the full loss; the pull alone, on the graph without edges; and the push alone,
+    with each batch row moved onto the first node of its label."""
     new_nodes = np.flatnonzero(graph.origins == graph.session)
-    for include_min, include_max in PARTS:
-        loss, grad = _min_max_term(feat, graph, _min_max_index(y, graph), xi,
-                                   include_min, include_max)
-        ref_loss, ref_grad, _ = oracles.min_max_term(feat, feat[:, :0], y, graph, new_nodes,
-                                                     xi, include_min, include_max)
-        assert loss == ref_loss, (include_min, include_max)
-        assert grad.tobytes() == ref_grad.tobytes(), (include_min, include_max)
+    edgeless = NGGraph(graph.centroids, graph.variances, graph.pseudo_inputs, graph.labels,
+                       graph.origins, graph.lifetime, graph.eps_var, graph.session)
+    on_nodes = feat.copy()
+    on_nodes[:len(y)] = graph.centroids[(graph.labels == np.asarray(y)[:, None]).argmax(axis=1)]
+    for part, (rows, g) in {"full": (feat, graph), "pull": (feat, edgeless),
+                            "push": (on_nodes, graph)}.items():
+        loss, grad = _min_max_term(rows, g, _min_max_index(y, g), xi)
+        ref_loss, ref_grad, _ = oracles.min_max_term(rows, rows[:, :0], y, g, new_nodes, xi)
+        assert loss == ref_loss, part
+        assert grad.tobytes() == ref_grad.tobytes(), part
 
 
 # k = 400 gives 1200 batch-label nodes, so the search takes one row per block and
@@ -400,9 +423,8 @@ def test_min_max_search_planted_ties_nearer_other_labels_and_overflow():
     feat = np.vstack([batch, centroids[[1, 2, 3, 5]] + 0.5])
     with np.errstate(over="ignore"):
         assert_min_max_term_matches_oracle(feat, np.array([0, 1, 2]), graph, 4.0)
-        loss, _ = _min_max_term(feat, graph, _min_max_index([0, 1, 2], graph), 4.0,
-                                False, True)
-    assert np.isfinite(loss)
+        loss, grad = _min_max_term(feat, graph, _min_max_index([0, 1, 2], graph), 4.0)
+    assert loss == math.inf and np.isfinite(grad).all()  # only row 1's pull overflows
 
 
 # -- distillation -----------------------------------------------------------

@@ -80,6 +80,35 @@ def test_rank_nodes_random_matches_brute_force():
         assert winner_pair(g, f) == (expected[0], expected[1] if n > 1 else -1)
 
 
+def distance_rows(values):
+    """12 rows of a distance table: "grid" rows of halves 5 wide, whose sums are exact
+    in any order, or "wide" normal rows 33 wide, whose bits depend on it; rows 1 and
+    2 repeat rows 0 and 3, so they tie and meet them at zero gaps."""
+    rng = np.random.default_rng(0xD157)
+    rows = rng.integers(-2, 3, size=(12, 5)) / 2.0 if values == "grid" \
+        else rng.normal(size=(12, 33))
+    rows[1], rows[2] = rows[0], rows[3]
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["pairs", "block", "row"])
+@pytest.mark.parametrize("values", ["grid", "wide"])
+def test_exact_distances_is_the_norm_bit_for_bit_in_either_layout(values, shape):
+    """The one distance against np.linalg.norm on C-ordered operands: paired rows,
+    a (rows, refs, dim) broadcast block and one row against every ref, with the refs
+    given as they are and as a transposed view (F order), as a (dim, N) working copy
+    hands them over."""
+    points = distance_rows(values)
+    refs = points[::-1].copy()
+    a = {"pairs": points, "block": points[:, None, :], "row": points[0]}[shape]
+    expected = np.linalg.norm(a - refs, axis=-1)
+    transposed = np.ascontiguousarray(refs.T).T
+    assert not transposed.flags.c_contiguous
+    for b in (refs, transposed):
+        assert same_bits(_exact_distances(a, b), expected)
+    assert same_bits(_exact_distances(points, points), np.zeros(len(points)))
+
+
 def test_rank_nodes_empty_graph_rejected():
     # No graph method removes nodes, so refusing an empty graph at construction
     # leaves none to rank.
@@ -1530,7 +1559,7 @@ def test_graph_searches_do_not_depend_on_block_size(monkeypatch, block):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("block", [1, 3, 17, 1 << 16])
+@pytest.mark.parametrize("block", [0, 1, 3, 17, 1 << 16])
 def test_max_distance_matches_full_pairwise_array(monkeypatch, block):
     monkeypatch.setattr(neural_gas, "NEAREST_BLOCK", block)
     for seed in range(3):
