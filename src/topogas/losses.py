@@ -15,8 +15,8 @@ from .errors import InputError, StateError
 # `forward` stays bound here because the perfbench tracer patches losses.forward.
 from .feature_model import (ModelParams, backward_batch, extract_features, forward,  # noqa: F401
                             forward_batch, softmax, softmax_cross_entropy_batch)
-from .neural_gas import (MAX_LIFETIME, NGGraph, _exact_distances, _rows_per_block,
-                         check_variance_floor, max_distance)
+from .neural_gas import (MAX_LIFETIME, NGGraph, _exact_distances, check_variance_floor,
+                         max_distance, nearest)
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,11 @@ class MethodSpec:
     def reads_graph(self) -> bool:
         """Whether a term reads the neural-gas graph; other methods run without one."""
         return self.anchor == "graph" or self.min_max
+
+    @property
+    def keeps_store(self) -> bool:
+        """Whether a term reads the exemplar store; other methods build none."""
+        return self.distill or self.anchor == "exemplar"
 
 
 # The single source for which terms each incremental method composes.
@@ -121,8 +126,7 @@ class _MinMaxIndex:
     """The min-max term's index sets for one batch; it reads the rest from the graph."""
 
     batch: int            # batch rows; the rows of this session's nodes follow them
-    nodes: np.ndarray     # (K,) the nodes that carry a batch label, ascending
-    other: np.ndarray     # (batch, K) bool: the node carries another label than the row
+    by_label: tuple       # per batch label, (its batch rows, its nodes ascending)
     node_row: np.ndarray  # (N,) the row of each node of this session
 
 
@@ -131,28 +135,23 @@ def _min_max_index(y, graph: NGGraph) -> _MinMaxIndex:
     missing = np.setdiff1d(y, graph.labels)
     if missing.size:
         raise StateError(f"no node carries batch label {missing[0]}")
-    nodes = np.flatnonzero(np.isin(graph.labels, y))
+    by_label = tuple((np.flatnonzero(y == c), np.flatnonzero(graph.labels == c))
+                     for c in np.unique(y))
     node_row = len(y) + np.searchsorted(np.flatnonzero(graph.current), np.arange(len(graph)))
-    return _MinMaxIndex(len(y), nodes, y[:, None] != graph.labels[nodes], node_row)
+    return _MinMaxIndex(len(y), by_label, node_row)
 
 
 def _min_max_term(feat, graph, index, xi):
     """Min-max loss; rows are the batch, then f(z_j) of this session's nodes."""
     n = index.batch
     grad_feat = np.zeros_like(feat)
-    # Per row, the first node of its label at the least distance, as `nearest` over
-    # that label's nodes finds it: other-label nodes sit at inf, and a row whose
-    # own-label distances all overflow to inf takes its first own-label node.
-    refs, match = graph.centroids[index.nodes], np.empty(n, dtype=int)
-    step = _rows_per_block(len(refs))
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        masked = index.other[rows]
-        d = np.where(masked, np.inf, _exact_distances(feat[rows, None, :], refs))
-        pick = np.where(d.min(axis=1) == np.inf, masked.argmin(axis=1), d.argmin(axis=1))
-        match[rows] = index.nodes[pick]
+    # Per row, the first node of its label at the least distance (a row whose
+    # distances all overflow takes its label's first node), and that distance.
+    match, d = np.empty(n, dtype=int), np.empty(n)
+    for rows, nodes in index.by_label:
+        pick, d[rows] = nearest(feat[rows], graph.centroids[nodes])
+        match[rows] = nodes[pick]
     diff = feat[:n] - graph.centroids[match]
-    d = _exact_distances(feat[:n], graph.centroids[match])
     loss = float(d.sum())
     np.divide(diff, d[:, None], out=grad_feat[:n], where=d[:, None] > 0.0)
     # Push: a sample's hinge depends only on its matched node j (labels[j] == y),
@@ -288,7 +287,7 @@ def plan_session(batch, graph: NGGraph | None, store: np.ndarray | None,
         raise InputError(f"an exemplar store of shape {np.shape(store)} is not a (rows, d) "
                          "block as wide as the batch")
     empty = batch_x[:0]
-    stored = store if store is not None and (spec.distill or spec.anchor == "exemplar") else empty
+    stored = store if store is not None and spec.keeps_store else empty
     z = graph.pseudo_inputs if spec.reads_graph else empty
     old = np.flatnonzero(~graph.current) if spec.anchor == "graph" else []
     new = np.flatnonzero(graph.current) if spec.min_max else []

@@ -51,8 +51,8 @@ SCREEN_BLOCK = 1 << 17
 # Rows per presentation call of a training sweep, so a sweep's temporaries stay
 # bounded however many features it presents.
 SWEEP_BLOCK = 1 << 10
-# Headroom of the screen's bound over the worst-case rounding error, and the
-# squared norm from which rows or centroids are too large to screen or certify.
+# Headroom of the screen's bound over the worst-case rounding error, and the limit
+# no screened squared norm, or certified squared distance, may reach.
 SCREEN_MARGIN = 2.0 ** 10
 SCREEN_NORM_LIMIT = 2.0 ** 1000
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -306,10 +306,10 @@ class NGGraph:
         and runners-up as two index arrays (runner-up -1 on a single-node
         graph) for `edge_update`.
 
-        Calls with at least SCREEN_MIN old nodes x feature dims screen the
-        old side (`_hebbian_screened`); every call that does not screen ranks
-        every node (`_hebbian_node_major`), by exact distances alone once a
-        squared norm reaches SCREEN_NORM_LIMIT.  Both give the same bits.
+        Calls with at least SCREEN_MIN old nodes x feature dims, and squared
+        norms below SCREEN_NORM_LIMIT, screen the old side (`_hebbian_screened`);
+        every other call ranks every node (`_hebbian_node_major`).  Both give the
+        same bits.
         """
         if not 0.0 < eta <= 1.0:
             raise InputError(f"eta must be in (0, 1], got {eta}")
@@ -319,31 +319,31 @@ class NGGraph:
         x = self._block(features)
         frozen = ~self.current
         steps = _rank_steps(eta, alpha, n)
-        x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
-        # Far from overflow, every squared distance and bound stays finite.
-        certify = max(x_sq.max(initial=0.0), c_sq.max()) < SCREEN_NORM_LIMIT
         count = np.count_nonzero(frozen)
-        if certify and len(x) and count >= 2 and count * dim >= SCREEN_MIN:
-            pairs = self._hebbian_screened(x, steps, ~frozen, x_sq, c_sq)
-        else:
-            pairs = self._hebbian_node_major(x, steps, frozen, certify)
+        if len(x) and count >= 2 and count * dim >= SCREEN_MIN:
+            x_sq, c_sq = _sq_norms(x), _sq_norms(self.centroids)
+            # Far from overflow, every squared distance and bound stays finite.
+            if max(x_sq.max(), c_sq.max()) < SCREEN_NORM_LIMIT:
+                pairs = self._hebbian_screened(x, steps, ~frozen, x_sq, c_sq)
+                return pairs[:, 0], pairs[:, 1]
+        pairs = self._hebbian_node_major(x, steps, frozen)
         return pairs[:, 0], pairs[:, 1]
 
-    def _hebbian_node_major(self, x, steps, frozen, certify) -> np.ndarray:
+    def _hebbian_node_major(self, x, steps, frozen) -> np.ndarray:
         """Rank every node for each row and step the centroids, on a (dim, N)
         working copy so every array operation runs along the nodes; returns
         (winner, runner-up) rows.
 
-        With `certify`, a row ranks the nodes by squared sums in any summation
-        order, s from einsum, and certifies that ranking: each sorted sum must lie
-        more than `margin` doubles above the one before it, that is, exceed it
-        by a relative 2^11 (dim + 2) u and by 2^11 (dim + 2) TINY.  That is 2^9
-        times the worst-case rounding of two sums in any summation order and of
-        the square root (Higham, section 3.1), so the exact distances rank the
-        nodes alike, without ties.  Sums stay finite (the caller checks the
-        norms) and non-negative, so their int64 views order like the sums.  A
-        row that fails, through ties or underflow, and every row of a call
-        without `certify` ranks by `_exact_order`.
+        A row ranks the nodes by squared sums s in einsum's summation order and
+        certifies that ranking: each sorted sum must lie more than `margin` doubles
+        above the one before it, that is, exceed it by a relative 2^11 (dim + 2) u
+        and by 2^11 (dim + 2) TINY.  That is 2^9 times the worst-case rounding of
+        two sums in any summation order and of the square root (Higham, section
+        3.1), so the exact distances rank the nodes alike, without ties.  Below
+        SCREEN_NORM_LIMIT, the row's largest sum bounds every square and partial
+        sum of any order, so all are finite, and the non-negative sums' int64
+        views order like the sums.  A row that fails, by a tie, underflow or a
+        largest sum at the limit, ranks by `_exact_order`.
         """
         n, dim = self.centroids.shape
         cT = np.ascontiguousarray(self.centroids.T)
@@ -353,11 +353,11 @@ class NGGraph:
         masked = frozen.any()
         for t, f in enumerate(x):
             np.subtract(f[:, None], cT, out=diff)
-            if certify:
-                s = np.einsum("ij,ij->j", diff, diff)
-                order = s.argsort()
-                doubles = s.view(np.int64)[order]
-            if not certify or still and (doubles[1:] - doubles[:-1]).min() <= margin:
+            s = np.einsum("ij,ij->j", diff, diff)
+            order = s.argsort()
+            doubles = s.view(np.int64)[order]
+            if (s[order[-1]] >= SCREEN_NORM_LIMIT
+                    or still and (doubles[1:] - doubles[:-1]).min() <= margin):
                 order = _exact_order(f, cT.T)
             step[order] = steps
             diff *= step

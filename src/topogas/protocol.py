@@ -470,7 +470,7 @@ def run_method(stream: SessionStream, method: str, hp: HyperParams, seed: int,
     spec = METHODS[method]
     exemplar_anchor = spec.anchor == "exemplar"
     store = None
-    if spec.distill or exemplar_anchor:
+    if spec.keeps_store:
         rng = _exemplar_rng(seed, 1)
         store = _class_exemplars(stream.session(1), hp.exemplars_per_class, rng)
         if exemplar_anchor:

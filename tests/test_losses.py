@@ -374,7 +374,7 @@ def test_min_max_loss_matches_reference_on_random_graphs():
 
 
 def assert_min_max_term_matches_oracle(feat, y, graph, xi):
-    """The masked search's term equals the per-label `nearest` oracle's bit for bit:
+    """The term equals the oracle's bit for bit:
     the full loss; the pull alone, on the graph without edges; and the push alone,
     with each batch row moved onto the first node of its label."""
     new_nodes = np.flatnonzero(graph.origins == graph.session)
@@ -390,8 +390,8 @@ def assert_min_max_term_matches_oracle(feat, y, graph, xi):
         assert grad.tobytes() == ref_grad.tobytes(), part
 
 
-# k = 400 gives 1200 batch-label nodes, so the search takes one row per block and
-# the oracle's per-label `nearest` screens its refs.
+# k = 400 gives each batch label 400 nodes, so the label with the most of the 16
+# rows (at least 6) is a search of more than NEAREST_BLOCK distances and screens.
 @pytest.mark.parametrize("k", [2, 3, 400])
 def test_min_max_search_matches_per_label_nearest_with_several_nodes_per_label(k):
     for seed in range(10):

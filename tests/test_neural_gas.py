@@ -425,7 +425,8 @@ def test_huge_norms_rank_every_row_exactly(side, monkeypatch):
             warnings.simplefilter("error", RuntimeWarning)
             assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
         assert_same_graph(g, ref)
-    # Neither the screen nor the certificate runs: one exact ranking per row.
+    # No screen runs, and every row's largest sum reaches the limit: one exact
+    # ranking per row.
     assert calls == ["node_major"] * 9 and fallbacks == [30] * 180
 
 
@@ -495,6 +496,43 @@ def test_node_major_certificate_falls_back_exactly_on_ties_and_underflow(case, m
         assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
         assert_same_graph(g, ref)
     assert len(fallbacks) == (0 if case == "gaussian" else 3 * len(feats))
+
+
+@pytest.mark.parametrize("moving", [None, "sparse"])
+def test_node_major_rows_certify_from_their_own_sums_past_the_norm_limit(moving, monkeypatch):
+    """Coordinates near 2^500 put every squared norm past SCREEN_NORM_LIMIT, but
+    the squared distances stay far below it, so each row's own sums certify its
+    ranking: no row ranks exactly, and every bit is the row-by-row rule's."""
+    calls, fallbacks = kernel_calls(monkeypatch, "node_major"), exact_order_calls(monkeypatch)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 0x5E1F])
+        centroids, feats = (2.0 ** 500 * (1 + 1e-3 * rng.normal(size=(rows, 8)))
+                            for rows in (40, 50))
+        assert (centroids ** 2).sum(axis=1).min() >= neural_gas.SCREEN_NORM_LIMIT
+        g = graph_from_centroids(centroids, lifetime=4)
+        set_session_nodes(g, None if moving is None else rng.random(40) < 0.3)
+        ref = NGGraph.from_text(g.to_text())
+        expected = oracles.present(ref, feats, 0.3, 1.5, g.origins == g.session)
+        assert present_in_batches(g, feats, 0.3, 1.5, size=25) == expected
+        assert_same_graph(g, ref)
+    assert calls == ["node_major"] * 6 and fallbacks == []
+
+
+def test_node_major_call_computes_no_squared_norms(monkeypatch):
+    """Only a call large enough to screen computes the squared norms it screens with."""
+    norms, sq_norms = [], neural_gas._sq_norms
+
+    def spy(rows):
+        norms.append(len(rows))
+        return sq_norms(rows)
+
+    monkeypatch.setattr(neural_gas, "_sq_norms", spy)
+    for side, expected in (("node_major", []), ("screened", [25, 30])):
+        calls = kernel_calls(monkeypatch, side)
+        g, feats, _ = screen_case("one_moving", seed=0)
+        g.hebbian_update(feats[:25], 0.3, 1.5)
+        assert calls == [side] and norms == expected
+        norms.clear()
 
 
 def test_hebbian_returns_runner_up_minus_one_on_a_single_node():
